@@ -217,40 +217,27 @@ def _cmd_mass(args):
     return obj, rows, text
 
 
-def _level_vbar(field: LocalField, level: int) -> int:
-    m = max(field.p - 1, 1)
-    if level == 0:
-        return cyclotomic_valuation(field)
-    if not field.equal_char and level == field.p * field.e:
-        return 0
-    return (cyclotomic_valuation(field) - level) % m
-
-
 def _cmd_count(args):
     field = _field(args)
-    table = count_table(field, args.max_level)
-    entries = []
-    for level in sorted(table):
-        w = _level_vbar(field, level)
-        if args.vbar is not None and w != args.vbar % max(field.p - 1, 1):
-            continue
-        entries.append((level, w, table[level]))
+    entries = [
+        rec
+        for rec in count_table(field, args.max_level).values()
+        if args.vbar is None or rec.vbar == args.vbar % max(field.p - 1, 1)
+    ]
     obj = {
         "field": field.to_json_obj(),
-        "levels": {
-            str(level): dict(rec.to_json_obj(), vbar=w) for level, w, rec in entries
-        },
+        "levels": {str(rec.level): rec.to_json_obj() for rec in entries},
     }
     rows = [("level", "vbar", "lines", "extensions", "conjugacy_classes")]
     rows += [
-        (level, w, rec.lines, rec.extensions, rec.conjugacy_classes)
-        for level, w, rec in entries
+        (rec.level, rec.vbar, rec.lines, rec.extensions, rec.conjugacy_classes)
+        for rec in entries
     ]
     text = [f"extension counts over {_describe(field)}"]
     text += [
-        f"  level {level:>5}  vbar {w}  lines {rec.lines:>8}"
+        f"  level {rec.level:>5}  vbar {rec.vbar}  lines {rec.lines:>8}"
         f"  extensions {rec.extensions:>8}  classes {rec.conjugacy_classes:>8}"
-        for level, w, rec in entries
+        for rec in entries
     ]
     return obj, rows, text
 
@@ -312,6 +299,8 @@ def _cmd_oracle_check(args):
         if field.equal_char:
             raise ValueError("--max-level required when e is inf")
         bound = field.p * field.e
+    elif args.max_level < 0:
+        raise ValueError(f"--max-level must be >= 0, got {args.max_level}")
     else:
         bound = args.max_level
     entries = []

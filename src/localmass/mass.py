@@ -8,17 +8,23 @@ the eigenspace of a character ``chi`` accounts for one extension when ``chi``
 is the cyclotomic character and for ``p`` conjugate extensions otherwise,
 each weighted ``q**-d``.  Summing level by level gives every quantity here:
 
-* :func:`char_contribution` — the mass carried by one character class,
-  as a direct sum over strata (finite in mixed characteristic, a closed-form
-  geometric series in equal characteristic);
+* :func:`char_contribution` — the mass carried by one character class: the
+  direct stratum sum of :func:`char_contribution_truncated` taken up to the
+  top level in mixed characteristic, a geometric series summed exactly in
+  equal characteristic;
 * :func:`char_contribution_closed` — the same value through an independent
   closed-form expression, kept as a permanent cross-check;
 * :func:`total_mass` — the full report, asserting the total is exactly p;
-* :func:`count_extensions` / :func:`count_table` — how many extensions and
-  conjugacy classes live at each level;
+* :func:`count_table` — how many extensions and conjugacy classes live at
+  each level, read off the level walk of :mod:`localmass.model`;
+  :func:`count_extensions` gives the same for one character and stratum;
 * the Galois-closure filters — masses of the extensions whose closure group
   is constrained (cyclic, split by an unramified extension, of given order);
 * :func:`tame_mass` — the two-dimensional degree-p' analogue, p' != p.
+
+A contribution depends only on the character's valuation and on whether the
+character is trivial.  Functions that range over all (p-1)^2 characters
+therefore make one sum per such class, at most p of them.
 
 All values are exact ``Fraction``s; a violated internal identity raises
 :class:`MassInvariantError` instead of returning a wrong report.
@@ -27,11 +33,11 @@ All values are exact ``Fraction``s; a violated internal identity raises
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
-    OMEGA,
     CharClass,
     LocalField,
     char_is_omega,
@@ -40,11 +46,14 @@ from .model import (
     enumerate_characters,
     generic_char,
     is_prime,
+    level_walk,
     omega_char,
+    omega_coordinates,
     omega_is_trivial,
     stratum_level,
     stratum_slot,
     trivial_char,
+    truncation_bound,
     validate_char,
 )
 from .rationals import format_rational, geom_finite, geom_infinite, rat_pow
@@ -56,9 +65,15 @@ class MassInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class LevelCount:
-    """Extensions and conjugacy classes at one filtration level."""
+    """Extensions and conjugacy classes at one filtration level.
+
+    ``vbar`` is the valuation class of the characters whose eigen-blocks sit
+    at the level: the cyclotomic valuation at level 0, 0 at the top level
+    p*e, and the valuation fixed by the level's congruence in between.
+    """
 
     level: int
+    vbar: int
     lines: int
     extensions: int
     conjugacy_classes: int
@@ -66,6 +81,7 @@ class LevelCount:
     def to_json_obj(self) -> dict:
         return {
             "level": self.level,
+            "vbar": self.vbar,
             "lines": self.lines,
             "extensions": self.extensions,
             "conjugacy_classes": self.conjugacy_classes,
@@ -148,23 +164,18 @@ def char_contribution(field: LocalField, chi: CharClass) -> Fraction:
 
     Sums ``p(q-1)/(p-1) * q**(i - level_i)`` over the strata ``i``.  In mixed
     characteristic the sum runs over ``i < e`` and the trivial character
-    additionally carries the whole top-level stratum.  In equal characteristic
-    the infinite sum is evaluated exactly: slots repeat with period ``p - 1``
-    in ``i``, so grouping strata by residue class leaves one geometric series
-    of ratio ``q**-(p-1)**2`` per class.
+    additionally carries the whole top-level stratum, which is
+    :func:`char_contribution_truncated` at the top level p*e.  In equal
+    characteristic the infinite sum is evaluated exactly: slots repeat with
+    period ``p - 1`` in ``i``, so grouping strata by residue class leaves one
+    geometric series of ratio ``q**-(p-1)**2`` per class.
     """
+    if not field.equal_char:
+        return char_contribution_truncated(field, chi, field.p * field.e)
     validate_char(field, chi)
     p, q = field.p, field.q
-    scale = Fraction(p * (q - 1), p - 1)
-    if field.equal_char:
-        head = sum(
-            rat_pow(q, i - (p * i + stratum_slot(field, chi, i))) for i in range(p - 1)
-        )
-        return scale * head * geom_infinite(rat_pow(q, -((p - 1) ** 2)))
-    total = scale * sum(rat_pow(q, i - stratum_level(field, chi, i)) for i in range(field.e))
-    if char_is_trivial(field, chi):
-        total += tres_term(field)
-    return total
+    head = sum(rat_pow(q, i - (p * i + stratum_slot(field, chi, i))) for i in range(p - 1))
+    return Fraction(p * (q - 1), p - 1) * head * geom_infinite(rat_pow(q, -((p - 1) ** 2)))
 
 
 def char_contribution_closed(field: LocalField, chi: CharClass) -> Fraction:
@@ -206,19 +217,19 @@ def char_contribution_truncated(
     """Direct stratum sum restricted to levels <= max_level.
 
     The exact partial sum the brute-force oracle must reproduce at the same
-    bound; with the bound at or above the top level in mixed characteristic
-    it equals :func:`char_contribution`.
+    bound; in mixed characteristic :func:`char_contribution` is this sum at
+    the top level p*e.
     """
     validate_char(field, chi)
     p, q = field.p, field.q
-    scale = Fraction(p * (q - 1), p - 1)
-    total = Fraction(0)
+    head = Fraction(0)
     i = 0
     while (field.equal_char or i < field.e) and p * i + 1 <= max_level:
         level = p * i + stratum_slot(field, chi, i)
         if level <= max_level:
-            total += scale * rat_pow(q, i - level)
+            head += rat_pow(q, i - level)
         i += 1
+    total = Fraction(p * (q - 1), p - 1) * head
     if not field.equal_char and char_is_trivial(field, chi) and p * field.e <= max_level:
         total += tres_term(field)
     return total
@@ -228,10 +239,20 @@ def per_character_contributions(
     field: LocalField, omega_coords: tuple[int, int] | None = None
 ) -> list[tuple[CharClass, Fraction]]:
     """Contribution of each of the (p-1)^2 characters, in coordinate order."""
-    return [
-        (chi, char_contribution(field, chi))
-        for chi in enumerate_characters(field, omega_coords)
-    ]
+    return list(_class_contributions(field, enumerate_characters(field, omega_coords)))
+
+
+def _class_contributions(field: LocalField, chars):
+    """Pair each character with its contribution, one sum per class.
+
+    The class of a character is its valuation and whether it is trivial.
+    """
+    sums = {}
+    for chi in chars:
+        key = (chi.valuation % (field.p - 1), char_is_trivial(field, chi))
+        if key not in sums:
+            sums[key] = char_contribution(field, chi)
+        yield chi, sums[key]
 
 
 def total_mass(
@@ -259,6 +280,12 @@ def peu_tres_split(field: LocalField) -> tuple[Fraction, Fraction]:
     return field.p - tres, tres
 
 
+def _new_lines(p: int, below: int, dim: int) -> int:
+    """Lines of an eigenspace that a dim-dimensional block adds on top of
+    ``below`` dimensions: those not already in the space underneath."""
+    return (p ** (below + dim) - p**below) // (p - 1)
+
+
 def count_extensions(field: LocalField, chi: CharClass, stratum) -> LevelCount:
     """Lines, extensions, and conjugacy classes ``chi`` contributes in one stratum.
 
@@ -276,60 +303,38 @@ def count_extensions(field: LocalField, chi: CharClass, stratum) -> LevelCount:
             raise ValueError("no très ramifiées stratum")
         if not char_is_trivial(field, chi):
             raise ValueError("top stratum exists only for the trivial character")
-        prev_dim = field.e * f + bonus
-        lines = (p ** (prev_dim + 1) - p**prev_dim) // (p - 1)
-        return LevelCount(p * field.e, lines, lines * mult, lines)
+        lines = _new_lines(p, field.e * f + bonus, 1)
+        return LevelCount(p * field.e, 0, lines, lines * mult, lines)
     i = stratum
     if not isinstance(i, int) or i < 0:
         raise ValueError(f"invalid stratum {stratum!r}")
     level = stratum_level(field, chi, i)  # also rejects i >= e in mixed char
-    lines = (p ** ((i + 1) * f + bonus) - p ** (i * f + bonus)) // (p - 1)
-    return LevelCount(level, lines, lines * mult, lines)
+    lines = _new_lines(p, i * f + bonus, f)
+    return LevelCount(level, chi.valuation % (p - 1), lines, lines * mult, lines)
 
 
 def count_table(field: LocalField, max_level: int | None = None) -> dict[int, LevelCount]:
     """Aggregate counts per level, over all character classes.
 
     Includes the level-0 row for the unramified extension and, in mixed
-    characteristic, the top-level row.  In equal characteristic the table is
-    infinite, so ``max_level`` is required.  In mixed characteristic (p > 2)
-    the cyclotomic character is taken distinct from the trivial one, the
-    generic situation.
+    characteristic, the top-level row; ``max_level`` truncates as
+    :func:`localmass.model.truncation_bound` says, so it is required in
+    equal characteristic.  In mixed characteristic (p > 2) the cyclotomic
+    character is taken distinct from the trivial one, the generic situation.
     """
-    p, m = field.p, max(field.p - 1, 1)
-    if field.equal_char:
-        if max_level is None:
-            raise ValueError("max_level required for an equal-characteristic field")
-        bound = max_level
-    else:
-        top = p * field.e
-        bound = top if max_level is None else min(max_level, top)
-
-    table = {0: LevelCount(0, 1, 1, 1)}
-    w_omega = cyclotomic_valuation(field)
-    for level in range(1, bound + 1):
-        if level % p == 0 or (not field.equal_char and level >= p * field.e):
-            continue
-        i = level // p
-        w = (w_omega - level) % m
-        recs = []
-        if w == w_omega:
-            if omega_is_trivial(field):
-                recs.append(count_extensions(field, trivial_char(), i))
-            else:
-                recs.append(count_extensions(field, CharClass(w, OMEGA), i))
-        n_generic = m - len(recs)
-        if n_generic:
-            rec_g = count_extensions(field, generic_char(w), i)
-            recs.extend([rec_g] * n_generic)
-        table[level] = LevelCount(
-            level,
-            sum(r.lines for r in recs),
-            sum(r.extensions for r in recs),
-            sum(r.conjugacy_classes for r in recs),
-        )
-    if not field.equal_char and p * field.e <= bound:
-        table[p * field.e] = count_extensions(field, trivial_char(), "tres")
+    p, f = field.p, field.f
+    table = {}
+    for level, vbar, dim, markers in level_walk(field, truncation_bound(field, max_level)):
+        lines = extensions = 0
+        for marker, blocks in Counter(markers).items():
+            bonus = 1 if char_is_omega(field, CharClass(vbar, marker)) else 0
+            # Below the level each of its characters has one f-dimensional
+            # block per lower stratum, plus the level-0 line if cyclotomic.
+            below = (level // p) * f + (bonus if level else 0)
+            n = blocks * _new_lines(p, below, dim)
+            lines += n
+            extensions += n if bonus else n * p
+        table[level] = LevelCount(level, vbar, lines, extensions, lines)
     return table
 
 
@@ -383,29 +388,11 @@ def _pair_order(xi: tuple[int, int], m: int) -> int:
     return ords[0] * ords[1] // math.gcd(ords[0], ords[1])
 
 
-def _omega_pair(
-    field: LocalField, omega_coords: tuple[int, int] | None
-) -> tuple[int, int]:
-    m = max(field.p - 1, 1)
-    if omega_is_trivial(field):
-        if omega_coords is not None and (omega_coords[0] % m, omega_coords[1] % m) != (0, 0):
-            raise ValueError("cyclotomic character is trivial for this field")
-        return (0, 0)
-    if omega_coords is None:
-        raise ValueError("omega class required")
-    om = (omega_coords[0] % m, omega_coords[1] % m)
-    if om[0] != cyclotomic_valuation(field):
-        raise ValueError("cyclotomic coordinates must have valuation e mod p-1")
-    return om
-
-
 def cyclic_contribution(
     field: LocalField, omega_coords: tuple[int, int] | None = None
 ) -> Fraction:
     """Mass of the cyclic degree-p extensions (character = cyclotomic)."""
-    if omega_is_trivial(field):
-        chi = trivial_char()
-    elif omega_coords is not None and _omega_pair(field, omega_coords) == (0, 0):
+    if omega_is_trivial(field) or omega_coordinates(field, omega_coords) == (0, 0):
         chi = trivial_char()
     else:
         chi = omega_char(field)
@@ -427,6 +414,20 @@ def unramified_closure_contribution(field: LocalField) -> Fraction:
     return total
 
 
+def _xi_filter_mass(field: LocalField, omega_coords, keep) -> Fraction:
+    """Mass of the characters chi whose class xi = omega*chi^-1 passes ``keep``."""
+    om = omega_coordinates(field, omega_coords)
+    if om is None:
+        raise ValueError("omega class required")
+    m = max(field.p - 1, 1)
+    kept = [
+        chi
+        for chi in enumerate_characters(field)
+        if keep(((om[0] - chi.coords[0]) % m, (om[1] - chi.coords[1]) % m))
+    ]
+    return sum((value for _, value in _class_contributions(field, kept)), Fraction(0))
+
+
 def group_order_contribution(
     field: LocalField, n: int, omega_coords: tuple[int, int] | None = None
 ) -> Fraction:
@@ -439,14 +440,7 @@ def group_order_contribution(
     m = max(field.p - 1, 1)
     if n < 1 or m % n != 0:
         raise ValueError("order must divide p - 1")
-    om = _omega_pair(field, omega_coords)
-    total = Fraction(0)
-    for chi in enumerate_characters(field):
-        a, b = chi.coords
-        xi = ((om[0] - a) % m, (om[1] - b) % m)
-        if _pair_order(xi, m) == n:
-            total += char_contribution(field, chi)
-    return total
+    return _xi_filter_mass(field, omega_coords, lambda xi: _pair_order(xi, m) == n)
 
 
 def subfield_contribution(
@@ -458,7 +452,6 @@ def subfield_contribution(
     dual to the subgroup generated by ``subgroup_gens`` in (Z/(p-1))^2.
     """
     m = max(field.p - 1, 1)
-    om = _omega_pair(field, omega_coords)
     subgroup = {(0, 0)}
     frontier = [(a % m, b % m) for a, b in subgroup_gens]
     while frontier:
@@ -468,32 +461,24 @@ def subfield_contribution(
             if t not in subgroup:
                 subgroup.add(t)
                 frontier.append(t)
-    total = Fraction(0)
-    for chi in enumerate_characters(field):
-        a, b = chi.coords
-        xi = ((om[0] - a) % m, (om[1] - b) % m)
-        if xi in subgroup:
-            total += char_contribution(field, chi)
-    return total
+    return _xi_filter_mass(field, omega_coords, subgroup.__contains__)
 
 
 def galois_closure_contribution(
-    field: LocalField, filter_spec, omega_coords: tuple[int, int] | None = None
+    field: LocalField, filter_spec: str, omega_coords: tuple[int, int] | None = None
 ) -> Fraction:
-    """Dispatch on a filter spec: "cyclic", "unramified-closure",
-    ("group_order", n) / "group-order=N", or ("subfield", gens)."""
+    """Mass of the extensions passing one ``--filter`` of the command line.
+
+    ``filter_spec`` is "cyclic", "unramified-closure" or "group-order=N".
+    Library callers holding an order or a subgroup call
+    :func:`group_order_contribution` or :func:`subfield_contribution`.
+    """
     if filter_spec == "cyclic":
         return cyclic_contribution(field, omega_coords)
-    if filter_spec in ("unramified_closure", "unramified-closure"):
+    if filter_spec == "unramified-closure":
         return unramified_closure_contribution(field)
-    if isinstance(filter_spec, str) and filter_spec.startswith("group-order="):
+    if filter_spec.startswith("group-order="):
         return group_order_contribution(field, int(filter_spec.split("=", 1)[1]), omega_coords)
-    if isinstance(filter_spec, tuple) and len(filter_spec) == 2:
-        kind, arg = filter_spec
-        if kind == "group_order":
-            return group_order_contribution(field, arg, omega_coords)
-        if kind == "subfield":
-            return subfield_contribution(field, arg, omega_coords)
     raise ValueError(f"unknown filter {filter_spec!r}")
 
 

@@ -10,9 +10,10 @@ Conjugacy classes of separable degree-p extensions of ``F`` correspond to
 stable lines in a filtered module attached to ``F``.  That module decomposes
 into eigen-blocks, one per character class of the degree-(p-1) abelian
 closure, and each block sits at a well-defined filtration level.  This module
-encodes the block layout (levels, character valuations, dimensions), the
-level arithmetic, and the break/discriminant arithmetic of the tame
-subextension; :mod:`localmass.mass` turns the layout into masses and counts.
+owns the one walk over those levels (:func:`level_walk`, truncated by
+:func:`truncation_bound`), which both the block layout and the per-level
+counts of :mod:`localmass.mass` read, the stratum arithmetic, and the
+break/discriminant arithmetic of the tame subextension.
 
 Characters are reduced to the data the formulas consume: a valuation class
 mod ``p - 1``, optional full coordinates in the basis (uniformizer class,
@@ -210,11 +211,6 @@ def stratum_level(field: LocalField, chi: CharClass, i: int) -> int:
     return field.p * i + stratum_slot(field, chi, i)
 
 
-def unramified_level() -> int:
-    """Level of the distinguished line, i.e. of the unramified extension."""
-    return 0
-
-
 def eigenspace_dim(field: LocalField, chi: CharClass, t: int) -> int:
     """Dimension over F_p of chi's eigenspace after t filtration strata.
 
@@ -236,6 +232,28 @@ def eigenspace_dim(field: LocalField, chi: CharClass, t: int) -> int:
     return dim
 
 
+def omega_coordinates(
+    field: LocalField, coords: tuple[int, int] | None
+) -> tuple[int, int] | None:
+    """Coordinates of the cyclotomic class, reduced mod p-1 and checked.
+
+    When the cyclotomic character is trivial they are (0, 0), and supplied
+    coordinates must agree.  In mixed characteristic they are not determined
+    by the field parameters: the result is None when none are supplied, and
+    supplied ones must have valuation e mod p-1.
+    """
+    m = max(field.p - 1, 1)
+    if coords is None:
+        return (0, 0) if omega_is_trivial(field) else None
+    coords = (coords[0] % m, coords[1] % m)
+    if omega_is_trivial(field):
+        if coords != (0, 0):
+            raise ValueError("cyclotomic character is trivial for this field")
+    elif coords[0] != cyclotomic_valuation(field):
+        raise ValueError("cyclotomic coordinates must have valuation e mod p-1")
+    return coords
+
+
 def enumerate_characters(
     field: LocalField, omega_coords: tuple[int, int] | None = None
 ) -> list[CharClass]:
@@ -248,18 +266,13 @@ def enumerate_characters(
     are supplied (they are not determined by the field parameters alone).
     """
     m = max(field.p - 1, 1)
-    if omega_coords is not None:
-        omega_coords = (omega_coords[0] % m, omega_coords[1] % m)
-        if not omega_is_trivial(field) and omega_coords[0] != cyclotomic_valuation(field):
-            raise ValueError("cyclotomic coordinates must have valuation e mod p-1")
-        if omega_is_trivial(field) and omega_coords != (0, 0):
-            raise ValueError("cyclotomic character is trivial for this field")
+    omega = omega_coordinates(field, omega_coords)
     chars = []
     for a in range(m):
         for b in range(m):
             if (a, b) == (0, 0):
                 marker = TRIVIAL
-            elif omega_coords is not None and (a, b) == omega_coords:
+            elif (a, b) == omega:
                 marker = OMEGA
             else:
                 marker = GENERIC
@@ -301,47 +314,66 @@ class FilteredLayout:
         return [b.to_json_obj() for b in self.blocks]
 
 
-def layout(field: LocalField, max_level: int | None = None) -> FilteredLayout:
-    """Block layout up to ``max_level``.
+def truncation_bound(field: LocalField, max_level: int | None) -> int:
+    """Highest level a truncated view of the filtered module keeps.
 
     In mixed characteristic the bound is clamped to the top level p*e and may
     be omitted; in equal characteristic the module is infinite-dimensional,
-    so a finite bound is required.  One block is emitted per character class
-    per stratum (dimension f each), plus the level-0 line of the cyclotomic
-    character and, in mixed characteristic, the top-level line of the trivial
-    character.  At full truncation in mixed characteristic the dimensions sum
-    to 2 + (p-1)^2 * e * f.
+    so a finite bound is required.
     """
-    p, f = field.p, field.f
-    m = max(p - 1, 1)
+    if max_level is not None and max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
     if field.equal_char:
         if max_level is None:
             raise ValueError("max_level required for an equal-characteristic field")
-        bound = max_level
-    else:
-        top = p * field.e
-        bound = top if max_level is None else min(max_level, top)
+        return max_level
+    top = field.p * field.e
+    return top if max_level is None else min(max_level, top)
 
-    blocks = [EigenBlock(0, cyclotomic_valuation(field), 1, OMEGA)]
-    level = 1
-    while level <= bound:
-        if level % p != 0 and not (not field.equal_char and level >= p * field.e):
-            w = (cyclotomic_valuation(field) - level) % m
-            markers = []
-            if omega_is_trivial(field):
-                if w == 0:
-                    markers.append(OMEGA)
-            else:
-                if w == cyclotomic_valuation(field):
-                    markers.append(OMEGA)
-                if w == 0:
-                    markers.append(TRIVIAL)
-            markers.extend([GENERIC] * (m - len(markers)))
-            blocks.extend(EigenBlock(level, w, f, mk) for mk in markers)
-        level += 1
+
+def level_walk(field: LocalField, bound: int):
+    """Yield ``(level, vbar, dim, markers)`` for each occupied level <= bound.
+
+    Levels come in increasing order: the level-0 line of the cyclotomic
+    character, then every level prime to p below the top, which holds one
+    block of dimension f per character of valuation ``vbar``, and in mixed
+    characteristic the top-level line p*e of the trivial character.
+    ``markers`` lists the distinguished marker of each block at the level.
+    """
+    p, m = field.p, max(field.p - 1, 1)
+    w_omega = cyclotomic_valuation(field)
+    yield 0, w_omega, 1, (OMEGA,)
+    markers = []
+    for w in range(m):
+        special = [OMEGA] if w == w_omega else []
+        if w == 0 and not omega_is_trivial(field):
+            special.append(TRIVIAL)
+        markers.append(tuple(special) + (GENERIC,) * (m - len(special)))
+    last = bound if field.equal_char else min(bound, p * field.e - 1)
+    for level in range(1, last + 1):
+        if level % p:
+            w = (w_omega - level) % m
+            yield level, w, field.f, markers[w]
     if not field.equal_char and p * field.e <= bound:
-        blocks.append(EigenBlock(p * field.e, 0, 1, TRIVIAL))
-    return FilteredLayout(field, bound, tuple(blocks))
+        yield p * field.e, 0, 1, (TRIVIAL,)
+
+
+def layout(field: LocalField, max_level: int | None = None) -> FilteredLayout:
+    """Block layout up to ``max_level`` (see :func:`truncation_bound`).
+
+    One block is emitted per character class per stratum (dimension f
+    each), plus the level-0 line of the cyclotomic character and, in mixed
+    characteristic, the top-level line of the trivial character.  At full
+    truncation in mixed characteristic the dimensions sum to
+    2 + (p-1)^2 * e * f.
+    """
+    bound = truncation_bound(field, max_level)
+    blocks = tuple(
+        EigenBlock(level, vbar, dim, marker)
+        for level, vbar, dim, markers in level_walk(field, bound)
+        for marker in markers
+    )
+    return FilteredLayout(field, bound, blocks)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .model import is_prime
+
 Perm = tuple[int, ...]
 
 #: Degrees beyond this make exhaustive verification meaningless on a desk.
@@ -232,6 +234,13 @@ def subgroup_closure(gens, degree: int | None = None) -> SubgroupRecord:
     return record_from_elements(closure(gens, degree), degree)
 
 
+def _require_degree(p: int) -> None:
+    if p > MAX_DEGREE:
+        raise ValueError("verification scale exceeded")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod p."""
     if p == 2:
@@ -284,8 +293,7 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
     p <= 5) or "seeded" (p = 7).  Memoized: the enumeration is pure and the
     p = 5 pair closure is the expensive step.
     """
-    if p > MAX_DEGREE:
-        raise ValueError("verification scale exceeded")
+    _require_degree(p)
     sigma = pcycle(p)
     if p <= 5:
         ambient = sorted(closure([sigma, (1, 0) + tuple(range(2, p))] if p > 2 else [sigma], p))
@@ -316,8 +324,7 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
 
 def verify_normalizer(p: int) -> dict:
     """Check the order and split cyclic quotient of the cycle normalizer."""
-    if p > MAX_DEGREE:
-        raise ValueError("verification scale exceeded")
+    _require_degree(p)
     sigma = pcycle(p)
     cycle_group = closure([sigma], p)
     normalizer = normalizer_of_cycle(p)

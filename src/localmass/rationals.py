@@ -5,8 +5,8 @@ Every mass, contribution, and count in this package is an exact
 already guarantees the representation invariants we rely on (positive
 denominator, lowest terms, structural equality of normalised forms), so
 this module only adds the handful of operations the counting formulas
-reduce to: normalised construction, integer powers, and finite or
-infinite geometric series evaluated in closed form.
+reduce to: integer powers and finite or infinite geometric series
+evaluated in closed form.
 
 Rationals serialize as ``"num/den"`` in lowest terms, with a bare
 ``"num"`` allowed when the denominator is 1; :func:`format_rational` is
@@ -17,33 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# The value type of all masses and contributions.
-Rational = Fraction
-
 RatLike = Fraction | int
-
-
-def rat(num: int, den: int = 1) -> Fraction:
-    """Normalised fraction ``num/den``: positive denominator, lowest terms."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
-
-
-def rat_arith(a: RatLike, b: RatLike, op: str) -> Fraction:
-    """Apply one of ``add``, ``sub``, ``mul``, ``div`` exactly."""
-    a, b = Fraction(a), Fraction(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def rat_pow(a: RatLike, n: int) -> Fraction:

@@ -126,6 +126,30 @@ def test_galois_verify(capsys):
     assert obj["index_p_subgroups"]["holds"] is True
 
 
+@pytest.mark.parametrize("p", [0, 1, -3, 4, 6])
+def test_galois_verify_rejects_nonprime(capsys, p):
+    code, out, err = run_cli(capsys, "galois-verify", "--p", str(p))
+    assert code == 1 and out == ""
+    assert err == f"error: p = {p} is not prime\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("structure", "--p", "3", "--e", "inf"),
+        ("structure", "--p", "3", "--e", "1"),
+        ("count", "--p", "3", "--e", "inf"),
+        ("count", "--p", "3", "--e", "1"),
+        ("oracle-check", "--p", "3", "--e", "inf"),
+        ("oracle-check", "--p", "3", "--e", "1"),
+    ],
+)
+def test_negative_max_level_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--max-level", "-5")
+    assert code == 1 and out == ""
+    assert "must be >= 0, got -5" in err
+
+
 def test_byte_determinism(capsys):
     outs = []
     for _ in range(2):

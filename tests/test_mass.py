@@ -256,10 +256,8 @@ def test_galois_closure_dispatcher():
     assert galois_closure_contribution(F3_SERIES, "cyclic") == Fraction(9, 20)
     assert galois_closure_contribution(F3_SERIES, "unramified-closure") == Fraction(9, 10)
     assert galois_closure_contribution(F3_SERIES, "group-order=2") == Fraction(51, 20)
-    assert galois_closure_contribution(F3_SERIES, ("group_order", 2)) == Fraction(51, 20)
-    assert galois_closure_contribution(F3_SERIES, ("subfield", [(1, 1)])) == Fraction(
-        9, 20
-    ) + Fraction(21, 20)
+    assert group_order_contribution(F3_SERIES, 2) == Fraction(51, 20)
+    assert subfield_contribution(F3_SERIES, [(1, 1)]) == Fraction(9, 20) + Fraction(21, 20)
     with pytest.raises(ValueError, match="unknown filter"):
         galois_closure_contribution(F3_SERIES, "everything")
 

@@ -23,7 +23,7 @@ from localmass.model import (
     stratum_level,
     stratum_slot,
     trivial_char,
-    unramified_level,
+    truncation_bound,
 )
 
 Q3 = LocalField(3, 1, 1)
@@ -131,10 +131,6 @@ def test_cycle_level_matches_prime_to_p_sequence(p):
             assert level == (p - 1) * nth_prime_to_p(p, i + 1)
 
 
-def test_unramified_level():
-    assert unramified_level() == 0
-
-
 def test_eigenspace_dim_examples():
     assert eigenspace_dim(Q3, omega_char(Q3), 0) == 1
     assert eigenspace_dim(Q3, trivial_char(), 1) == 2  # full space, trivial != omega
@@ -183,6 +179,15 @@ def test_layout_block_structure():
 def test_layout_requires_bound_in_equal_char():
     with pytest.raises(ValueError, match="max_level"):
         layout(F3_SERIES)
+
+
+def test_truncation_bound():
+    assert truncation_bound(F3_SERIES, 7) == 7
+    assert truncation_bound(Q3, None) == truncation_bound(Q3, 100) == 3
+    assert truncation_bound(Q3, 0) == 0
+    for field in (Q3, F3_SERIES):
+        with pytest.raises(ValueError, match=">= 0"):
+            truncation_bound(field, -1)
 
 
 def test_enumerate_characters():

@@ -1,0 +1,83 @@
+"""Property tests over random fields: the level walk and the per-class sums
+against the independent paths they must agree with."""
+
+from hypothesis import given, settings, strategies as st
+
+from localmass.mass import (
+    char_contribution,
+    count_table,
+    group_order_contribution,
+    mass_from_counts,
+    per_character_contributions,
+)
+from localmass.model import (
+    INFINITE_E,
+    LocalField,
+    cyclotomic_valuation,
+    enumerate_characters,
+    generic_char,
+    omega_char,
+    omega_is_trivial,
+    trivial_char,
+    truncation_bound,
+)
+from localmass.oracle import eigenspace_blocks
+
+
+@st.composite
+def cases(draw):
+    """A field, a count-table bound (small in equal characteristic), and the
+    cyclotomic coordinates where the field does not determine them."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    f = draw(st.integers(1, 3))
+    e = draw(st.one_of(st.integers(1, 30), st.just(INFINITE_E)))
+    field = LocalField(p, f, e)
+    max_level = draw(st.integers(0, 40)) if field.equal_char else None
+    coords = None
+    if not omega_is_trivial(field):
+        coords = (cyclotomic_valuation(field), draw(st.integers(0, p - 2)))
+    return field, max_level, coords
+
+
+SETTINGS = settings(max_examples=50, deadline=None)
+
+
+@SETTINGS
+@given(cases())
+def test_per_character_contributions_match_direct(case):
+    field, _, coords = case
+    expected = [(chi, char_contribution(field, chi)) for chi in enumerate_characters(field, coords)]
+    assert per_character_contributions(field, coords) == expected
+
+
+@SETTINGS
+@given(cases())
+def test_count_table_levels_match_congruence_scan(case):
+    field, max_level, _ = case
+    bound = truncation_bound(field, max_level)
+    classes = [trivial_char()] + [generic_char(w) for w in range(field.p - 1)]
+    if not omega_is_trivial(field):
+        classes.append(omega_char(field))
+    scanned = {
+        (block.level, chi.valuation)
+        for chi in classes
+        for block in eigenspace_blocks(field, chi, bound)
+    }
+    rows = [(rec.level, rec.vbar) for rec in count_table(field, max_level).values()]
+    assert rows == sorted(scanned)
+
+
+@SETTINGS
+@given(cases())
+def test_count_table_rebuilds_mass_in_mixed_char(case):
+    field, _, _ = case
+    if not field.equal_char:
+        assert mass_from_counts(field, count_table(field)) == field.p
+
+
+@SETTINGS
+@given(cases())
+def test_group_order_slices_partition_mass(case):
+    field, _, coords = case
+    divisors = [n for n in range(1, field.p) if (field.p - 1) % n == 0]
+    assert sum(group_order_contribution(field, n, coords) for n in divisors) == field.p
