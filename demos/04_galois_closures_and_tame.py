@@ -35,6 +35,10 @@ for n, value in parts.items():
     print(f"  tame part of order {n}: {format_rational(value)}")
 print(f"  total {format_rational(sum(parts.values()))}")
 
+# In mixed characteristic the field carries its cyclotomic class, here (1, 1).
+q3 = LocalField(3, 1, 1, (1, 1))
+print(f"\nclosure-order partition over Q_3: {' + '.join(format_rational(group_order_contribution(q3, n)) for n in (1, 2))} = 3")
+
 # Filtering by a subfield: the trivial subgroup of the dual recovers the
 # cyclic extensions, the full dual recovers everything.
 print("\nsubfield filters at p = q = 3:")

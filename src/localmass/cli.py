@@ -29,7 +29,6 @@ from .mass import (
     contribution_checksum,
     count_table,
     galois_closure_contribution,
-    per_character_contributions,
     tame_mass,
     total_mass,
 )
@@ -39,6 +38,7 @@ from .model import (
     LocalField,
     OMEGA,
     cyclotomic_valuation,
+    enumerate_characters,
     layout,
     omega_is_trivial,
     trivial_char,
@@ -117,7 +117,7 @@ def _field(args) -> LocalField:
             e = int(args.e)
         except (TypeError, ValueError):
             raise ValueError(f'--e must be an integer or "inf", got {args.e!r}')
-    return LocalField(args.p, args.f, e)
+    return LocalField(args.p, args.f, e, _omega_coords(args))
 
 
 def _omega_coords(args) -> tuple[int, int] | None:
@@ -184,9 +184,8 @@ def _cmd_structure(args):
 
 def _cmd_mass(args):
     field = _field(args)
-    coords = _omega_coords(args)
     if args.filter:
-        value = galois_closure_contribution(field, args.filter, coords)
+        value = galois_closure_contribution(field, args.filter)
         obj = {
             "field": field.to_json_obj(),
             "filter": args.filter,
@@ -196,7 +195,7 @@ def _cmd_mass(args):
         text = [f"{_describe(field)}: mass of {args.filter} extensions = {format_rational(value)}"]
         return obj, rows, text
     report = total_mass(field)
-    chars = per_character_contributions(field, coords)
+    chars = [(chi, report.contribution(chi)) for chi in enumerate_characters(field)]
     obj = report.to_json_obj()
     obj["per_character"] = [_char_entry(field, chi, val) for chi, val in chars]
     rows = [("a", "b", "vbar", "distinguished", "contribution")]

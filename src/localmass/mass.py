@@ -48,8 +48,6 @@ from .model import (
     is_prime,
     level_walk,
     omega_char,
-    omega_coordinates,
-    omega_is_trivial,
     stratum_level,
     stratum_slot,
     trivial_char,
@@ -107,6 +105,14 @@ class MassReport:
     def grand_total(self) -> Fraction:
         """Total over all degree-p extensions, the unramified one included."""
         return self.total + 1
+
+    def contribution(self, chi: CharClass) -> Fraction:
+        """Contribution of the character class ``chi``, read off the report:
+        its valuation's value, plus the top-level mass if ``chi`` is trivial."""
+        value = self.per_vbar[chi.valuation % (self.field.p - 1)]
+        if char_is_trivial(self.field, chi):
+            value += self.tres_extra
+        return value
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -235,11 +241,11 @@ def char_contribution_truncated(
     return total
 
 
-def per_character_contributions(
-    field: LocalField, omega_coords: tuple[int, int] | None = None
-) -> list[tuple[CharClass, Fraction]]:
-    """Contribution of each of the (p-1)^2 characters, in coordinate order."""
-    return list(_class_contributions(field, enumerate_characters(field, omega_coords)))
+def per_character_contributions(field: LocalField) -> list[tuple[CharClass, Fraction]]:
+    """Contribution of each of the (p-1)^2 characters, in coordinate order,
+    expanded from the one :func:`total_mass` report."""
+    report = total_mass(field)
+    return [(chi, report.contribution(chi)) for chi in enumerate_characters(field)]
 
 
 def _class_contributions(field: LocalField, chars):
@@ -319,8 +325,9 @@ def count_table(field: LocalField, max_level: int | None = None) -> dict[int, Le
     Includes the level-0 row for the unramified extension and, in mixed
     characteristic, the top-level row; ``max_level`` truncates as
     :func:`localmass.model.truncation_bound` says, so it is required in
-    equal characteristic.  In mixed characteristic (p > 2) the cyclotomic
-    character is taken distinct from the trivial one, the generic situation.
+    equal characteristic.  Whether the cyclotomic character is the trivial
+    one is read off the field: when it is (the field contains the p-th roots
+    of unity), every top-level extension is cyclic and its own class.
     """
     p, f = field.p, field.f
     table = {}
@@ -379,8 +386,9 @@ def contribution_checksum(p: int, q: int) -> tuple[Fraction, Fraction]:
 # The closure group of a non-cyclic extension is the split extension of the
 # image of omega*chi^{-1} by a group of order p, so a filter on the closure
 # is a filter on the class xi = omega*chi^{-1} in (Z/(p-1))^2.  In mixed
-# characteristic the full coordinates of the cyclotomic class depend on the
-# field, not just on (p, f, e), so order and subfield filters require them.
+# characteristic (p, f, e) fixes only the valuation of the cyclotomic class,
+# so order and subfield filters need a field that carries its coordinates
+# (``LocalField.omega``).
 
 
 def _pair_order(xi: tuple[int, int], m: int) -> int:
@@ -388,15 +396,9 @@ def _pair_order(xi: tuple[int, int], m: int) -> int:
     return ords[0] * ords[1] // math.gcd(ords[0], ords[1])
 
 
-def cyclic_contribution(
-    field: LocalField, omega_coords: tuple[int, int] | None = None
-) -> Fraction:
+def cyclic_contribution(field: LocalField) -> Fraction:
     """Mass of the cyclic degree-p extensions (character = cyclotomic)."""
-    if omega_is_trivial(field) or omega_coordinates(field, omega_coords) == (0, 0):
-        chi = trivial_char()
-    else:
-        chi = omega_char(field)
-    return char_contribution(field, chi)
+    return char_contribution(field, omega_char(field))
 
 
 def unramified_closure_contribution(field: LocalField) -> Fraction:
@@ -414,9 +416,9 @@ def unramified_closure_contribution(field: LocalField) -> Fraction:
     return total
 
 
-def _xi_filter_mass(field: LocalField, omega_coords, keep) -> Fraction:
+def _xi_filter_mass(field: LocalField, keep) -> Fraction:
     """Mass of the characters chi whose class xi = omega*chi^-1 passes ``keep``."""
-    om = omega_coordinates(field, omega_coords)
+    om = field.omega
     if om is None:
         raise ValueError("omega class required")
     m = max(field.p - 1, 1)
@@ -428,9 +430,7 @@ def _xi_filter_mass(field: LocalField, omega_coords, keep) -> Fraction:
     return sum((value for _, value in _class_contributions(field, kept)), Fraction(0))
 
 
-def group_order_contribution(
-    field: LocalField, n: int, omega_coords: tuple[int, int] | None = None
-) -> Fraction:
+def group_order_contribution(field: LocalField, n: int) -> Fraction:
     """Mass of the extensions whose closure group has tame part of order n.
 
     ``n`` must divide p - 1; n = 1 gives the cyclic extensions, n = 2 those
@@ -440,14 +440,10 @@ def group_order_contribution(
     m = max(field.p - 1, 1)
     if n < 1 or m % n != 0:
         raise ValueError("order must divide p - 1")
-    return _xi_filter_mass(field, omega_coords, lambda xi: _pair_order(xi, m) == n)
+    return _xi_filter_mass(field, lambda xi: _pair_order(xi, m) == n)
 
 
-def subfield_contribution(
-    field: LocalField,
-    subgroup_gens: list[tuple[int, int]],
-    omega_coords: tuple[int, int] | None = None,
-) -> Fraction:
+def subfield_contribution(field: LocalField, subgroup_gens: list[tuple[int, int]]) -> Fraction:
     """Mass of the extensions split by the degree-(p-1)-type subfield of K
     dual to the subgroup generated by ``subgroup_gens`` in (Z/(p-1))^2.
     """
@@ -461,12 +457,10 @@ def subfield_contribution(
             if t not in subgroup:
                 subgroup.add(t)
                 frontier.append(t)
-    return _xi_filter_mass(field, omega_coords, subgroup.__contains__)
+    return _xi_filter_mass(field, subgroup.__contains__)
 
 
-def galois_closure_contribution(
-    field: LocalField, filter_spec: str, omega_coords: tuple[int, int] | None = None
-) -> Fraction:
+def galois_closure_contribution(field: LocalField, filter_spec: str) -> Fraction:
     """Mass of the extensions passing one ``--filter`` of the command line.
 
     ``filter_spec`` is "cyclic", "unramified-closure" or "group-order=N".
@@ -474,11 +468,11 @@ def galois_closure_contribution(
     :func:`group_order_contribution` or :func:`subfield_contribution`.
     """
     if filter_spec == "cyclic":
-        return cyclic_contribution(field, omega_coords)
+        return cyclic_contribution(field)
     if filter_spec == "unramified-closure":
         return unramified_closure_contribution(field)
     if filter_spec.startswith("group-order="):
-        return group_order_contribution(field, int(filter_spec.split("=", 1)[1]), omega_coords)
+        return group_order_contribution(field, int(filter_spec.split("=", 1)[1]))
     raise ValueError(f"unknown filter {filter_spec!r}")
 
 

@@ -18,8 +18,9 @@ break/discriminant arithmetic of the tame subextension.
 Characters are reduced to the data the formulas consume: a valuation class
 mod ``p - 1``, optional full coordinates in the basis (uniformizer class,
 residue-unit generator class), and a distinguished marker for the trivial
-character and for the mod-p cyclotomic character.  In equal characteristic
-(and for ``p = 2``) the cyclotomic character is the trivial one.
+character and for the mod-p cyclotomic character.  The cyclotomic class is a
+fact about the field, so :class:`LocalField` carries its coordinates, and
+whether it is the trivial class is :func:`omega_is_trivial` of the field.
 """
 
 from __future__ import annotations
@@ -55,23 +56,41 @@ class LocalField:
     ``e`` is a finite integer for mixed characteristic and ``math.inf`` for
     equal characteristic; no integer sentinel is ever used, so stratum loops
     can compare against ``e`` directly.
+
+    ``omega`` holds the coordinates (uniformizer exponent, unit exponent) of
+    the mod-p cyclotomic class, reduced mod p-1.  In equal characteristic and
+    for p = 2 the class is trivial and ``omega`` is always ``(0, 0)``.  In
+    mixed characteristic (p, f, e) fixes only its valuation, e mod p-1, so
+    ``omega`` is None unless supplied; ``(0, 0)`` says that the field
+    contains the p-th roots of unity, as Q_3(sqrt(-3)) = LocalField(3, 1, 2,
+    (0, 0)) does and Q_3(sqrt(3)) does not.
     """
 
     p: int
     f: int
     e: int | float
+    omega: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if not isinstance(self.f, int) or self.f < 1:
             raise ValueError(f"residue degree f = {self.f!r} must be an integer >= 1")
-        if self.e == INFINITE_E:
-            return
-        if not isinstance(self.e, int) or self.e < 1:
+        if self.e != INFINITE_E and (not isinstance(self.e, int) or self.e < 1):
             raise ValueError(
                 f"ramification index e = {self.e!r} must be an integer >= 1 or infinite"
             )
+        forced = self.equal_char or self.p == 2
+        if self.omega is None:
+            omega = (0, 0) if forced else None
+        else:
+            m = self.p - 1
+            omega = (self.omega[0] % m, self.omega[1] % m)
+            if forced and omega != (0, 0):
+                raise ValueError("cyclotomic character is trivial for this field")
+            if omega[0] != cyclotomic_valuation(self):
+                raise ValueError("cyclotomic coordinates must have valuation e mod p-1")
+        object.__setattr__(self, "omega", omega)
 
     @property
     def q(self) -> int:
@@ -121,23 +140,23 @@ def generic_char(valuation: int, coords: tuple[int, int] | None = None) -> CharC
     return CharClass(valuation, GENERIC, coords)
 
 
-def omega_char(field: LocalField, coords: tuple[int, int] | None = None) -> CharClass:
-    """The cyclotomic character class of ``field`` (trivial in equal char)."""
+def omega_char(field: LocalField) -> CharClass:
+    """The cyclotomic character class of ``field``, with its coordinates when
+    the field carries them (the trivial character when it is trivial)."""
     if omega_is_trivial(field):
         return trivial_char()
-    v = cyclotomic_valuation(field)
-    if coords is not None and coords[0] % (field.p - 1) != v:
-        raise ValueError("cyclotomic coordinates must have valuation e mod p-1")
-    return CharClass(v, OMEGA, coords)
+    return CharClass(cyclotomic_valuation(field), OMEGA, field.omega)
 
 
 def omega_is_trivial(field: LocalField) -> bool:
-    """Whether the cyclotomic character is the trivial one.
+    """Whether the cyclotomic character of ``field`` is the trivial one.
 
-    True in equal characteristic by convention, and for p = 2 always (the
-    mod-2 cyclotomic character has trivial target).
+    Always in equal characteristic and for p = 2 (the mod-2 cyclotomic
+    character has trivial target); in mixed characteristic exactly when the
+    field's cyclotomic coordinates are ``(0, 0)``, that is, when it contains
+    the p-th roots of unity.  Unknown coordinates count as nontrivial.
     """
-    return field.equal_char or field.p == 2
+    return field.omega == (0, 0)
 
 
 def char_is_omega(field: LocalField, chi: CharClass) -> bool:
@@ -177,9 +196,7 @@ def nth_prime_to_p(p: int, n: int) -> int:
 
 def cyclotomic_valuation(field: LocalField) -> int:
     """Valuation class of the cyclotomic character: e mod p-1, or 0 in equal char."""
-    if omega_is_trivial(field):
-        return 0
-    return field.e % (field.p - 1)
+    return 0 if field.equal_char else field.e % (field.p - 1)
 
 
 def _slot_for_valuation(field: LocalField, valuation: int, i: int) -> int:
@@ -232,47 +249,22 @@ def eigenspace_dim(field: LocalField, chi: CharClass, t: int) -> int:
     return dim
 
 
-def omega_coordinates(
-    field: LocalField, coords: tuple[int, int] | None
-) -> tuple[int, int] | None:
-    """Coordinates of the cyclotomic class, reduced mod p-1 and checked.
-
-    When the cyclotomic character is trivial they are (0, 0), and supplied
-    coordinates must agree.  In mixed characteristic they are not determined
-    by the field parameters: the result is None when none are supplied, and
-    supplied ones must have valuation e mod p-1.
-    """
-    m = max(field.p - 1, 1)
-    if coords is None:
-        return (0, 0) if omega_is_trivial(field) else None
-    coords = (coords[0] % m, coords[1] % m)
-    if omega_is_trivial(field):
-        if coords != (0, 0):
-            raise ValueError("cyclotomic character is trivial for this field")
-    elif coords[0] != cyclotomic_valuation(field):
-        raise ValueError("cyclotomic coordinates must have valuation e mod p-1")
-    return coords
-
-
-def enumerate_characters(
-    field: LocalField, omega_coords: tuple[int, int] | None = None
-) -> list[CharClass]:
+def enumerate_characters(field: LocalField) -> list[CharClass]:
     """All (p-1)^2 character classes as coordinate pairs, in (a, b) order.
 
     The valuation of ``(a, b)`` is ``a``, so each valuation class carries
-    exactly p-1 characters.  The trivial character is (0, 0).  In equal
-    characteristic the trivial character is also the cyclotomic one; in mixed
-    characteristic the cyclotomic class is marked only when its coordinates
-    are supplied (they are not determined by the field parameters alone).
+    exactly p-1 characters.  The trivial character is (0, 0).  When the
+    cyclotomic character is trivial, (0, 0) is also the cyclotomic one;
+    otherwise the cyclotomic class is marked only when the field carries its
+    coordinates.
     """
     m = max(field.p - 1, 1)
-    omega = omega_coordinates(field, omega_coords)
     chars = []
     for a in range(m):
         for b in range(m):
             if (a, b) == (0, 0):
                 marker = TRIVIAL
-            elif (a, b) == omega:
+            elif (a, b) == field.omega:
                 marker = OMEGA
             else:
                 marker = GENERIC

@@ -54,6 +54,21 @@ def test_mass_filter_requires_omega_in_mixed_char(capsys):
     assert json.loads(out)["contribution"] == "8/3"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # A nontrivial cyclotomic class in equal characteristic.
+        ("--p", "5", "--e", "inf", "--omega-a", "1", "--omega-b", "1"),
+        # Valuation 0, but the cyclotomic class has valuation e mod p-1 = 1.
+        ("--p", "3", "--e", "1", "--omega-a", "0", "--omega-b", "0"),
+    ],
+)
+def test_mass_rejects_contradictory_omega(capsys, argv):
+    code, out, err = run_cli(capsys, "mass", *argv, "--filter", "unramified-closure")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_structure_json(capsys):
     code, out, _ = run_cli(capsys, "structure", "--p", "3", "--f", "1", "--e", "1", "--format", "json")
     assert code == 0

@@ -1,0 +1,31 @@
+"""The demos run against the public API; each must exit 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# 05_group_theory_checks.py is left out: it takes several seconds.
+DEMOS = [
+    "01_mass_tables.py",
+    "02_filtration_structure.py",
+    "03_brute_force_crosscheck.py",
+    "04_galois_closures_and_tame.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

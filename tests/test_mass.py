@@ -202,8 +202,20 @@ def test_cyclic_contribution():
     assert cyclic_contribution(Q3) == Fraction(1, 3)
     # If the cyclotomic class is the trivial one, cyclic extensions include
     # the top-level stratum.
-    k = LocalField(3, 1, 2)
-    assert cyclic_contribution(k, omega_coords=(0, 0)) == char_contribution(k, trivial_char())
+    k = LocalField(3, 1, 2, (0, 0))
+    assert cyclic_contribution(k) == char_contribution(k, trivial_char())
+
+
+def test_roots_of_unity_field_counts():
+    # Q_3(sqrt(-3)) and Q_3(sqrt(3)) share (p, f, e) = (3, 1, 2); only the
+    # first contains the cube roots of unity.  There every top-level
+    # extension is cyclic, hence its own conjugacy class.
+    mu3 = LocalField(3, 1, 2, (0, 0))
+    top = count_table(mu3)[6]
+    assert (top.lines, top.extensions, top.conjugacy_classes) == (27, 27, 27)
+    top = count_table(LocalField(3, 1, 2, (0, 1)))[6]
+    assert (top.lines, top.extensions, top.conjugacy_classes) == (9, 27, 9)
+    assert mass_from_counts(mu3, count_table(mu3)) == 3
 
 
 def test_unramified_closure_contribution():
@@ -241,7 +253,7 @@ def test_group_order_requires_omega_in_mixed_char():
         group_order_contribution(Q3, 2)
     # With the class supplied, the partition over divisors is the total mass.
     divisors = [1, 2]
-    assert sum(group_order_contribution(Q3, n, omega_coords=(1, 1)) for n in divisors) == 3
+    assert sum(group_order_contribution(LocalField(3, 1, 1, (1, 1)), n) for n in divisors) == 3
 
 
 def test_subfield_contribution():
@@ -249,7 +261,7 @@ def test_subfield_contribution():
     # the cyclic extensions.
     assert subfield_contribution(F3_SERIES, [(1, 0), (0, 1)]) == 3
     assert subfield_contribution(F3_SERIES, []) == cyclic_contribution(F3_SERIES)
-    assert subfield_contribution(Q3, [(1, 0), (0, 1)], omega_coords=(1, 0)) == 3
+    assert subfield_contribution(LocalField(3, 1, 1, (1, 0)), [(1, 0), (0, 1)]) == 3
 
 
 def test_galois_closure_dispatcher():

@@ -42,6 +42,28 @@ def test_local_field_validation():
         LocalField(3, 1, 0)
 
 
+def test_local_field_omega_validation():
+    assert LocalField(5, 1, 3, (7, -1)).omega == (3, 3)  # reduced mod p-1
+    assert Q3.omega is None
+    assert LocalField(2, 1, 3).omega == (0, 0)
+    assert LocalField(3, 1, INFINITE_E, (0, 0)) == F3_SERIES
+    assert LocalField(3, 1, INFINITE_E, (2, 4)) == F3_SERIES
+    with pytest.raises(ValueError, match="valuation e mod p-1"):
+        LocalField(5, 1, 3, (2, 1))
+    with pytest.raises(ValueError, match="trivial for this field"):
+        LocalField(5, 1, INFINITE_E, (0, 1))
+
+
+def test_roots_of_unity_field():
+    # Q_3(sqrt(-3)): the cyclotomic character is the trivial one, so the
+    # trivial character owns both the level-0 and the top-level line.
+    mu3 = LocalField(3, 1, 2, (0, 0))
+    assert omega_is_trivial(mu3) and not omega_is_trivial(LocalField(3, 1, 2, (0, 1)))
+    assert omega_char(mu3) == trivial_char()
+    assert eigenspace_dim(mu3, trivial_char(), 2) == 4
+    assert eigenspace_dim(LocalField(3, 1, 2, (0, 1)), trivial_char(), 2) == 3
+
+
 def test_char_class_validation():
     with pytest.raises(ValueError):
         CharClass(1, TRIVIAL)
@@ -204,12 +226,12 @@ def test_enumerate_characters():
 
 
 def test_enumerate_characters_omega_coords():
-    chars = enumerate_characters(Q3, omega_coords=(1, 1))
+    chars = enumerate_characters(LocalField(3, 1, 1, (1, 1)))
     assert [c.distinguished for c in chars] == ["trivial", "none", "none", "omega"]
     with pytest.raises(ValueError):
-        enumerate_characters(Q3, omega_coords=(0, 1))  # wrong valuation
+        LocalField(3, 1, 1, (0, 1))  # wrong valuation
     with pytest.raises(ValueError):
-        enumerate_characters(F3_SERIES, omega_coords=(1, 1))  # omega is trivial
+        LocalField(3, 1, INFINITE_E, (1, 1))  # omega is trivial
 
 
 def test_discriminant_valuation_examples():

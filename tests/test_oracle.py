@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from localmass.mass import char_contribution, char_contribution_truncated, count_extensions
+from localmass.mass import (
+    char_contribution,
+    char_contribution_closed,
+    char_contribution_truncated,
+    count_extensions,
+)
 from localmass.model import (
     INFINITE_E,
     LocalField,
@@ -25,6 +30,16 @@ def _all_classes(field):
     if not omega_is_trivial(field):
         classes.append(omega_char(field))
     return classes
+
+
+def test_roots_of_unity_field_oracle():
+    # Q_3(sqrt(-3)): the trivial character is cyclotomic, so its eigenspace
+    # holds the level-0 line as well as the top-level one.
+    mu3 = LocalField(3, 1, 2, (0, 0))
+    chi = trivial_char()
+    assert enumerate_lines(mu3, chi, 6) == {0: 1, 2: 3, 4: 9, 6: 27}
+    assert oracle_mass(mu3, chi, 6) == Fraction(13, 27)
+    assert char_contribution(mu3, chi) == char_contribution_closed(mu3, chi) == Fraction(13, 27)
 
 
 def test_blocks_agree_with_layout():

@@ -26,17 +26,18 @@ from localmass.oracle import eigenspace_blocks
 
 @st.composite
 def cases(draw):
-    """A field, a count-table bound (small in equal characteristic), and the
-    cyclotomic coordinates where the field does not determine them."""
+    """A field carrying its cyclotomic coordinates, and a count-table bound
+    (small in equal characteristic).  The coordinates are drawn where (p, f, e)
+    does not force them; unit exponent 0 at valuation 0 puts the p-th roots of
+    unity in the field."""
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     f = draw(st.integers(1, 3))
     e = draw(st.one_of(st.integers(1, 30), st.just(INFINITE_E)))
     field = LocalField(p, f, e)
     max_level = draw(st.integers(0, 40)) if field.equal_char else None
-    coords = None
     if not omega_is_trivial(field):
-        coords = (cyclotomic_valuation(field), draw(st.integers(0, p - 2)))
-    return field, max_level, coords
+        field = LocalField(p, f, e, (cyclotomic_valuation(field), draw(st.integers(0, p - 2))))
+    return field, max_level
 
 
 SETTINGS = settings(max_examples=50, deadline=None)
@@ -45,15 +46,15 @@ SETTINGS = settings(max_examples=50, deadline=None)
 @SETTINGS
 @given(cases())
 def test_per_character_contributions_match_direct(case):
-    field, _, coords = case
-    expected = [(chi, char_contribution(field, chi)) for chi in enumerate_characters(field, coords)]
-    assert per_character_contributions(field, coords) == expected
+    field, _ = case
+    expected = [(chi, char_contribution(field, chi)) for chi in enumerate_characters(field)]
+    assert per_character_contributions(field) == expected
 
 
 @SETTINGS
 @given(cases())
 def test_count_table_levels_match_congruence_scan(case):
-    field, max_level, _ = case
+    field, max_level = case
     bound = truncation_bound(field, max_level)
     classes = [trivial_char()] + [generic_char(w) for w in range(field.p - 1)]
     if not omega_is_trivial(field):
@@ -70,7 +71,7 @@ def test_count_table_levels_match_congruence_scan(case):
 @SETTINGS
 @given(cases())
 def test_count_table_rebuilds_mass_in_mixed_char(case):
-    field, _, _ = case
+    field, _ = case
     if not field.equal_char:
         assert mass_from_counts(field, count_table(field)) == field.p
 
@@ -78,6 +79,6 @@ def test_count_table_rebuilds_mass_in_mixed_char(case):
 @SETTINGS
 @given(cases())
 def test_group_order_slices_partition_mass(case):
-    field, _, coords = case
+    field, _ = case
     divisors = [n for n in range(1, field.p) if (field.p - 1) % n == 0]
-    assert sum(group_order_contribution(field, n, coords) for n in divisors) == field.p
+    assert sum(group_order_contribution(field, n) for n in divisors) == field.p
