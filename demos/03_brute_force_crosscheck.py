@@ -11,7 +11,7 @@ from localmass import (
     LocalField,
     char_contribution,
     char_contribution_truncated,
-    count_extensions,
+    count_table,
     enumerate_lines,
     format_rational,
     generic_char,
@@ -44,11 +44,15 @@ for chi, name in [
     assert brute == formula
     print(f"  {name:<15} {format_rational(brute)}")
 
-# The stratum-by-stratum line counts also match the closed counting formulas.
-print("\nper-stratum line counts vs formulas (cyclotomic class):")
-rec = count_extensions(q3, omega_char(q3), 0)
-print(f"  formula: {rec.lines} lines at level {rec.level};"
-      f" enumeration: {enumerate_lines(q3, omega_char(q3), 3)[rec.level]}")
+# The per-level line counts also match the closed counting formulas: level 2
+# holds the blocks of both characters of valuation 1, the cyclotomic one and
+# a generic one.
+print("\nline counts at level 2 vs formulas (both classes of valuation 1):")
+rec = count_table(q3)[2]
+enumerated = sum(enumerate_lines(q3, chi, 3).get(2, 0) for chi in (omega_char(q3), generic_char(1)))
+assert rec.lines == enumerated
+print(f"  formula: {rec.lines} lines, {rec.extensions} extensions;"
+      f" enumeration: {enumerated} lines")
 
 # In equal characteristic the oracle reproduces exact partial sums of the
 # infinite series, bound by bound.

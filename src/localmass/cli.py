@@ -24,7 +24,6 @@ import sys
 
 from .mass import (
     MassInvariantError,
-    char_contribution,
     char_contribution_truncated,
     contribution_checksum,
     count_table,
@@ -36,12 +35,9 @@ from .model import (
     INFINITE_E,
     CharClass,
     LocalField,
-    OMEGA,
-    cyclotomic_valuation,
+    char_classes,
     enumerate_characters,
     layout,
-    omega_is_trivial,
-    trivial_char,
 )
 from .oracle import MassOracleError, oracle_mass
 from .permgroup import verify_galois_criterion, verify_index_p_subgroups, verify_normalizer
@@ -64,6 +60,8 @@ def _add_field_flags(sub, with_e: bool = True) -> None:
         sub.add_argument(
             "--e", default="inf", help='absolute ramification index, an integer or "inf"'
         )
+        sub.add_argument("--omega-a", type=int, help="uniformizer exponent of the cyclotomic class")
+        sub.add_argument("--omega-b", type=int, help="unit exponent of the cyclotomic class")
     sub.add_argument(
         "--format", choices=("json", "tsv", "text"), default="text", help="output format"
     )
@@ -83,8 +81,6 @@ def build_parser() -> _Parser:
         "--filter",
         help="restrict to a Galois-closure class: cyclic | unramified-closure | group-order=N",
     )
-    s.add_argument("--omega-a", type=int, help="uniformizer exponent of the cyclotomic class")
-    s.add_argument("--omega-b", type=int, help="unit exponent of the cyclotomic class")
 
     s = subs.add_parser("count", help="extensions and conjugacy classes per level")
     _add_field_flags(s)
@@ -121,7 +117,7 @@ def _field(args) -> LocalField:
 
 
 def _omega_coords(args) -> tuple[int, int] | None:
-    a, b = getattr(args, "omega_a", None), getattr(args, "omega_b", None)
+    a, b = args.omega_a, args.omega_b
     if a is None and b is None:
         return None
     if a is None or b is None:
@@ -138,21 +134,6 @@ def _char_entry(field: LocalField, chi: CharClass, value) -> dict:
         "distinguished": chi.distinguished,
         "contribution": format_rational(value),
     }
-
-
-def _classes_to_check(field: LocalField, vbar: int | None) -> list[CharClass]:
-    """One character per (valuation, distinguished) combination."""
-    classes = []
-    w_omega = cyclotomic_valuation(field)
-    for w in range(field.p - 1):
-        if vbar is not None and w != vbar % (field.p - 1):
-            continue
-        if w == 0:
-            classes.append(trivial_char())
-        if w == w_omega and not omega_is_trivial(field):
-            classes.append(CharClass(w, OMEGA))
-        classes.append(CharClass(w))
-    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +283,23 @@ def _cmd_oracle_check(args):
         raise ValueError(f"--max-level must be >= 0, got {args.max_level}")
     else:
         bound = args.max_level
+    # In mixed characteristic the full contribution is the truncated sum at
+    # any bound >= p*e.
+    kind = "full" if not field.equal_char and bound >= field.p * field.e else "truncated"
+    classes = [
+        chi
+        for chi in char_classes(field)
+        if args.vbar is None or chi.valuation == args.vbar % (field.p - 1)
+    ]
     entries = []
-    for chi in _classes_to_check(field, args.vbar):
+    for chi in classes:
         brute = oracle_mass(field, chi, bound)
-        if not field.equal_char and bound >= field.p * field.e:
-            reference = char_contribution(field, chi)
-            kind = "full"
-        else:
-            reference = char_contribution_truncated(field, chi, bound)
-            kind = "truncated"
+        reference = char_contribution_truncated(field, chi, bound)
         if brute != reference:
             raise MassOracleError(
                 f"oracle {brute} != {kind} formula {reference} for vbar {chi.valuation}"
             )
-        entries.append((chi, brute, kind))
+        entries.append((chi, brute))
     obj = {
         "field": field.to_json_obj(),
         "max_level": bound,
@@ -327,19 +311,19 @@ def _cmd_oracle_check(args):
                 "reference": kind,
                 "exact_match": True,
             }
-            for chi, val, kind in entries
+            for chi, val in entries
         ],
     }
     rows = [("vbar", "distinguished", "mass", "reference", "exact_match")]
     rows += [
         (chi.valuation, chi.distinguished, format_rational(val), kind, True)
-        for chi, val, kind in entries
+        for chi, val in entries
     ]
     text = [f"oracle vs formulas over {_describe(field)}, levels <= {bound}"]
     text += [
         f"  vbar {chi.valuation}  {chi.distinguished:<7}  mass {format_rational(val)}"
         f"  == {kind} formula"
-        for chi, val, kind in entries
+        for chi, val in entries
     ]
     return obj, rows, text
 

@@ -17,14 +17,14 @@ each weighted ``q**-d``.  Summing level by level gives every quantity here:
 * :func:`total_mass` — the full report, asserting the total is exactly p;
 * :func:`count_table` — how many extensions and conjugacy classes live at
   each level, read off the level walk of :mod:`localmass.model`;
-  :func:`count_extensions` gives the same for one character and stratum;
 * the Galois-closure filters — masses of the extensions whose closure group
   is constrained (cyclic, split by an unramified extension, of given order);
 * :func:`tame_mass` — the two-dimensional degree-p' analogue, p' != p.
 
 A contribution depends only on the character's valuation and on whether the
-character is trivial.  Functions that range over all (p-1)^2 characters
-therefore make one sum per such class, at most p of them.
+character is trivial: the trivial one adds the top-level mass to its
+valuation's sum.  Functions that range over many characters therefore make
+one sum per valuation, at most p - 1 of them.
 
 All values are exact ``Fraction``s; a violated internal identity raises
 :class:`MassInvariantError` instead of returning a wrong report.
@@ -48,9 +48,7 @@ from .model import (
     is_prime,
     level_walk,
     omega_char,
-    stratum_level,
     stratum_slot,
-    trivial_char,
     truncation_bound,
     validate_char,
 )
@@ -99,7 +97,6 @@ class MassReport:
     per_vbar: dict[int, Fraction]
     tres_extra: Fraction
     total: Fraction
-    counts: dict[int, LevelCount] | None = None
 
     @property
     def grand_total(self) -> Fraction:
@@ -115,16 +112,13 @@ class MassReport:
         return value
 
     def to_json_obj(self) -> dict:
-        obj = {
+        return {
             "field": self.field.to_json_obj(),
             "per_vbar": {str(w): format_rational(c) for w, c in sorted(self.per_vbar.items())},
             "tres_extra": format_rational(self.tres_extra),
             "total_ramified": format_rational(self.total),
             "grand_total": format_rational(self.grand_total),
         }
-        if self.counts is not None:
-            obj["counts"] = {str(d): rec.to_json_obj() for d, rec in sorted(self.counts.items())}
-        return obj
 
 
 @dataclass(frozen=True)
@@ -248,22 +242,20 @@ def per_character_contributions(field: LocalField) -> list[tuple[CharClass, Frac
     return [(chi, report.contribution(chi)) for chi in enumerate_characters(field)]
 
 
-def _class_contributions(field: LocalField, chars):
-    """Pair each character with its contribution, one sum per class.
+def _characters_mass(field: LocalField, chars: list[CharClass]) -> Fraction:
+    """Summed contribution of distinct characters, by the rule of
+    :meth:`MassReport.contribution`: one sum per valuation among them, plus
+    the top-level mass if the trivial character is one of them."""
+    per_w = Counter(chi.valuation % (field.p - 1) for chi in chars)
+    total = sum(
+        (n * char_contribution(field, generic_char(w)) for w, n in per_w.items()), Fraction(0)
+    )
+    if not field.equal_char and any(char_is_trivial(field, chi) for chi in chars):
+        total += tres_term(field)
+    return total
 
-    The class of a character is its valuation and whether it is trivial.
-    """
-    sums = {}
-    for chi in chars:
-        key = (chi.valuation % (field.p - 1), char_is_trivial(field, chi))
-        if key not in sums:
-            sums[key] = char_contribution(field, chi)
-        yield chi, sums[key]
 
-
-def total_mass(
-    field: LocalField, with_counts: bool = False, max_level: int | None = None
-) -> MassReport:
+def total_mass(field: LocalField) -> MassReport:
     """Full mass report; the ramified total is asserted to be exactly p."""
     p = field.p
     per_vbar = {w: char_contribution(field, generic_char(w)) for w in range(p - 1)}
@@ -274,8 +266,7 @@ def total_mass(
     total = (p - 1) * sum(per_vbar.values()) + tres
     if total != p:
         raise MassInvariantError(f"ramified mass {total} != {p} for {field}")
-    counts = count_table(field, max_level) if with_counts else None
-    return MassReport(field, per_vbar, tres, total, counts)
+    return MassReport(field, per_vbar, tres, total)
 
 
 def peu_tres_split(field: LocalField) -> tuple[Fraction, Fraction]:
@@ -284,39 +275,6 @@ def peu_tres_split(field: LocalField) -> tuple[Fraction, Fraction]:
         raise ValueError("no très ramifiées stratum")
     tres = tres_term(field)
     return field.p - tres, tres
-
-
-def _new_lines(p: int, below: int, dim: int) -> int:
-    """Lines of an eigenspace that a dim-dimensional block adds on top of
-    ``below`` dimensions: those not already in the space underneath."""
-    return (p ** (below + dim) - p**below) // (p - 1)
-
-
-def count_extensions(field: LocalField, chi: CharClass, stratum) -> LevelCount:
-    """Lines, extensions, and conjugacy classes ``chi`` contributes in one stratum.
-
-    ``stratum`` is a stratum index, or the string ``"tres"`` for the
-    top-level stratum of the trivial character in mixed characteristic.
-    Every line is one conjugacy class; it accounts for one extension when
-    ``chi`` is the cyclotomic character and for p conjugates otherwise.
-    """
-    validate_char(field, chi)
-    p, f = field.p, field.f
-    mult = 1 if char_is_omega(field, chi) else p
-    bonus = 1 if char_is_omega(field, chi) else 0
-    if stratum == "tres":
-        if field.equal_char:
-            raise ValueError("no très ramifiées stratum")
-        if not char_is_trivial(field, chi):
-            raise ValueError("top stratum exists only for the trivial character")
-        lines = _new_lines(p, field.e * f + bonus, 1)
-        return LevelCount(p * field.e, 0, lines, lines * mult, lines)
-    i = stratum
-    if not isinstance(i, int) or i < 0:
-        raise ValueError(f"invalid stratum {stratum!r}")
-    level = stratum_level(field, chi, i)  # also rejects i >= e in mixed char
-    lines = _new_lines(p, i * f + bonus, f)
-    return LevelCount(level, chi.valuation % (p - 1), lines, lines * mult, lines)
 
 
 def count_table(field: LocalField, max_level: int | None = None) -> dict[int, LevelCount]:
@@ -336,9 +294,10 @@ def count_table(field: LocalField, max_level: int | None = None) -> dict[int, Le
         for marker, blocks in Counter(markers).items():
             bonus = 1 if char_is_omega(field, CharClass(vbar, marker)) else 0
             # Below the level each of its characters has one f-dimensional
-            # block per lower stratum, plus the level-0 line if cyclotomic.
+            # block per lower stratum, plus the level-0 line if cyclotomic;
+            # the block adds the lines not already in that space.
             below = (level // p) * f + (bonus if level else 0)
-            n = blocks * _new_lines(p, below, dim)
+            n = blocks * ((p ** (below + dim) - p**below) // (p - 1))
             lines += n
             extensions += n if bonus else n * p
         table[level] = LevelCount(level, vbar, lines, extensions, lines)
@@ -409,11 +368,9 @@ def unramified_closure_contribution(field: LocalField) -> Fraction:
     valuation is 0.
     """
     w0 = cyclotomic_valuation(field)
-    m = max(field.p - 1, 1)
-    total = (m - (1 if w0 == 0 else 0)) * char_contribution(field, generic_char(w0))
-    if w0 == 0:
-        total += char_contribution(field, trivial_char())
-    return total
+    return _characters_mass(
+        field, [chi for chi in enumerate_characters(field) if chi.valuation == w0]
+    )
 
 
 def _xi_filter_mass(field: LocalField, keep) -> Fraction:
@@ -427,7 +384,7 @@ def _xi_filter_mass(field: LocalField, keep) -> Fraction:
         for chi in enumerate_characters(field)
         if keep(((om[0] - chi.coords[0]) % m, (om[1] - chi.coords[1]) % m))
     ]
-    return sum((value for _, value in _class_contributions(field, kept)), Fraction(0))
+    return _characters_mass(field, kept)
 
 
 def group_order_contribution(field: LocalField, n: int) -> Fraction:

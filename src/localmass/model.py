@@ -12,8 +12,9 @@ into eigen-blocks, one per character class of the degree-(p-1) abelian
 closure, and each block sits at a well-defined filtration level.  This module
 owns the one walk over those levels (:func:`level_walk`, truncated by
 :func:`truncation_bound`), which both the block layout and the per-level
-counts of :mod:`localmass.mass` read, the stratum arithmetic, and the
-break/discriminant arithmetic of the tame subextension.
+counts of :mod:`localmass.mass` read, the one list of character classes
+that behave differently (:func:`char_classes`), the stratum arithmetic, and
+the break/discriminant arithmetic of the tame subextension.
 
 Characters are reduced to the data the formulas consume: a valuation class
 mod ``p - 1``, optional full coordinates in the basis (uniformizer class,
@@ -270,6 +271,25 @@ def enumerate_characters(field: LocalField) -> list[CharClass]:
                 marker = GENERIC
             chars.append(CharClass(a, marker, (a, b)))
     return chars
+
+
+def char_classes(field: LocalField) -> list[CharClass]:
+    """One character of each class whose contribution and line counts differ.
+
+    Those depend only on the valuation, on being trivial and on being
+    cyclotomic, so for each valuation w this lists the trivial character
+    (w = 0), the cyclotomic character (w its valuation, unless it is the
+    trivial one) and ``generic_char(w)``, in that order.
+    """
+    w_omega = cyclotomic_valuation(field)
+    classes = []
+    for w in range(field.p - 1):
+        if w == 0:
+            classes.append(trivial_char())
+        if w == w_omega and not omega_is_trivial(field):
+            classes.append(omega_char(field))
+        classes.append(generic_char(w))
+    return classes
 
 
 @dataclass(frozen=True)

@@ -133,18 +133,12 @@ def is_solvable(gens: list[Perm], degree: int) -> bool:
     return True
 
 
-def _order_p_count(elems: frozenset[Perm], p: int) -> int:
-    ident = pidentity(p)
-    count = 0
-    for g in elems:
-        if g == ident:
-            continue
-        acc = g
-        for _ in range(p - 1):
-            acc = pmul(acc, g)
-        if acc == ident:
-            count += 1
-    return count
+def _order_is_p(g: Perm, p: int) -> bool:
+    """Whether g**p is the identity: g has order p or is the identity."""
+    acc = g
+    for _ in range(p - 1):
+        acc = pmul(acc, g)
+    return acc == pidentity(p)
 
 
 @dataclass(frozen=True)
@@ -176,6 +170,19 @@ class SubgroupRecord:
         }
 
 
+@lru_cache(maxsize=None)
+def _pair_subgroups(elems: frozenset[Perm], degree: int) -> frozenset[frozenset[Perm]]:
+    """The subgroups generated by each pair of elements of the group ``elems``.
+
+    Memoized per group: the transitive family, the records built from it and
+    the index-p check all ask for the pair closures of the same groups.
+    """
+    listed = sorted(elems)
+    return frozenset(
+        closure([a, b], degree) for i, a in enumerate(listed) for b in listed[i:]
+    )
+
+
 def subgroups_of_order(
     elems: frozenset[Perm], degree: int, order: int
 ) -> set[frozenset[Perm]]:
@@ -184,16 +191,7 @@ def subgroups_of_order(
     Complete for the orders arising here: every subgroup of the ambient
     groups involved (order <= INDEX_SEARCH_LIMIT) is 2-generated.
     """
-    found: set[frozenset[Perm]] = set()
-    if order == 1:
-        return {frozenset([pidentity(degree)])}
-    listed = sorted(elems)
-    for i, a in enumerate(listed):
-        for b in listed[i:]:
-            sub = closure([a, b], degree)
-            if len(sub) == order:
-                found.add(sub)
-    return found
+    return {sub for sub in _pair_subgroups(elems, degree) if len(sub) == order}
 
 
 def is_transitive(elems: frozenset[Perm], degree: int) -> bool:
@@ -204,7 +202,7 @@ def is_transitive(elems: frozenset[Perm], degree: int) -> bool:
 def record_from_elements(elems: frozenset[Perm], degree: int) -> SubgroupRecord:
     gens = small_generating_set(elems, degree) or [pidentity(degree)]
     order = len(elems)
-    n_order_p = _order_p_count(elems, degree)
+    n_order_p = sum(1 for g in elems if _order_is_p(g, degree)) - 1  # identity excluded
     sylow = n_order_p // (degree - 1) if degree > 1 and n_order_p else 0
     if order % degree == 0 and order <= INDEX_SEARCH_LIMIT:
         idx_count = len(subgroups_of_order(elems, degree, order // degree))
@@ -296,12 +294,8 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
     _require_degree(p)
     sigma = pcycle(p)
     if p <= 5:
-        ambient = sorted(closure([sigma, (1, 0) + tuple(range(2, p))] if p > 2 else [sigma], p))
-        seen: set[frozenset[Perm]] = set()
-        for i, a in enumerate(ambient):
-            for b in ambient[i:]:
-                seen.add(closure([a, b], p))
-        found = sorted((s for s in seen if is_transitive(s, p)), key=sorted)
+        ambient = closure([sigma, (1, 0) + tuple(range(2, p))] if p > 2 else [sigma], p)
+        found = sorted((s for s in _pair_subgroups(ambient, p) if is_transitive(s, p)), key=sorted)
         return tuple(record_from_elements(s, p) for s in found), "full"
     # p == 7: the chain between the cycle group and its normalizer, plus the
     # known non-solvable transitive families.
@@ -380,13 +374,6 @@ def verify_galois_criterion(p: int) -> dict:
         "transitive_groups": [rec.to_json_obj() for rec in records],
         "criterion_holds": True,
     }
-
-
-def _order_is_p(g: Perm, p: int) -> bool:
-    acc = g
-    for _ in range(p - 1):
-        acc = pmul(acc, g)
-    return acc == pidentity(p)
 
 
 def verify_index_p_subgroups(p: int) -> dict:

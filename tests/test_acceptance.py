@@ -25,11 +25,11 @@ from localmass.model import (
     INFINITE_E,
     BreakData,
     LocalField,
+    char_classes,
     discriminant_valuation,
     generic_char,
     nth_prime_to_p,
     omega_char,
-    omega_is_trivial,
     stratum_slot,
     trivial_char,
 )
@@ -47,13 +47,6 @@ GRID = [
     for f in (1, 2)
     for e in (1, 2, 3, INFINITE_E)
 ]
-
-
-def _classes(field):
-    out = [trivial_char()] + [generic_char(w) for w in range(field.p - 1)]
-    if not omega_is_trivial(field):
-        out.append(omega_char(field))
-    return out
 
 
 def _ok(num, name):
@@ -112,7 +105,7 @@ def test_criterion_05_total_mass_grid():
 def test_criterion_06_closed_form_equals_direct_sum():
     for p, f, e in GRID:
         field = LocalField(p, f, e)
-        for chi in _classes(field):
+        for chi in char_classes(field):
             direct = char_contribution(field, chi)
             closed = char_contribution_closed(field, chi)
             assert direct == closed, (p, f, e, chi)
@@ -158,10 +151,10 @@ def test_criterion_10_oracle_equivalence():
     start = time.monotonic()
     for p, f, e in [(3, 1, 1), (3, 2, 1), (5, 1, 1), (3, 1, 2)]:
         field = LocalField(p, f, e)
-        for chi in _classes(field):
+        for chi in char_classes(field):
             assert oracle_mass(field, chi, p * e) == char_contribution(field, chi), (p, f, e)
     field = LocalField(3, 1, INFINITE_E)
-    for chi in _classes(field):
+    for chi in char_classes(field):
         assert oracle_mass(field, chi, 9) == char_contribution_truncated(field, chi, 9)
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"oracle took {elapsed:.1f}s"

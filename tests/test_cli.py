@@ -69,6 +69,38 @@ def test_mass_rejects_contradictory_omega(capsys, argv):
     assert err.startswith("error: ")
 
 
+#: Q_3(sqrt(-3)), which contains the cube roots of unity.
+MU3 = ("--p", "3", "--f", "1", "--e", "2", "--omega-a", "0", "--omega-b", "0")
+
+
+def test_count_roots_of_unity_field(capsys):
+    # Every top-level extension of Q_3(sqrt(-3)) is cyclic, hence its own
+    # conjugacy class; without the coordinates the count is Q_3(sqrt(3))'s.
+    code, out, _ = run_cli(capsys, "count", *MU3, "--format", "tsv")
+    assert code == 0
+    assert out.splitlines()[-1].split("\t") == ["6", "0", "27", "27", "27"]
+    code, out, _ = run_cli(capsys, "count", *MU3[:6], "--format", "tsv")
+    assert code == 0
+    assert out.splitlines()[-1].split("\t") == ["6", "0", "9", "27", "9"]
+
+
+def test_oracle_check_roots_of_unity_field(capsys):
+    code, out, _ = run_cli(capsys, "oracle-check", *MU3, "--format", "json")
+    assert code == 0
+    trivial = [c for c in json.loads(out)["classes"] if c["distinguished"] == "trivial"]
+    assert [(c["vbar"], c["mass"], c["reference"]) for c in trivial] == [(0, "13/27", "full")]
+
+
+@pytest.mark.parametrize("command", ["structure", "count", "oracle-check"])
+def test_field_commands_reject_contradictory_omega(capsys, command):
+    # Valuation 0, but the cyclotomic class has valuation e mod p-1 = 1.
+    code, out, err = run_cli(
+        capsys, command, "--p", "3", "--e", "1", "--omega-a", "0", "--omega-b", "0"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: cyclotomic coordinates must have valuation e mod p-1\n"
+
+
 def test_structure_json(capsys):
     code, out, _ = run_cli(capsys, "structure", "--p", "3", "--f", "1", "--e", "1", "--format", "json")
     assert code == 0

@@ -9,12 +9,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# 05_group_theory_checks.py is left out: it takes several seconds.
 DEMOS = [
     "01_mass_tables.py",
     "02_filtration_structure.py",
     "03_brute_force_crosscheck.py",
     "04_galois_closures_and_tame.py",
+    "05_group_theory_checks.py",
 ]
 
 

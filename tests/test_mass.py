@@ -10,7 +10,6 @@ from localmass.mass import (
     char_contribution_closed,
     char_contribution_truncated,
     contribution_checksum,
-    count_extensions,
     count_table,
     cyclic_contribution,
     galois_closure_contribution,
@@ -127,39 +126,6 @@ def test_peu_tres_split():
         tres_term(F3_SERIES)
 
 
-def test_count_extensions_examples():
-    rec = count_extensions(Q3, omega_char(Q3), 0)
-    assert (rec.level, rec.lines, rec.extensions, rec.conjugacy_classes) == (2, 3, 3, 3)
-    rec = count_extensions(Q3, trivial_char(), "tres")
-    assert (rec.level, rec.lines, rec.extensions) == (3, 3, 9)
-    assert rec.extensions * rat_pow(3, -3) == Fraction(1, 3)
-    rec = count_extensions(Q3, generic_char(0), 0)
-    assert rec.extensions == rec.lines * 3
-    assert rec.conjugacy_classes == rec.lines
-    # p = 2: the single class is cyclotomic, multiplicity 1.
-    k2 = LocalField(2, 1, 1)
-    rec = count_extensions(k2, trivial_char(), 0)
-    assert rec.extensions == rec.lines
-    with pytest.raises(ValueError):
-        count_extensions(Q3, generic_char(0), "tres")
-    with pytest.raises(ValueError):
-        count_extensions(F3_SERIES, trivial_char(), "tres")
-    with pytest.raises(ValueError, match="ramification bound"):
-        count_extensions(Q3, generic_char(0), 1)
-
-
-def test_multiplicity_convention():
-    # extensions = lines for the cyclotomic class, lines * p otherwise.
-    for field in (Q3, LocalField(5, 1, 2), F3_SERIES, LocalField(7, 1, INFINITE_E)):
-        strata = range(3) if field.equal_char else range(field.e)
-        for i in strata:
-            rec = count_extensions(field, omega_char(field), i)
-            assert rec.extensions == rec.lines
-            if field.p > 2:
-                rec = count_extensions(field, generic_char(0), i)
-                assert rec.extensions == rec.lines * field.p
-
-
 @pytest.mark.parametrize(
     "field", [Q3, LocalField(3, 2, 2), LocalField(5, 1, 1), LocalField(2, 1, 2), LocalField(7, 1, 1)]
 )
@@ -228,6 +194,9 @@ def test_unramified_closure_contribution():
     )
     assert unramified_closure_contribution(F3_SERIES) == closed
     assert unramified_closure_contribution(Q3) == 2 * Fraction(1, 3)
+    # Cyclotomic valuation 0: the trivial character is among the two kept,
+    # with the top-level mass 1/27 on top of its valuation's 4/9.
+    assert unramified_closure_contribution(LocalField(3, 1, 2)) == Fraction(4, 9) + Fraction(13, 27)
 
 
 def test_group_order_contributions_equal_char():
@@ -302,9 +271,8 @@ def test_mass_report_serialization():
     assert obj["total_ramified"] == "3"
     assert obj["grand_total"] == "4"
     assert obj["tres_extra"] == "0"
-    obj = total_mass(Q3, with_counts=True).to_json_obj()
-    assert obj["tres_extra"] == "1/3"
-    assert obj["counts"]["3"]["extensions"] == 9
+    assert total_mass(Q3).to_json_obj()["tres_extra"] == "1/3"
+    assert count_table(Q3)[3].extensions == 9
 
 
 def test_invariant_error_is_detectable():

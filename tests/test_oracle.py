@@ -8,28 +8,24 @@ from localmass.mass import (
     char_contribution,
     char_contribution_closed,
     char_contribution_truncated,
-    count_extensions,
+    count_table,
 )
 from localmass.model import (
     INFINITE_E,
     LocalField,
+    char_classes,
+    char_is_omega,
+    char_is_trivial,
+    enumerate_characters,
     generic_char,
     layout,
     omega_char,
-    omega_is_trivial,
     trivial_char,
 )
 from localmass.oracle import eigenspace_blocks, enumerate_lines, oracle_mass
 
 Q3 = LocalField(3, 1, 1)
 F3_SERIES = LocalField(3, 1, INFINITE_E)
-
-
-def _all_classes(field):
-    classes = [trivial_char()] + [generic_char(w) for w in range(field.p - 1)]
-    if not omega_is_trivial(field):
-        classes.append(omega_char(field))
-    return classes
 
 
 def test_roots_of_unity_field_oracle():
@@ -46,10 +42,8 @@ def test_blocks_agree_with_layout():
     # The congruence scan must reproduce the layout's levels per class.
     for field, bound in [(Q3, 3), (LocalField(5, 1, 1), 5), (F3_SERIES, 9)]:
         lay = layout(field, bound)
-        for chi in _all_classes(field):
+        for chi in char_classes(field):
             blocks = eigenspace_blocks(field, chi, bound)
-            from localmass.model import char_is_omega, char_is_trivial
-
             expected = []
             for b in lay.blocks:
                 if b.level == 0:
@@ -76,19 +70,39 @@ def test_enumerate_lines_q3():
 def test_line_accounting():
     # Every nonzero vector lies on exactly one line.
     for field, bound in [(Q3, 3), (LocalField(3, 2, 1), 3), (LocalField(5, 1, 1), 5)]:
-        for chi in _all_classes(field):
+        for chi in char_classes(field):
             counts = enumerate_lines(field, chi, bound)
             dim = sum(b.dim for b in eigenspace_blocks(field, chi, bound))
             assert (field.p - 1) * sum(counts.values()) + 1 == field.p**dim
 
 
-def test_counts_match_formulas():
-    for field in (Q3, LocalField(3, 1, 2)):
-        for chi in _all_classes(field):
-            counts = enumerate_lines(field, chi, field.p * field.e)
-            for i in range(field.e):
-                rec = count_extensions(field, chi, i)
-                assert counts.get(rec.level, 0) == rec.lines
+@pytest.mark.parametrize(
+    "field,bound",
+    [
+        (LocalField(3, 1, 1, (1, 1)), None),
+        (LocalField(3, 1, 2, (0, 1)), None),
+        (LocalField(3, 1, 2, (0, 0)), None),
+        (LocalField(3, 2, 1, (1, 1)), None),
+        (LocalField(5, 1, 1, (1, 2)), None),
+        (LocalField(2, 1, 3), None),
+        (F3_SERIES, 12),
+        (LocalField(5, 1, INFINITE_E), 10),
+    ],
+)
+def test_count_table_matches_enumerated_lines(field, bound):
+    # Summed over every character, enumerated lines give count_table's lines
+    # at each level; a line is one extension for the cyclotomic character
+    # and p conjugate extensions otherwise.
+    bound = field.p * field.e if bound is None else bound
+    lines, extensions = {}, {}
+    for chi in enumerate_characters(field):
+        mult = 1 if char_is_omega(field, chi) else field.p
+        for level, n in enumerate_lines(field, chi, bound).items():
+            lines[level] = lines.get(level, 0) + n
+            extensions[level] = extensions.get(level, 0) + n * mult
+    table = count_table(field, bound)
+    assert {level: rec.lines for level, rec in table.items()} == lines
+    assert {level: rec.extensions for level, rec in table.items()} == extensions
 
 
 @pytest.mark.parametrize(
@@ -96,12 +110,12 @@ def test_counts_match_formulas():
 )
 def test_oracle_mass_equals_contribution(p, f, e):
     field = LocalField(p, f, e)
-    for chi in _all_classes(field):
+    for chi in char_classes(field):
         assert oracle_mass(field, chi, p * e) == char_contribution(field, chi)
 
 
 def test_oracle_truncation_equal_char():
-    for chi in _all_classes(F3_SERIES):
+    for chi in char_classes(F3_SERIES):
         previous = Fraction(0)
         for bound in (1, 3, 5, 9, 11):
             value = oracle_mass(F3_SERIES, chi, bound)

@@ -13,12 +13,10 @@ from localmass.mass import (
 from localmass.model import (
     INFINITE_E,
     LocalField,
+    char_classes,
     cyclotomic_valuation,
     enumerate_characters,
-    generic_char,
-    omega_char,
     omega_is_trivial,
-    trivial_char,
     truncation_bound,
 )
 from localmass.oracle import eigenspace_blocks
@@ -56,12 +54,9 @@ def test_per_character_contributions_match_direct(case):
 def test_count_table_levels_match_congruence_scan(case):
     field, max_level = case
     bound = truncation_bound(field, max_level)
-    classes = [trivial_char()] + [generic_char(w) for w in range(field.p - 1)]
-    if not omega_is_trivial(field):
-        classes.append(omega_char(field))
     scanned = {
         (block.level, chi.valuation)
-        for chi in classes
+        for chi in char_classes(field)
         for block in eigenspace_blocks(field, chi, bound)
     }
     rows = [(rec.level, rec.vbar) for rec in count_table(field, max_level).values()]
