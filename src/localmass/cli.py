@@ -36,12 +36,13 @@ from .model import (
     CharClass,
     LocalField,
     char_classes,
+    char_is_trivial,
     enumerate_characters,
     layout,
 )
 from .oracle import MassOracleError, oracle_mass
 from .permgroup import verify_galois_criterion, verify_index_p_subgroups, verify_normalizer
-from .rationals import format_rational
+from .rationals import describe_rational, format_rational
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,14 +126,14 @@ def _omega_coords(args) -> tuple[int, int] | None:
     return (a, b)
 
 
-def _char_entry(field: LocalField, chi: CharClass, value) -> dict:
+def _char_entry(chi: CharClass, contribution: str) -> dict:
     a, b = chi.coords
     return {
         "a": a,
         "b": b,
         "vbar": chi.valuation,
         "distinguished": chi.distinguished,
-        "contribution": format_rational(value),
+        "contribution": contribution,
     }
 
 
@@ -166,33 +167,40 @@ def _cmd_structure(args):
 def _cmd_mass(args):
     field = _field(args)
     if args.filter:
-        value = galois_closure_contribution(field, args.filter)
-        obj = {
-            "field": field.to_json_obj(),
-            "filter": args.filter,
-            "contribution": format_rational(value),
-        }
-        rows = [("filter", "contribution"), (args.filter, format_rational(value))]
-        text = [f"{_describe(field)}: mass of {args.filter} extensions = {format_rational(value)}"]
+        value = format_rational(galois_closure_contribution(field, args.filter))
+        obj = {"field": field.to_json_obj(), "filter": args.filter, "contribution": value}
+        rows = [("filter", "contribution"), (args.filter, value)]
+        text = [f"{_describe(field)}: mass of {args.filter} extensions = {value}"]
         return obj, rows, text
     report = total_mass(field)
-    chars = [(chi, report.contribution(chi)) for chi in enumerate_characters(field)]
     obj = report.to_json_obj()
-    obj["per_character"] = [_char_entry(field, chi, val) for chi, val in chars]
+    # A contribution depends only on the character's valuation and on whether
+    # it is trivial, so the (p-1)^2 rows hold at most p distinct values.  Each
+    # is converted to decimal once (the per-valuation ones by the report's own
+    # json), and all three renderings share the strings.
+    m = field.p - 1
+    decimal = {(w, False): obj["per_vbar"][str(w)] for w in report.per_vbar}
+    chars = []
+    for chi in enumerate_characters(field):
+        key = (chi.valuation % m, char_is_trivial(field, chi))
+        if key not in decimal:
+            decimal[key] = format_rational(report.contribution(chi))
+        chars.append((chi, decimal[key]))
+    obj["per_character"] = [_char_entry(chi, val) for chi, val in chars]
     rows = [("a", "b", "vbar", "distinguished", "contribution")]
     rows += [
-        (chi.coords[0], chi.coords[1], chi.valuation, chi.distinguished, format_rational(val))
+        (chi.coords[0], chi.coords[1], chi.valuation, chi.distinguished, val)
         for chi, val in chars
     ]
     text = [f"degree-{field.p} mass over {_describe(field)}"]
     text += [
         f"  char ({chi.coords[0]}, {chi.coords[1]})  vbar {chi.valuation}"
-        f"  {chi.distinguished:<7}  {format_rational(val)}"
+        f"  {chi.distinguished:<7}  {val}"
         for chi, val in chars
     ]
     text += [
-        f"  ramified total:  {format_rational(report.total)}",
-        f"  with unramified: {format_rational(report.grand_total)}",
+        f"  ramified total:  {obj['total_ramified']}",
+        f"  with unramified: {obj['grand_total']}",
     ]
     return obj, rows, text
 
@@ -297,9 +305,10 @@ def _cmd_oracle_check(args):
         reference = char_contribution_truncated(field, chi, bound)
         if brute != reference:
             raise MassOracleError(
-                f"oracle {brute} != {kind} formula {reference} for vbar {chi.valuation}"
+                f"oracle {describe_rational(brute)} != {kind} formula"
+                f" {describe_rational(reference)} for vbar {chi.valuation}"
             )
-        entries.append((chi, brute))
+        entries.append((chi, format_rational(brute)))
     obj = {
         "field": field.to_json_obj(),
         "max_level": bound,
@@ -307,7 +316,7 @@ def _cmd_oracle_check(args):
             {
                 "vbar": chi.valuation,
                 "distinguished": chi.distinguished,
-                "mass": format_rational(val),
+                "mass": val,
                 "reference": kind,
                 "exact_match": True,
             }
@@ -316,12 +325,12 @@ def _cmd_oracle_check(args):
     }
     rows = [("vbar", "distinguished", "mass", "reference", "exact_match")]
     rows += [
-        (chi.valuation, chi.distinguished, format_rational(val), kind, True)
+        (chi.valuation, chi.distinguished, val, kind, True)
         for chi, val in entries
     ]
     text = [f"oracle vs formulas over {_describe(field)}, levels <= {bound}"]
     text += [
-        f"  vbar {chi.valuation}  {chi.distinguished:<7}  mass {format_rational(val)}"
+        f"  vbar {chi.valuation}  {chi.distinguished:<7}  mass {val}"
         f"  == {kind} formula"
         for chi, val in entries
     ]
@@ -331,15 +340,11 @@ def _cmd_oracle_check(args):
 def _cmd_checksum(args):
     q = args.p**args.f
     lhs, rhs = contribution_checksum(args.p, q)
-    obj = {
-        "p": args.p,
-        "q": q,
-        "lhs": format_rational(lhs),
-        "rhs": format_rational(rhs),
-        "equal": True,
-    }
-    rows = [("p", "q", "lhs", "rhs", "equal"), (args.p, q, str(lhs), str(rhs), True)]
-    text = [f"checksum identity at p={args.p}, q={q}: both sides {format_rational(lhs)}"]
+    # The checksum has returned, so the sides are equal: one decimal string.
+    side = format_rational(lhs)
+    obj = {"p": args.p, "q": q, "lhs": side, "rhs": side, "equal": True}
+    rows = [("p", "q", "lhs", "rhs", "equal"), (args.p, q, side, side, True)]
+    text = [f"checksum identity at p={args.p}, q={q}: both sides {side}"]
     return obj, rows, text
 
 

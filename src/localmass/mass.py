@@ -27,7 +27,12 @@ valuation's sum.  Functions that range over many characters therefore make
 one sum per valuation, at most p - 1 of them.
 
 All values are exact ``Fraction``s; a violated internal identity raises
-:class:`MassInvariantError` instead of returning a wrong report.
+:class:`MassInvariantError` instead of returning a wrong report.  Each value
+is normalised once: the stratum sums, the count-table rebuild and the
+checksum add their terms as one integer over a common power of q and take
+the lowest-terms gcd when they build the ``Fraction``, not on every add.
+That defers arithmetic only; the direct sum still walks every stratum, so
+it stays independent of the closed form it is checked against.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .model import (
     truncation_bound,
     validate_char,
 )
-from .rationals import format_rational, geom_finite, geom_infinite, rat_pow
+from .rationals import describe_rational, format_rational, geom_finite, geom_infinite, rat_pow
 
 
 class MassInvariantError(RuntimeError):
@@ -167,15 +172,17 @@ def char_contribution(field: LocalField, chi: CharClass) -> Fraction:
     additionally carries the whole top-level stratum, which is
     :func:`char_contribution_truncated` at the top level p*e.  In equal
     characteristic the infinite sum is evaluated exactly: slots repeat with
-    period ``p - 1`` in ``i``, so grouping strata by residue class leaves one
-    geometric series of ratio ``q**-(p-1)**2`` per class.
+    period ``p - 1`` in ``i``, so every period of p - 1 strata is the first
+    one (the strata below level p(p-1)) deeper by ``(p-1)**2``, and the sum is
+    the first period's times ``1 / (1 - q**-(p-1)**2)``, built as one fraction.
     """
     if not field.equal_char:
         return char_contribution_truncated(field, chi, field.p * field.e)
     validate_char(field, chi)
     p, q = field.p, field.q
-    head = sum(rat_pow(q, i - (p * i + stratum_slot(field, chi, i))) for i in range(p - 1))
-    return Fraction(p * (q - 1), p - 1) * head * geom_infinite(rat_pow(q, -((p - 1) ** 2)))
+    period = (p - 1) ** 2
+    num, top = _over_power_of(q, _stratum_terms(field, chi, p * (p - 1)))
+    return Fraction(p * (q - 1) * num * q ** (period - top), (p - 1) * (q**period - 1))
 
 
 def char_contribution_closed(field: LocalField, chi: CharClass) -> Fraction:
@@ -218,21 +225,50 @@ def char_contribution_truncated(
 
     The exact partial sum the brute-force oracle must reproduce at the same
     bound; in mixed characteristic :func:`char_contribution` is this sum at
-    the top level p*e.
+    the top level p*e.  The strata are walked one by one as always, but their
+    terms ``q**-(level - i)`` are added as one integer over a common power of
+    q, so the value is normalised once (one gcd) instead of once per stratum.
+    Only that deferred gcd separates it from a per-stratum ``Fraction`` sum;
+    it shares nothing with the closed form's geometric series.
     """
     validate_char(field, chi)
     p, q = field.p, field.q
-    head = Fraction(0)
+    num, top = _over_power_of(q, _stratum_terms(field, chi, max_level))
+    total = Fraction(p * (q - 1) * num, (p - 1) * q**top)
+    if not field.equal_char and char_is_trivial(field, chi) and p * field.e <= max_level:
+        total += tres_term(field)
+    return total
+
+
+def _stratum_terms(field: LocalField, chi: CharClass, max_level: int):
+    """The terms ``(level - i, 1)`` of chi's strata ``i`` at levels <= max_level,
+    in the form :func:`_over_power_of` sums.
+
+    The depth ``level - i`` is ``(p-1)i`` plus the slot in [1, p-1], so it
+    strictly increases with ``i``.
+    """
+    p = field.p
     i = 0
     while (field.equal_char or i < field.e) and p * i + 1 <= max_level:
         level = p * i + stratum_slot(field, chi, i)
         if level <= max_level:
-            head += rat_pow(q, i - level)
+            yield level - i, 1
         i += 1
-    total = Fraction(p * (q - 1), p - 1) * head
-    if not field.equal_char and char_is_trivial(field, chi) and p * field.e <= max_level:
-        total += tres_term(field)
-    return total
+
+
+def _over_power_of(q: int, terms) -> tuple[int, int]:
+    """Integers ``(num, top)`` with ``sum(c * q**-d for d, c in terms) ==
+    num / q**top``.
+
+    ``terms`` must come in increasing ``d >= 0``; ``top`` is the last ``d``
+    (0 if there is none).  Horner's rule keeps every partial sum an integer,
+    so no gcd is taken.
+    """
+    num = top = 0
+    for d, c in terms:
+        num = num * q ** (d - top) + c
+        top = d
+    return num, top
 
 
 def per_character_contributions(field: LocalField) -> list[tuple[CharClass, Fraction]]:
@@ -265,7 +301,7 @@ def total_mass(field: LocalField) -> MassReport:
         tres = tres_term(field)
     total = (p - 1) * sum(per_vbar.values()) + tres
     if total != p:
-        raise MassInvariantError(f"ramified mass {total} != {p} for {field}")
+        raise MassInvariantError(f"ramified mass {describe_rational(total)} != {p} for {field}")
     return MassReport(field, per_vbar, tres, total)
 
 
@@ -305,12 +341,12 @@ def count_table(field: LocalField, max_level: int | None = None) -> dict[int, Le
 
 
 def mass_from_counts(field: LocalField, table: dict[int, LevelCount]) -> Fraction:
-    """Rebuild the ramified mass from a full count table (level-0 row excluded)."""
-    return sum(
-        rec.extensions * rat_pow(field.q, -level)
-        for level, rec in table.items()
-        if level > 0
+    """Rebuild the ramified mass from a full count table (level-0 row excluded),
+    as one integer over ``q**top``."""
+    num, top = _over_power_of(
+        field.q, ((level, rec.extensions) for level, rec in sorted(table.items()) if level > 0)
     )
+    return Fraction(num, field.q**top)
 
 
 def contribution_checksum(p: int, q: int) -> tuple[Fraction, Fraction]:
@@ -325,16 +361,18 @@ def contribution_checksum(p: int, q: int) -> tuple[Fraction, Fraction]:
         raise ValueError("defined for primes p >= 3")
     _require_power(q, p)
     m = p - 1
-    lhs = sum(
-        Fraction(
-            (q ** ((p - 2) * a) - 1) * (q ** (m * m) - 1) + (q ** ((p - 2) * m) - 1),
-            q ** (m * a),
-        )
-        for a in range(p - 1)
-    )
+    # lhs = sum over a < p-1 of [(q**((p-2)a) - 1)(q**(m*m) - 1) + (q**((p-2)m) - 1)] / q**(m*a),
+    # taken as two sums over the common denominator q**(m(p-2)) with the
+    # factors that do not depend on a pulled out.
+    lifted, top = _over_power_of(q, ((m * a, q ** ((p - 2) * a) - 1) for a in range(p - 1)))
+    plain, _ = _over_power_of(q, ((m * a, 1) for a in range(p - 1)))
+    lhs = Fraction((q ** (m * m) - 1) * lifted + (q ** ((p - 2) * m) - 1) * plain, q**top)
     rhs = Fraction((q ** (p - 2) - 1) * (q ** (m * m) - 1), q ** (p - 2) * (q - 1))
     if lhs != rhs:
-        raise MassInvariantError("contribution checksum failed")
+        raise MassInvariantError(
+            f"contribution checksum failed at p={p}, q={q}:"
+            f" lhs {describe_rational(lhs)} != rhs {describe_rational(rhs)}"
+        )
     return lhs, rhs
 
 

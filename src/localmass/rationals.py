@@ -10,7 +10,9 @@ evaluated in closed form.
 
 Rationals serialize as ``"num/den"`` in lowest terms, with a bare
 ``"num"`` allowed when the denominator is 1; :func:`format_rational` is
-the single point producing that form.
+the single point producing that form.  :func:`describe_rational` is its
+counterpart for error messages, which must not fail on a value too large
+for the interpreter's integer-to-string limit.
 """
 
 from __future__ import annotations
@@ -53,3 +55,16 @@ def geom_infinite(x: RatLike) -> Fraction:
 def format_rational(x: RatLike) -> str:
     """Serialize as ``"num/den"`` in lowest terms (``"3"`` for ``3/1``)."""
     return str(Fraction(x))
+
+
+def describe_rational(x: RatLike) -> str:
+    """The ``"num/den"`` form of ``x`` if the interpreter will convert it to
+    decimal, else the bit lengths of its numerator and denominator."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:  # the integer-to-string digit limit
+        return (
+            f"<{x.numerator.bit_length()}-bit numerator"
+            f" / {x.denominator.bit_length()}-bit denominator>"
+        )

@@ -1,10 +1,13 @@
 """CLI dispatch, formats, determinism, and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import localmass.cli as cli
+import localmass.mass as mass
+from localmass.rationals import format_rational
 
 
 def run_cli(capsys, *argv):
@@ -231,3 +234,47 @@ def test_internal_identity_failure_exits_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "checksum", "--p", "3", "--f", "1")
     assert code == 2
     assert "internal identity failure" in err
+
+
+def test_identity_failure_with_huge_sides_exits_2(capsys, monkeypatch):
+    # A ramified total too long for decimal conversion is still reported as an
+    # identity failure naming its field, not as bad input.
+    real = mass.tres_term
+    monkeypatch.setattr(mass, "tres_term", lambda field: real(field) + Fraction(1, 31**4000))
+    code, out, err = run_cli(capsys, "mass", "--p", "31", "--e", "100")
+    assert code == 2
+    assert out == ""
+    assert "internal identity failure" in err
+    assert "LocalField(p=31, f=1, e=100" in err
+
+
+P31_F2 = ("mass", "--p", "31", "--f", "2", "--e", "inf")
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_mass_formats_each_distinct_contribution_once(capsys, monkeypatch, fmt):
+    # 900 rows, at most p = 31 distinct values: formatting per row would make
+    # thousands of decimal conversions.
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return format_rational(x)
+
+    monkeypatch.setattr(cli, "format_rational", counting)
+    code, _, _ = run_cli(capsys, *P31_F2, "--format", fmt)
+    assert code == 0
+    assert len(calls) <= 31 + 1
+
+
+@pytest.mark.parametrize("field", [P31_F2[1:], ("--p", "7", "--f", "1", "--e", "3")])
+def test_mass_formats_print_the_same_contributions(capsys, field):
+    _, out, _ = run_cli(capsys, "mass", *field, "--format", "json")
+    from_json = [entry["contribution"] for entry in json.loads(out)["per_character"]]
+    _, out, _ = run_cli(capsys, "mass", *field, "--format", "tsv")
+    from_tsv = [row.split("\t")[-1] for row in out.splitlines()[1:]]
+    _, out, _ = run_cli(capsys, "mass", *field, "--format", "text")
+    from_text = [line.split()[-1] for line in out.splitlines() if line.startswith("  char")]
+    p = int(field[1])
+    assert len(from_json) == (p - 1) ** 2
+    assert from_json == from_tsv == from_text

@@ -148,12 +148,23 @@ def test_mass_from_counts_equal_char_truncation():
         count_table(F3_SERIES)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("power", [1, 2, 3])
 def test_contribution_checksum(p, power):
     q = p**power
     lhs, rhs = contribution_checksum(p, q)
     assert lhs == rhs
+    # The left side as one Fraction per term, the reference for the
+    # common-denominator sum.
+    m = p - 1
+    terms = [
+        Fraction(
+            (q ** ((p - 2) * a) - 1) * (q ** (m * m) - 1) + (q ** ((p - 2) * m) - 1),
+            q ** (m * a),
+        )
+        for a in range(p - 1)
+    ]
+    assert lhs == sum(terms)
     with pytest.raises(ValueError):
         contribution_checksum(2, 2)
 

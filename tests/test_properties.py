@@ -1,10 +1,14 @@
 """Property tests over random fields: the level walk and the per-class sums
 against the independent paths they must agree with."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from localmass.mass import (
     char_contribution,
+    char_contribution_closed,
+    char_contribution_truncated,
     count_table,
     group_order_contribution,
     mass_from_counts,
@@ -14,23 +18,25 @@ from localmass.model import (
     INFINITE_E,
     LocalField,
     char_classes,
+    char_is_trivial,
     cyclotomic_valuation,
     enumerate_characters,
     omega_is_trivial,
+    stratum_slot,
     truncation_bound,
 )
 from localmass.oracle import eigenspace_blocks
 
 
 @st.composite
-def cases(draw):
+def cases(draw, max_e=30):
     """A field carrying its cyclotomic coordinates, and a count-table bound
     (small in equal characteristic).  The coordinates are drawn where (p, f, e)
     does not force them; unit exponent 0 at valuation 0 puts the p-th roots of
     unity in the field."""
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     f = draw(st.integers(1, 3))
-    e = draw(st.one_of(st.integers(1, 30), st.just(INFINITE_E)))
+    e = draw(st.one_of(st.integers(1, max_e), st.just(INFINITE_E)))
     field = LocalField(p, f, e)
     max_level = draw(st.integers(0, 40)) if field.equal_char else None
     if not omega_is_trivial(field):
@@ -77,3 +83,37 @@ def test_group_order_slices_partition_mass(case):
     field, _ = case
     divisors = [n for n in range(1, field.p) if (field.p - 1) % n == 0]
     assert sum(group_order_contribution(field, n) for n in divisors) == field.p
+
+
+def per_stratum_sum(field, chi, max_level):
+    """The stratum sum with one ``Fraction`` add per stratum: the reference
+    for the integer-numerator kernel, which walks the same strata."""
+    p, q = field.p, field.q
+    head = Fraction(0)
+    i = 0
+    while (field.equal_char or i < field.e) and p * i + 1 <= max_level:
+        level = p * i + stratum_slot(field, chi, i)
+        if level <= max_level:
+            head += Fraction(1, q ** (level - i))
+        i += 1
+    total = Fraction(p * (q - 1), p - 1) * head
+    if not field.equal_char and char_is_trivial(field, chi) and p * field.e <= max_level:
+        total += Fraction(p, q ** ((p - 1) * field.e))
+    return total
+
+
+@SETTINGS
+@given(cases(max_e=50), st.integers(0, 60))
+def test_truncated_kernel_matches_per_stratum_sum(case, bound):
+    field, _ = case
+    for chi in char_classes(field):
+        assert char_contribution_truncated(field, chi, bound) == per_stratum_sum(field, chi, bound)
+
+
+@SETTINGS
+@given(cases(max_e=50))
+def test_contribution_matches_closed_form(case):
+    # In mixed characteristic the contribution is the truncated kernel at p*e.
+    field, _ = case
+    for chi in char_classes(field):
+        assert char_contribution(field, chi) == char_contribution_closed(field, chi)

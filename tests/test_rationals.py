@@ -1,11 +1,13 @@
 """Exact-arithmetic helpers: frozen examples and algebraic identities."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from localmass.rationals import (
+    describe_rational,
     format_rational,
     geom_finite,
     geom_infinite,
@@ -44,6 +46,24 @@ def test_format_rational():
     assert format_rational(Fraction(9, 20)) == "9/20"
     assert format_rational(Fraction(3, 1)) == "3"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
+
+
+def test_describe_rational_small():
+    assert describe_rational(Fraction(9, 20)) == "9/20"
+    assert describe_rational(3) == "3"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-to-str limit"
+)
+def test_describe_rational_beyond_str_limit():
+    # 3**10000 has 4772 decimal digits, beyond the default limit of 4300.
+    den = 3**10000
+    with pytest.raises(ValueError):
+        format_rational(Fraction(1, den))
+    assert describe_rational(Fraction(-1, den)) == (
+        f"<1-bit numerator / {den.bit_length()}-bit denominator>"
+    )
 
 
 @given(
