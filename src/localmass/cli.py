@@ -11,9 +11,10 @@ Subcommands::
     checksum       the closed-form total-mass identity at (p, q)
 
 Output is byte-deterministic for identical invocations: JSON is emitted with
-sorted keys and no timestamps, TSV with a fixed column order.  Exit status is
-0 on success, 1 on invalid parameters, and 2 if an internal exact identity
-fails (which would mean a bug, never bad user input).
+sorted keys and no timestamps, TSV with a fixed column order.  Only the asked
+format is rendered, and it is written as it is produced.  Exit status is 0 on
+success, 1 on invalid parameters, and 2 if an internal exact identity fails
+(which would mean a bug, never bad user input); on 1 and 2 stdout stays empty.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from operator import attrgetter
 
 from .mass import (
     MassInvariantError,
@@ -33,12 +36,12 @@ from .mass import (
 )
 from .model import (
     INFINITE_E,
-    CharClass,
     LocalField,
     char_classes,
     char_is_trivial,
     enumerate_characters,
-    layout,
+    level_walk,
+    truncation_bound,
 )
 from .oracle import MassOracleError, oracle_mass
 from .permgroup import verify_galois_criterion, verify_index_p_subgroups, verify_normalizer
@@ -126,83 +129,105 @@ def _omega_coords(args) -> tuple[int, int] | None:
     return (a, b)
 
 
-def _char_entry(chi: CharClass, contribution: str) -> dict:
-    a, b = chi.coords
-    return {
-        "a": a,
-        "b": b,
-        "vbar": chi.valuation,
-        "distinguished": chi.distinguished,
-        "contribution": contribution,
-    }
+# ---------------------------------------------------------------------------
+# Renderers yield one format's output in chunks.  A handler runs every check,
+# then returns the asked format's renderer, so exits 1 and 2 write no stdout.
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (json_obj, tsv_rows, text_lines).
-# ---------------------------------------------------------------------------
+def _json(obj: dict):
+    yield json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _json_streamed(obj: dict, key: str, brackets: str, members):
+    """``_json(obj | {key: value})`` for a long list or object ``value``,
+    written as it is produced.  ``members`` yields the members of ``value``
+    rendered as ``json.dumps(..., indent=2)`` renders them at depth 2;
+    ``brackets`` is ``"[]"`` for a list and ``"{}"`` for an object."""
+    head, tail = json.dumps({**obj, key: None}, sort_keys=True, indent=2).split(f'"{key}": null')
+    yield f'{head}"{key}": {brackets[0]}'
+    sep = "\n"
+    for member in members:
+        yield sep + member
+        sep = ",\n"
+    yield (brackets[1] if sep == "\n" else "\n  " + brackets[1]) + tail + "\n"
+
+
+def _tsv(rows):
+    for row in rows:
+        yield "\t".join(map(str, row)) + "\n"
+
+
+def _text(lines):
+    for line in lines:
+        yield line + "\n"
+
+
+# A `structure` block and a `count` level as json.dumps(indent=2) renders them at depth 2.
+_BLOCK_JSON = (
+    '    {{\n      "dim": {2},\n      "distinguished": "{3}",\n'
+    '      "level": {0},\n      "vbar": {1}\n    }}'
+)
+_LEVEL_JSON = (
+    '    "{0.level}": {{\n      "conjugacy_classes": {0.conjugacy_classes},\n'
+    '      "extensions": {0.extensions},\n      "level": {0.level},\n'
+    '      "lines": {0.lines},\n      "vbar": {0.vbar}\n    }}'
+)
 
 
 def _cmd_structure(args):
     field = _field(args)
-    lay = layout(field, args.max_level)
-    obj = {
-        "field": field.to_json_obj(),
-        "max_level": lay.max_level,
-        "total_dim": lay.total_dim,
-        "blocks": lay.to_json_obj(),
-    }
-    rows = [("level", "vbar", "dim", "distinguished")]
-    rows += [(b.level, b.valuation, b.dim, b.distinguished) for b in lay.blocks]
-    text = [
-        f"filtered module of {_describe(field)}, levels 0..{lay.max_level},"
-        f" total dimension {lay.total_dim}"
-    ]
-    text += [
-        f"  level {b.level:>5}  vbar {b.valuation}  dim {b.dim}  {b.distinguished}"
-        for b in lay.blocks
-    ]
-    return obj, rows, text
+    bound = truncation_bound(field, args.max_level)
+    total_dim = sum(dim * len(markers) for _, _, dim, markers in level_walk(field, bound))
+    blocks = (
+        (level, vbar, dim, marker)
+        for level, vbar, dim, markers in level_walk(field, bound)
+        for marker in markers
+    )
+    if args.format == "json":
+        head = {"field": field.to_json_obj(), "max_level": bound, "total_dim": total_dim}
+        return _json_streamed(head, "blocks", "[]", (_BLOCK_JSON.format(*b) for b in blocks))
+    if args.format == "tsv":
+        return _tsv(chain([("level", "vbar", "dim", "distinguished")], blocks))
+    header = f"filtered module of {_describe(field)}, levels 0..{bound}, total dimension {total_dim}"
+    return _text(chain([header], ("  level {:>5}  vbar {}  dim {}  {}".format(*b) for b in blocks)))
 
 
 def _cmd_mass(args):
     field = _field(args)
     if args.filter:
         value = format_rational(galois_closure_contribution(field, args.filter))
-        obj = {"field": field.to_json_obj(), "filter": args.filter, "contribution": value}
-        rows = [("filter", "contribution"), (args.filter, value)]
-        text = [f"{_describe(field)}: mass of {args.filter} extensions = {value}"]
-        return obj, rows, text
+        if args.format == "json":
+            return _json({"field": field.to_json_obj(), "filter": args.filter, "contribution": value})
+        if args.format == "tsv":
+            return _tsv([("filter", "contribution"), (args.filter, value)])
+        return _text([f"{_describe(field)}: mass of {args.filter} extensions = {value}"])
     report = total_mass(field)
     obj = report.to_json_obj()
     # A contribution depends only on the character's valuation and on whether
     # it is trivial, so the (p-1)^2 rows hold at most p distinct values.  Each
     # is converted to decimal once (the per-valuation ones by the report's own
-    # json), and all three renderings share the strings.
+    # json), whatever the format, so every format fails or passes alike.
     m = field.p - 1
     decimal = {(w, False): obj["per_vbar"][str(w)] for w in report.per_vbar}
-    chars = []
+    rows = []
     for chi in enumerate_characters(field):
         key = (chi.valuation % m, char_is_trivial(field, chi))
         if key not in decimal:
             decimal[key] = format_rational(report.contribution(chi))
-        chars.append((chi, decimal[key]))
-    obj["per_character"] = [_char_entry(chi, val) for chi, val in chars]
-    rows = [("a", "b", "vbar", "distinguished", "contribution")]
-    rows += [
-        (chi.coords[0], chi.coords[1], chi.valuation, chi.distinguished, val)
-        for chi, val in chars
-    ]
-    text = [f"degree-{field.p} mass over {_describe(field)}"]
-    text += [
-        f"  char ({chi.coords[0]}, {chi.coords[1]})  vbar {chi.valuation}"
-        f"  {chi.distinguished:<7}  {val}"
-        for chi, val in chars
-    ]
-    text += [
+        rows.append((*chi.coords, chi.valuation, chi.distinguished, decimal[key]))
+    header = ("a", "b", "vbar", "distinguished", "contribution")
+    if args.format == "json":
+        obj["per_character"] = [dict(zip(header, row)) for row in rows]
+        return _json(obj)
+    if args.format == "tsv":
+        return _tsv([header, *rows])
+    return _text([
+        f"degree-{field.p} mass over {_describe(field)}",
+        *("  char ({}, {})  vbar {}  {:<7}  {}".format(*row) for row in rows),
         f"  ramified total:  {obj['total_ramified']}",
         f"  with unramified: {obj['grand_total']}",
-    ]
-    return obj, rows, text
+    ])
 
 
 def _cmd_count(args):
@@ -212,48 +237,42 @@ def _cmd_count(args):
         for rec in count_table(field, args.max_level).values()
         if args.vbar is None or rec.vbar == args.vbar % max(field.p - 1, 1)
     ]
-    obj = {
-        "field": field.to_json_obj(),
-        "levels": {str(rec.level): rec.to_json_obj() for rec in entries},
-    }
-    rows = [("level", "vbar", "lines", "extensions", "conjugacy_classes")]
-    rows += [
-        (rec.level, rec.vbar, rec.lines, rec.extensions, rec.conjugacy_classes)
-        for rec in entries
-    ]
-    text = [f"extension counts over {_describe(field)}"]
-    text += [
+    # No count in a row exceeds its extensions: converting the largest of
+    # them now raises the int-to-str limit's ValueError before any output.
+    if entries:
+        str(max(rec.extensions for rec in entries))
+    if args.format == "json":
+        levels = sorted(entries, key=lambda rec: str(rec.level))  # json sorts keys as strings
+        head = {"field": field.to_json_obj()}
+        return _json_streamed(head, "levels", "{}", map(_LEVEL_JSON.format, levels))
+    if args.format == "tsv":
+        columns = ("level", "vbar", "lines", "extensions", "conjugacy_classes")
+        return _tsv(chain([columns], map(attrgetter(*columns), entries)))
+    return _text(chain([f"extension counts over {_describe(field)}"], (
         f"  level {rec.level:>5}  vbar {rec.vbar}  lines {rec.lines:>8}"
         f"  extensions {rec.extensions:>8}  classes {rec.conjugacy_classes:>8}"
         for rec in entries
-    ]
-    return obj, rows, text
+    )))
 
 
 def _cmd_tame(args):
     report = tame_mass(args.pprime, args.p, args.p**args.f)
-    obj = report.to_json_obj()
-    rows = [
-        ("pprime", "p", "q", "deg_kprime", "omega_trivial", "ramified", "classes", "mass"),
-        (
-            report.pprime,
-            report.p,
-            report.q,
-            report.deg_kprime,
-            report.omega_trivial,
-            report.ramified_count,
-            report.conjugacy_classes,
-            format_rational(report.mass),
-        ),
-    ]
-    text = [
+    value = format_rational(report.mass)
+    if args.format == "json":
+        return _json(report.to_json_obj())
+    if args.format == "tsv":
+        return _tsv([
+            ("pprime", "p", "q", "deg_kprime", "omega_trivial", "ramified", "classes", "mass"),
+            (report.pprime, report.p, report.q, report.deg_kprime, report.omega_trivial,
+             report.ramified_count, report.conjugacy_classes, value),
+        ])
+    return _text([
         f"degree-{report.pprime} extensions over q={report.q}:"
         f" {report.ramified_count} ramified in {report.conjugacy_classes}"
-        f" conjugacy class(es), mass {format_rational(report.mass)}"
+        f" conjugacy class(es), mass {value}"
         f" (cyclotomic degree {report.deg_kprime},"
         f" {'trivial' if report.omega_trivial else 'nontrivial'} action)"
-    ]
-    return obj, rows, text
+    ])
 
 
 def _cmd_galois_verify(args):
@@ -263,22 +282,25 @@ def _cmd_galois_verify(args):
         "solvability_criterion": verify_galois_criterion(args.p),
         "index_p_subgroups": verify_index_p_subgroups(args.p),
     }
-    rows = [("check", "result")]
-    rows += [
-        ("normalizer_order", obj["normalizer"]["normalizer_order"]),
-        ("criterion_holds", obj["solvability_criterion"]["criterion_holds"]),
-        ("enumeration", obj["solvability_criterion"]["enumeration"]),
-        ("index_p_holds", obj["index_p_subgroups"]["holds"]),
-    ]
-    text = [
-        f"p = {args.p} ({obj['solvability_criterion']['enumeration']} enumeration)",
+    criterion = obj["solvability_criterion"]
+    if args.format == "json":
+        return _json(obj)
+    if args.format == "tsv":
+        return _tsv([
+            ("check", "result"),
+            ("normalizer_order", obj["normalizer"]["normalizer_order"]),
+            ("criterion_holds", criterion["criterion_holds"]),
+            ("enumeration", criterion["enumeration"]),
+            ("index_p_holds", obj["index_p_subgroups"]["holds"]),
+        ])
+    return _text([
+        f"p = {args.p} ({criterion['enumeration']} enumeration)",
         f"  normalizer of the cycle group: order {obj['normalizer']['normalizer_order']},"
         f" split cyclic quotient of order {args.p - 1}",
         f"  solvable <=> unique Sylow over"
-        f" {len(obj['solvability_criterion']['transitive_groups'])} transitive subgroups: ok",
+        f" {len(criterion['transitive_groups'])} transitive subgroups: ok",
         "  index-p subgroup counts, intersections, generation: ok",
-    ]
-    return obj, rows, text
+    ])
 
 
 def _cmd_oracle_check(args):
@@ -294,13 +316,10 @@ def _cmd_oracle_check(args):
     # In mixed characteristic the full contribution is the truncated sum at
     # any bound >= p*e.
     kind = "full" if not field.equal_char and bound >= field.p * field.e else "truncated"
-    classes = [
-        chi
-        for chi in char_classes(field)
-        if args.vbar is None or chi.valuation == args.vbar % (field.p - 1)
-    ]
-    entries = []
-    for chi in classes:
+    rows = []
+    for chi in char_classes(field):
+        if args.vbar is not None and chi.valuation != args.vbar % (field.p - 1):
+            continue
         brute = oracle_mass(field, chi, bound)
         reference = char_contribution_truncated(field, chi, bound)
         if brute != reference:
@@ -308,33 +327,17 @@ def _cmd_oracle_check(args):
                 f"oracle {describe_rational(brute)} != {kind} formula"
                 f" {describe_rational(reference)} for vbar {chi.valuation}"
             )
-        entries.append((chi, format_rational(brute)))
-    obj = {
-        "field": field.to_json_obj(),
-        "max_level": bound,
-        "classes": [
-            {
-                "vbar": chi.valuation,
-                "distinguished": chi.distinguished,
-                "mass": val,
-                "reference": kind,
-                "exact_match": True,
-            }
-            for chi, val in entries
-        ],
-    }
-    rows = [("vbar", "distinguished", "mass", "reference", "exact_match")]
-    rows += [
-        (chi.valuation, chi.distinguished, val, kind, True)
-        for chi, val in entries
-    ]
-    text = [f"oracle vs formulas over {_describe(field)}, levels <= {bound}"]
-    text += [
-        f"  vbar {chi.valuation}  {chi.distinguished:<7}  mass {val}"
-        f"  == {kind} formula"
-        for chi, val in entries
-    ]
-    return obj, rows, text
+        rows.append((chi.valuation, chi.distinguished, format_rational(brute), kind, True))
+    header = ("vbar", "distinguished", "mass", "reference", "exact_match")
+    if args.format == "json":
+        classes = [dict(zip(header, row)) for row in rows]
+        return _json({"field": field.to_json_obj(), "max_level": bound, "classes": classes})
+    if args.format == "tsv":
+        return _tsv([header, *rows])
+    return _text([
+        f"oracle vs formulas over {_describe(field)}, levels <= {bound}",
+        *("  vbar {}  {:<7}  mass {}  == {} formula".format(*row) for row in rows),
+    ])
 
 
 def _cmd_checksum(args):
@@ -342,10 +345,11 @@ def _cmd_checksum(args):
     lhs, rhs = contribution_checksum(args.p, q)
     # The checksum has returned, so the sides are equal: one decimal string.
     side = format_rational(lhs)
-    obj = {"p": args.p, "q": q, "lhs": side, "rhs": side, "equal": True}
-    rows = [("p", "q", "lhs", "rhs", "equal"), (args.p, q, side, side, True)]
-    text = [f"checksum identity at p={args.p}, q={q}: both sides {side}"]
-    return obj, rows, text
+    if args.format == "json":
+        return _json({"p": args.p, "q": q, "lhs": side, "rhs": side, "equal": True})
+    if args.format == "tsv":
+        return _tsv([("p", "q", "lhs", "rhs", "equal"), (args.p, q, side, side, True)])
+    return _text([f"checksum identity at p={args.p}, q={q}: both sides {side}"])
 
 
 def _describe(field: LocalField) -> str:
@@ -364,28 +368,24 @@ _HANDLERS = {
 }
 
 
-def _emit(obj, rows, text, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    elif fmt == "tsv":
-        for row in rows:
-            print("\t".join(str(c) for c in row))
-    else:
-        for line in text:
-            print(line)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        obj, rows, text = _HANDLERS[args.command](args)
+        chunks = _HANDLERS[args.command](args)
     except (MassInvariantError, MassOracleError, AssertionError) as exc:
         print(f"internal identity failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(obj, rows, text, args.format)
+    batch, size = [], 0
+    for chunk in chunks:  # about 64 kB per write: a pipe's reader wakes once per write
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= 1 << 16:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    sys.stdout.write("".join(batch))
     return 0
 
 

@@ -29,8 +29,10 @@ one sum per valuation, at most p - 1 of them.
 All values are exact ``Fraction``s; a violated internal identity raises
 :class:`MassInvariantError` instead of returning a wrong report.  Each value
 is normalised once: the stratum sums, the count-table rebuild and the
-checksum add their terms as one integer over a common power of q and take
-the lowest-terms gcd when they build the ``Fraction``, not on every add.
+checksum add their terms as one integer over a common power of q, and the
+totals and filter sums add their contributions as one integer over a common
+denominator; each takes the lowest-terms gcd when it builds the
+``Fraction``, not on every add.
 That defers arithmetic only; the direct sum still walks every stratum, so
 it stays independent of the closed form it is checked against.
 """
@@ -78,15 +80,6 @@ class LevelCount:
     lines: int
     extensions: int
     conjugacy_classes: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "level": self.level,
-            "vbar": self.vbar,
-            "lines": self.lines,
-            "extensions": self.extensions,
-            "conjugacy_classes": self.conjugacy_classes,
-        }
 
 
 @dataclass(frozen=True)
@@ -283,12 +276,34 @@ def _characters_mass(field: LocalField, chars: list[CharClass]) -> Fraction:
     :meth:`MassReport.contribution`: one sum per valuation among them, plus
     the top-level mass if the trivial character is one of them."""
     per_w = Counter(chi.valuation % (field.p - 1) for chi in chars)
-    total = sum(
-        (n * char_contribution(field, generic_char(w)) for w, n in per_w.items()), Fraction(0)
-    )
+    terms = [(n, char_contribution(field, generic_char(w))) for w, n in per_w.items()]
     if not field.equal_char and any(char_is_trivial(field, chi) for chi in chars):
-        total += tres_term(field)
-    return total
+        terms.append((1, tres_term(field)))
+    return _sum_contributions(field, terms)
+
+
+def _sum_contributions(field: LocalField, terms) -> Fraction:
+    """``sum(n * value for n, value in terms)`` for contributions of ``field``,
+    added as one integer over a common denominator of them all, so the sum is
+    normalised once (one gcd) instead of once per add.
+
+    Every contribution's denominator divides ``(p-1) * q**((p-1)e)`` in mixed
+    characteristic (the deepest stratum's and the top level's) and
+    ``(p-1) * (q**((p-1)**2) - 1)`` in equal characteristic (the period's of
+    :func:`char_contribution`).  A value over any other denominator widens
+    the common one to their lcm, so the sum is exact whatever the terms.
+    """
+    p, q = field.p, field.q
+    den = (p - 1) * (q ** ((p - 1) ** 2) - 1 if field.equal_char else q ** ((p - 1) * field.e))
+    num = 0
+    for n, value in terms:
+        scale, rest = divmod(den, value.denominator)
+        if rest:
+            widen = value.denominator // math.gcd(den, value.denominator)
+            num, den = num * widen, den * widen
+            scale = den // value.denominator
+        num += n * value.numerator * scale
+    return Fraction(num, den)
 
 
 def total_mass(field: LocalField) -> MassReport:
@@ -299,7 +314,7 @@ def total_mass(field: LocalField) -> MassReport:
         tres = Fraction(0)
     else:
         tres = tres_term(field)
-    total = (p - 1) * sum(per_vbar.values()) + tres
+    total = _sum_contributions(field, [(p - 1, c) for c in per_vbar.values()] + [(1, tres)])
     if total != p:
         raise MassInvariantError(f"ramified mass {describe_rational(total)} != {p} for {field}")
     return MassReport(field, per_vbar, tres, total)

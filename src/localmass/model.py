@@ -11,10 +11,11 @@ stable lines in a filtered module attached to ``F``.  That module decomposes
 into eigen-blocks, one per character class of the degree-(p-1) abelian
 closure, and each block sits at a well-defined filtration level.  This module
 owns the one walk over those levels (:func:`level_walk`, truncated by
-:func:`truncation_bound`), which both the block layout and the per-level
-counts of :mod:`localmass.mass` read, the one list of character classes
-that behave differently (:func:`char_classes`), the stratum arithmetic, and
-the break/discriminant arithmetic of the tame subextension.
+:func:`truncation_bound`), which the block layout, the per-level counts of
+:mod:`localmass.mass` and the ``structure`` command read, the one list of
+character classes that behave differently (:func:`char_classes`), the
+stratum arithmetic, and the break/discriminant arithmetic of the tame
+subextension.
 
 Characters are reduced to the data the formulas consume: a valuation class
 mod ``p - 1``, optional full coordinates in the basis (uniformizer class,
@@ -301,14 +302,6 @@ class EigenBlock:
     dim: int
     distinguished: str  # "omega" | "trivial" | "none"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "level": self.level,
-            "vbar": self.valuation,
-            "dim": self.dim,
-            "distinguished": self.distinguished,
-        }
-
 
 @dataclass(frozen=True)
 class FilteredLayout:
@@ -321,9 +314,6 @@ class FilteredLayout:
     @property
     def total_dim(self) -> int:
         return sum(b.dim for b in self.blocks)
-
-    def to_json_obj(self) -> list[dict]:
-        return [b.to_json_obj() for b in self.blocks]
 
 
 def truncation_bound(field: LocalField, max_level: int | None) -> int:

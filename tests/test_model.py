@@ -7,9 +7,11 @@ import pytest
 
 from localmass.model import (
     INFINITE_E,
+    OMEGA,
     TRIVIAL,
     BreakData,
     CharClass,
+    EigenBlock,
     LocalField,
     cyclotomic_valuation,
     discriminant_valuation,
@@ -183,9 +185,8 @@ def test_layout_dimension_audit(p, f, e):
 
 def test_layout_block_structure():
     lay = layout(Q3)
-    objs = lay.to_json_obj()
-    assert objs[0] == {"level": 0, "vbar": 1, "dim": 1, "distinguished": "omega"}
-    assert objs[-1] == {"level": 3, "vbar": 0, "dim": 1, "distinguished": "trivial"}
+    assert lay.blocks[0] == EigenBlock(level=0, valuation=1, dim=1, distinguished=OMEGA)
+    assert lay.blocks[-1] == EigenBlock(level=3, valuation=0, dim=1, distinguished=TRIVIAL)
     by_level = {}
     for b in lay.blocks:
         by_level.setdefault(b.level, []).append(b)
