@@ -163,7 +163,8 @@ def _text(lines):
         yield line + "\n"
 
 
-# A `structure` block and a `count` level as json.dumps(indent=2) renders them at depth 2.
+# A `structure` block, a `count` level and a `mass` character as json.dumps(indent=2)
+# renders them at depth 2.
 _BLOCK_JSON = (
     '    {{\n      "dim": {2},\n      "distinguished": "{3}",\n'
     '      "level": {0},\n      "vbar": {1}\n    }}'
@@ -172,6 +173,10 @@ _LEVEL_JSON = (
     '    "{0.level}": {{\n      "conjugacy_classes": {0.conjugacy_classes},\n'
     '      "extensions": {0.extensions},\n      "level": {0.level},\n'
     '      "lines": {0.lines},\n      "vbar": {0.vbar}\n    }}'
+)
+_CHAR_JSON = (
+    '    {{\n      "a": {0},\n      "b": {1},\n      "contribution": "{4}",\n'
+    '      "distinguished": "{3}",\n      "vbar": {2}\n    }}'
 )
 
 
@@ -218,8 +223,7 @@ def _cmd_mass(args):
         rows.append((*chi.coords, chi.valuation, chi.distinguished, decimal[key]))
     header = ("a", "b", "vbar", "distinguished", "contribution")
     if args.format == "json":
-        obj["per_character"] = [dict(zip(header, row)) for row in rows]
-        return _json(obj)
+        return _json_streamed(obj, "per_character", "[]", (_CHAR_JSON.format(*row) for row in rows))
     if args.format == "tsv":
         return _tsv([header, *rows])
     return _text([
@@ -325,7 +329,8 @@ def _cmd_oracle_check(args):
         if brute != reference:
             raise MassOracleError(
                 f"oracle {describe_rational(brute)} != {kind} formula"
-                f" {describe_rational(reference)} for vbar {chi.valuation}"
+                f" {describe_rational(reference)} for vbar {chi.valuation} ({chi.distinguished})"
+                f" over {_describe(field)}, levels <= {bound}"
             )
         rows.append((chi.valuation, chi.distinguished, format_rational(brute), kind, True))
     header = ("vbar", "distinguished", "mass", "reference", "exact_match")

@@ -9,9 +9,9 @@ is the cyclotomic character and for ``p`` conjugate extensions otherwise,
 each weighted ``q**-d``.  Summing level by level gives every quantity here:
 
 * :func:`char_contribution` — the mass carried by one character class: the
-  direct stratum sum of :func:`char_contribution_truncated` taken up to the
-  top level in mixed characteristic, a geometric series summed exactly in
-  equal characteristic;
+  direct sum over its eigen-blocks as the level walk of
+  :mod:`localmass.model` places them, taken up to the top level in mixed
+  characteristic, a geometric series summed exactly in equal characteristic;
 * :func:`char_contribution_closed` — the same value through an independent
   closed-form expression, kept as a permanent cross-check;
 * :func:`total_mass` — the full report, asserting the total is exactly p;
@@ -23,18 +23,19 @@ each weighted ``q**-d``.  Summing level by level gives every quantity here:
 
 A contribution depends only on the character's valuation and on whether the
 character is trivial: the trivial one adds the top-level mass to its
-valuation's sum.  Functions that range over many characters therefore make
-one sum per valuation, at most p - 1 of them.
+valuation's sum.  One pass over the level walk makes the sums of the
+valuations asked for, at most p - 1 of them, and one rule turns them into
+contributions.
 
 All values are exact ``Fraction``s; a violated internal identity raises
 :class:`MassInvariantError` instead of returning a wrong report.  Each value
-is normalised once: the stratum sums, the count-table rebuild and the
+is normalised once: the block sums, the count-table rebuild and the
 checksum add their terms as one integer over a common power of q, and the
 totals and filter sums add their contributions as one integer over a common
 denominator; each takes the lowest-terms gcd when it builds the
 ``Fraction``, not on every add.
-That defers arithmetic only; the direct sum still walks every stratum, so
-it stays independent of the closed form it is checked against.
+That defers arithmetic only; the direct sum still walks every block, so it
+stays independent of the closed form it is checked against.
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ from .model import (
     char_is_trivial,
     cyclotomic_valuation,
     enumerate_characters,
-    generic_char,
     is_prime,
     level_walk,
     omega_char,
-    stratum_slot,
     truncation_bound,
     validate_char,
 )
@@ -102,12 +101,8 @@ class MassReport:
         return self.total + 1
 
     def contribution(self, chi: CharClass) -> Fraction:
-        """Contribution of the character class ``chi``, read off the report:
-        its valuation's value, plus the top-level mass if ``chi`` is trivial."""
-        value = self.per_vbar[chi.valuation % (self.field.p - 1)]
-        if char_is_trivial(self.field, chi):
-            value += self.tres_extra
-        return value
+        """Contribution of the character class ``chi``, by :func:`_contribution`."""
+        return _contribution(self.field, chi, self.per_vbar, self.tres_extra)
 
     def to_json_obj(self) -> dict:
         return {
@@ -160,22 +155,18 @@ def tres_term(field: LocalField) -> Fraction:
 def char_contribution(field: LocalField, chi: CharClass) -> Fraction:
     """Exact mass of the extensions mapping to the character class ``chi``.
 
-    Sums ``p(q-1)/(p-1) * q**(i - level_i)`` over the strata ``i``.  In mixed
-    characteristic the sum runs over ``i < e`` and the trivial character
-    additionally carries the whole top-level stratum, which is
-    :func:`char_contribution_truncated` at the top level p*e.  In equal
-    characteristic the infinite sum is evaluated exactly: slots repeat with
-    period ``p - 1`` in ``i``, so every period of p - 1 strata is the first
-    one (the strata below level p(p-1)) deeper by ``(p-1)**2``, and the sum is
-    the first period's times ``1 / (1 - q**-(p-1)**2)``, built as one fraction.
+    The direct sum over chi's eigen-blocks where :func:`localmass.model.level_walk`
+    puts them: a block at level ``l`` adds ``p(q-1)/(p-1) * q**(l//p - l)``.
+    In mixed characteristic this is :func:`char_contribution_truncated` at
+    the top level p*e, where the trivial character also carries the top-level
+    stratum.  In equal characteristic the infinite sum is evaluated exactly:
+    the levels of one valuation repeat with period p(p-1), each period deeper
+    by ``(p-1)**2``, so the sum is the first period's times
+    ``1 / (1 - q**-(p-1)**2)``.
     """
-    if not field.equal_char:
-        return char_contribution_truncated(field, chi, field.p * field.e)
     validate_char(field, chi)
-    p, q = field.p, field.q
-    period = (p - 1) ** 2
-    num, top = _over_power_of(q, _stratum_terms(field, chi, p * (p - 1)))
-    return Fraction(p * (q - 1) * num * q ** (period - top), (p - 1) * (q**period - 1))
+    sums, tres = _valuation_sums(field, None, [chi.valuation % (field.p - 1)])
+    return _contribution(field, chi, sums, tres)
 
 
 def char_contribution_closed(field: LocalField, chi: CharClass) -> Fraction:
@@ -214,49 +205,57 @@ def char_contribution_closed(field: LocalField, chi: CharClass) -> Fraction:
 def char_contribution_truncated(
     field: LocalField, chi: CharClass, max_level: int
 ) -> Fraction:
-    """Direct stratum sum restricted to levels <= max_level.
+    """Direct sum over chi's eigen-blocks at levels <= max_level.
 
     The exact partial sum the brute-force oracle must reproduce at the same
-    bound; in mixed characteristic :func:`char_contribution` is this sum at
-    the top level p*e.  The strata are walked one by one as always, but their
-    terms ``q**-(level - i)`` are added as one integer over a common power of
-    q, so the value is normalised once (one gcd) instead of once per stratum.
-    Only that deferred gcd separates it from a per-stratum ``Fraction`` sum;
-    it shares nothing with the closed form's geometric series.
+    bound.  It walks the blocks of :func:`localmass.model.level_walk` up to
+    :func:`localmass.model.truncation_bound`, so in mixed characteristic any
+    bound >= p*e gives :func:`char_contribution`; it shares nothing with the
+    closed form's geometric series.
     """
     validate_char(field, chi)
+    sums, tres = _valuation_sums(field, max_level, [chi.valuation % (field.p - 1)])
+    return _contribution(field, chi, sums, tres)
+
+
+def _valuation_sums(field: LocalField, max_level: int | None, valuations):
+    """``(sums, tres)`` from one pass over the level walk: ``sums[w]`` is the
+    block sum of one character of valuation ``w`` for each ``w`` asked for,
+    ``tres`` the top-level mass if the walk reaches it.  No ``max_level``
+    means the full sum of :func:`char_contribution`.  A block's depth
+    ``l - l//p`` grows with its level ``l``, so each sum is one integer over a
+    power of q by Horner's rule, normalised once."""
     p, q = field.p, field.q
-    num, top = _over_power_of(q, _stratum_terms(field, chi, max_level))
-    total = Fraction(p * (q - 1) * num, (p - 1) * q**top)
-    if not field.equal_char and char_is_trivial(field, chi) and p * field.e <= max_level:
-        total += tres_term(field)
-    return total
+    period = (p - 1) ** 2
+    periodic = field.equal_char and max_level is None
+    acc = dict.fromkeys(valuations, (0, 0))
+    tres = Fraction(0)
+    bound = p * (p - 1) if periodic else truncation_bound(field, max_level)
+    for level, vbar, _, _ in level_walk(field, bound):
+        if level and level % p == 0:  # the top level p*e
+            tres = tres_term(field)
+        elif level and vbar in acc:
+            num, top = acc[vbar]
+            depth = level - level // p
+            acc[vbar] = num * q ** (depth - top) + 1, depth
+    c = p * (q - 1)
+    if periodic:
+        den = (p - 1) * (q**period - 1)
+        return {w: Fraction(c * n * q ** (period - t), den) for w, (n, t) in acc.items()}, tres
+    return {w: Fraction(c * n, (p - 1) * q**t) for w, (n, t) in acc.items()}, tres
 
 
-def _stratum_terms(field: LocalField, chi: CharClass, max_level: int):
-    """The terms ``(level - i, 1)`` of chi's strata ``i`` at levels <= max_level,
-    in the form :func:`_over_power_of` sums.
-
-    The depth ``level - i`` is ``(p-1)i`` plus the slot in [1, p-1], so it
-    strictly increases with ``i``.
-    """
-    p = field.p
-    i = 0
-    while (field.equal_char or i < field.e) and p * i + 1 <= max_level:
-        level = p * i + stratum_slot(field, chi, i)
-        if level <= max_level:
-            yield level - i, 1
-        i += 1
+def _contribution(field: LocalField, chi: CharClass, sums: dict, tres: Fraction) -> Fraction:
+    """Contribution of ``chi`` from :func:`_valuation_sums`: its valuation's
+    sum, plus the top-level mass if ``chi`` is trivial."""
+    value = sums[chi.valuation % (field.p - 1)]
+    return value + tres if char_is_trivial(field, chi) else value
 
 
 def _over_power_of(q: int, terms) -> tuple[int, int]:
     """Integers ``(num, top)`` with ``sum(c * q**-d for d, c in terms) ==
-    num / q**top``.
-
-    ``terms`` must come in increasing ``d >= 0``; ``top`` is the last ``d``
-    (0 if there is none).  Horner's rule keeps every partial sum an integer,
-    so no gcd is taken.
-    """
+    num / q**top``, for ``terms`` in increasing ``d >= 0`` (``top`` is the
+    last ``d``, or 0).  Horner's rule keeps every partial sum an integer."""
     num = top = 0
     for d, c in terms:
         num = num * q ** (d - top) + c
@@ -272,22 +271,18 @@ def per_character_contributions(field: LocalField) -> list[tuple[CharClass, Frac
 
 
 def _characters_mass(field: LocalField, chars: list[CharClass]) -> Fraction:
-    """Summed contribution of distinct characters, by the rule of
-    :meth:`MassReport.contribution`: one sum per valuation among them, plus
-    the top-level mass if the trivial character is one of them."""
-    per_w = Counter(chi.valuation % (field.p - 1) for chi in chars)
-    terms = [(n, char_contribution(field, generic_char(w))) for w, n in per_w.items()]
-    if not field.equal_char and any(char_is_trivial(field, chi) for chi in chars):
-        terms.append((1, tres_term(field)))
-    return _sum_contributions(field, terms)
+    """Summed contribution of distinct characters: one sum per valuation
+    among them, one :func:`_contribution` per character."""
+    sums, tres = _valuation_sums(field, None, {chi.valuation % (field.p - 1) for chi in chars})
+    return _sum_contributions(field, ((1, _contribution(field, chi, sums, tres)) for chi in chars))
 
 
 def _sum_contributions(field: LocalField, terms) -> Fraction:
     """``sum(n * value for n, value in terms)`` for contributions of ``field``,
     added as one integer over a common denominator of them all, so the sum is
-    normalised once (one gcd) instead of once per add.
-
-    Every contribution's denominator divides ``(p-1) * q**((p-1)e)`` in mixed
+    normalised once (one gcd) instead of once per add; numerators over one
+    denominator are added first, so a repeated value costs one add.  Every
+    contribution's denominator divides ``(p-1) * q**((p-1)e)`` in mixed
     characteristic (the deepest stratum's and the top level's) and
     ``(p-1) * (q**((p-1)**2) - 1)`` in equal characteristic (the period's of
     :func:`char_contribution`).  A value over any other denominator widens
@@ -295,25 +290,24 @@ def _sum_contributions(field: LocalField, terms) -> Fraction:
     """
     p, q = field.p, field.q
     den = (p - 1) * (q ** ((p - 1) ** 2) - 1 if field.equal_char else q ** ((p - 1) * field.e))
-    num = 0
+    per_den = Counter()
     for n, value in terms:
-        scale, rest = divmod(den, value.denominator)
+        per_den[value.denominator] += n * value.numerator
+    num = 0
+    for d, part in per_den.items():
+        scale, rest = divmod(den, d)
         if rest:
-            widen = value.denominator // math.gcd(den, value.denominator)
+            widen = d // math.gcd(den, d)
             num, den = num * widen, den * widen
-            scale = den // value.denominator
-        num += n * value.numerator * scale
+            scale = den // d
+        num += part * scale
     return Fraction(num, den)
 
 
 def total_mass(field: LocalField) -> MassReport:
     """Full mass report; the ramified total is asserted to be exactly p."""
     p = field.p
-    per_vbar = {w: char_contribution(field, generic_char(w)) for w in range(p - 1)}
-    if field.equal_char:
-        tres = Fraction(0)
-    else:
-        tres = tres_term(field)
+    per_vbar, tres = _valuation_sums(field, None, range(p - 1))
     total = _sum_contributions(field, [(p - 1, c) for c in per_vbar.values()] + [(1, tres)])
     if total != p:
         raise MassInvariantError(f"ramified mass {describe_rational(total)} != {p} for {field}")
@@ -403,11 +397,6 @@ def contribution_checksum(p: int, q: int) -> tuple[Fraction, Fraction]:
 # (``LocalField.omega``).
 
 
-def _pair_order(xi: tuple[int, int], m: int) -> int:
-    ords = [m // math.gcd(c % m, m) if c % m else 1 for c in xi]
-    return ords[0] * ords[1] // math.gcd(ords[0], ords[1])
-
-
 def cyclic_contribution(field: LocalField) -> Fraction:
     """Mass of the cyclic degree-p extensions (character = cyclotomic)."""
     return char_contribution(field, omega_char(field))
@@ -450,7 +439,7 @@ def group_order_contribution(field: LocalField, n: int) -> Fraction:
     m = max(field.p - 1, 1)
     if n < 1 or m % n != 0:
         raise ValueError("order must divide p - 1")
-    return _xi_filter_mass(field, lambda xi: _pair_order(xi, m) == n)
+    return _xi_filter_mass(field, lambda xi: math.lcm(*(m // math.gcd(c, m) for c in xi)) == n)
 
 
 def subfield_contribution(field: LocalField, subgroup_gens: list[tuple[int, int]]) -> Fraction:
@@ -511,11 +500,7 @@ def tame_mass(pprime: int, p: int, q: int) -> TameReport:
     if pprime == p:
         raise ValueError("use the wild-case operations")
     _require_power(q, p)
-    deg = 1
-    acc = q % pprime
-    while acc != 1:
-        acc = acc * q % pprime
-        deg += 1
+    deg = next(d for d in range(1, pprime) if pow(q, d, pprime) == 1)  # order of q mod p'
     trivial = (q - 1) % pprime == 0
     return TameReport(
         pprime=pprime,

@@ -201,22 +201,19 @@ def cyclotomic_valuation(field: LocalField) -> int:
     return 0 if field.equal_char else field.e % (field.p - 1)
 
 
-def _slot_for_valuation(field: LocalField, valuation: int, i: int) -> int:
-    # Unique j in [1, p-1] with valuation + i + j == cyclotomic valuation mod p-1.
-    m = field.p - 1
-    return (cyclotomic_valuation(field) - valuation - i - 1) % m + 1
-
-
 def stratum_slot(field: LocalField, chi: CharClass, i: int) -> int:
     """Position j in [1, p-1] of chi's eigen-block within stratum i.
 
     Determined by ``valuation(chi) + i + j == cyclotomic valuation`` mod p-1;
     periodic in i with period p-1.  For p = 2 the interval [1, 1] forces j = 1.
+    No production path uses it: the mass kernel places its blocks by
+    :func:`level_walk`, and this per-stratum formula is kept as the
+    independent reference that the kernel is checked against.
     """
     if i < 0:
         raise ValueError("stratum index must be >= 0")
     validate_char(field, chi)
-    return _slot_for_valuation(field, chi.valuation, i)
+    return (cyclotomic_valuation(field) - chi.valuation - i - 1) % (field.p - 1) + 1
 
 
 def stratum_level(field: LocalField, chi: CharClass, i: int) -> int:

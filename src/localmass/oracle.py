@@ -102,7 +102,9 @@ def enumerate_lines(
     for lvl, n in sorted(vectors_per_level.items()):
         lines, rem = divmod(n, field.p - 1)
         if rem:
-            raise MassOracleError(f"{n} vectors at level {lvl} do not split into lines")
+            raise MassOracleError(
+                f"{n} vectors at level {lvl} do not split into lines for {chi} over {field}"
+            )
         counts[lvl] = lines
     return counts
 

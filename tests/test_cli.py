@@ -7,6 +7,8 @@ import pytest
 
 import localmass.cli as cli
 import localmass.mass as mass
+import localmass.oracle as oracle
+from localmass.model import LocalField, trivial_char
 from localmass.rationals import format_rational
 
 
@@ -165,6 +167,54 @@ def test_oracle_check(capsys):
     code, _, err = run_cli(capsys, "oracle-check", "--p", "3", "--f", "1", "--e", "inf")
     assert code == 1
     assert "max-level" in err
+
+
+def _oracle_classes(capsys, *bound):
+    argv = ("oracle-check", "--p", "3", "--e", "1", *bound, "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    obj = json.loads(out)
+    return obj["max_level"], obj["classes"]
+
+
+def test_oracle_check_mixed_char_bounds_around_the_top_level(capsys):
+    # At (3, 1, 1) the top level is 3: a bound above it gives the full
+    # contributions, a bound below it leaves the top-level line out.
+    field = LocalField(3, 1, 1)
+    _, full = _oracle_classes(capsys)
+    bound, above = _oracle_classes(capsys, "--max-level", "10")
+    assert bound == 10
+    assert {entry["reference"] for entry in above} == {"full"}
+    assert [entry["mass"] for entry in above] == [entry["mass"] for entry in full]
+    _, below = _oracle_classes(capsys, "--max-level", "2")
+    assert {entry["reference"] for entry in below} == {"truncated"}
+    trivial = next(entry["mass"] for entry in below if entry["distinguished"] == "trivial")
+    expected = mass.char_contribution(field, trivial_char()) - mass.tres_term(field)
+    assert Fraction(trivial) == expected
+
+
+def test_oracle_mismatch_names_its_inputs(capsys, monkeypatch):
+    real = cli.oracle_mass
+    monkeypatch.setattr(cli, "oracle_mass", lambda *args: real(*args) + Fraction(1, 3))
+    code, out, err = run_cli(capsys, "oracle-check", "--p", "3", "--e", "1", "--max-level", "2")
+    assert code == 2 and out == ""
+    assert "internal identity failure" in err
+    assert "(trivial) over p=3 f=1 e=1 (q=3), levels <= 2" in err
+
+
+def test_oracle_line_split_failure_names_its_inputs(capsys, monkeypatch):
+    # One vector too many leaves a level count that p - 1 = 2 does not divide.
+    real = oracle.itertools.product
+
+    def one_extra(*args, **kwargs):
+        vectors = list(real(*args, **kwargs))
+        return vectors + vectors[-1:]
+
+    monkeypatch.setattr(oracle.itertools, "product", one_extra)
+    code, out, err = run_cli(capsys, "oracle-check", "--p", "3", "--e", "1", "--vbar", "1")
+    assert code == 2 and out == ""
+    assert "do not split into lines for CharClass(valuation=1" in err
+    assert "over LocalField(p=3, f=1, e=1" in err
 
 
 def test_galois_verify(capsys):

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import localmass.cli as cli
-from localmass.mass import count_table
+from localmass.mass import count_table, per_character_contributions, total_mass
 from localmass.model import INFINITE_E, LocalField, layout
+from localmass.rationals import format_rational
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -35,19 +36,34 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_sweep_stdout_matches_recorded_digests(capsys):
+def _wrong_digests(capsys, pool):
+    """The queries of ``pool`` whose exit status and stdout digest differ from
+    the recorded ones; a known failure must exit 1 with empty stdout."""
     digests = json.loads((PERFBENCH / "digests.json").read_text())
-    pool = list(dict.fromkeys(qu for slot in workloads.sweep_slots() for qu in slot))
     wrong = []
     for qu in pool:
         code, out, _ = run_cli(capsys, *qu.argv)
-        if qu.known_failure is not None:
-            continue
-        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
-        if (code, digest) != (qu.expect_exit, digests[qu.key]):
-            wrong.append((qu.key, code, digest))
+        if qu.known_failure is None:
+            expected = (qu.expect_exit, digests[qu.key])
+            out = hashlib.sha256(out.encode()).hexdigest()[:16]
+        else:
+            expected = (1, "")
+        if (code, out) != expected:
+            wrong.append((qu.key, code, out[:40]))
+    return wrong
+
+
+def test_sweep_stdout_matches_recorded_digests(capsys):
+    pool = list(dict.fromkeys(qu for slot in workloads.sweep_slots() for qu in slot))
     assert len(pool) > 1000
-    assert not wrong
+    assert not _wrong_digests(capsys, pool)
+
+
+def test_deep_mass_stdout_matches_recorded_digests(capsys):
+    # Fields the sweep grid does not reach: p = 31 and 101, e = 100.
+    pool = workloads.DEEP_MASS
+    assert sum(qu.known_failure is None for qu in pool) == 6
+    assert not _wrong_digests(capsys, pool)
 
 
 def _old_structure_json(field, max_level):
@@ -69,10 +85,22 @@ def _old_count_json(field, max_level, vbar):
     return json.dumps({"field": field.to_json_obj(), "levels": levels}, sort_keys=True, indent=2) + "\n"
 
 
+def _old_mass_json(field):
+    obj = total_mass(field).to_json_obj()
+    obj["per_character"] = [
+        {"a": chi.coords[0], "b": chi.coords[1], "vbar": chi.valuation,
+         "distinguished": chi.distinguished, "contribution": format_rational(value)}
+        for chi, value in per_character_contributions(field)
+    ]
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def test_streamed_json_equals_json_dumps_on_the_sweep_grid(capsys):
     empty_tables = 0
     for p, f, e in workloads._sweep_fields():
         field = LocalField(p, f, INFINITE_E if e == "inf" else int(e))
+        _, out, _ = run_cli(capsys, "mass", "--p", p, "--f", f, "--e", e, "--format", "json")
+        assert out == _old_mass_json(field), (p, f, e)
         for max_level in (0, 7, 20 if e == "inf" else None):
             bound = () if max_level is None else ("--max-level", max_level)
             argv = ("--p", p, "--f", f, "--e", e, *bound, "--format", "json")

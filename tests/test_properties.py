@@ -86,8 +86,9 @@ def test_group_order_slices_partition_mass(case):
 
 
 def per_stratum_sum(field, chi, max_level):
-    """The stratum sum with one ``Fraction`` add per stratum: the reference
-    for the integer-numerator kernel, which walks the same strata."""
+    """The stratum sum with one ``Fraction`` add per stratum, each block
+    placed by the slot formula: an independent reference for the kernel,
+    which reads its blocks off the level walk instead."""
     p, q = field.p, field.q
     head = Fraction(0)
     i = 0
