@@ -260,7 +260,7 @@ def _cmd_count(args):
 
 
 def _cmd_tame(args):
-    report = tame_mass(args.pprime, args.p, args.p**args.f)
+    report = tame_mass(args.pprime, args.p, LocalField(args.p, args.f, INFINITE_E).q)
     value = format_rational(report.mass)
     if args.format == "json":
         return _json(report.to_json_obj())
@@ -309,17 +309,11 @@ def _cmd_galois_verify(args):
 
 def _cmd_oracle_check(args):
     field = _field(args)
-    if args.max_level is None:
-        if field.equal_char:
-            raise ValueError("--max-level required when e is inf")
-        bound = field.p * field.e
-    elif args.max_level < 0:
-        raise ValueError(f"--max-level must be >= 0, got {args.max_level}")
-    else:
-        bound = args.max_level
-    # In mixed characteristic the full contribution is the truncated sum at
-    # any bound >= p*e.
-    kind = "full" if not field.equal_char and bound >= field.p * field.e else "truncated"
+    # The bound is checked and clamped to the top level p*e, where the
+    # truncated sum is the full contribution, but printed as given.
+    clamped = truncation_bound(field, args.max_level)
+    bound = clamped if args.max_level is None else args.max_level
+    kind = "full" if not field.equal_char and clamped == field.p * field.e else "truncated"
     rows = []
     for chi in char_classes(field):
         if args.vbar is not None and chi.valuation != args.vbar % (field.p - 1):
@@ -346,7 +340,7 @@ def _cmd_oracle_check(args):
 
 
 def _cmd_checksum(args):
-    q = args.p**args.f
+    q = LocalField(args.p, args.f, INFINITE_E).q
     lhs, rhs = contribution_checksum(args.p, q)
     # The checksum has returned, so the sides are equal: one decimal string.
     side = format_rational(lhs)

@@ -29,11 +29,12 @@ contributions.
 
 All values are exact ``Fraction``s; a violated internal identity raises
 :class:`MassInvariantError` instead of returning a wrong report.  Each value
-is normalised once: the block sums, the count-table rebuild and the
-checksum add their terms as one integer over a common power of q, and the
-totals and filter sums add their contributions as one integer over a common
-denominator; each takes the lowest-terms gcd when it builds the
-``Fraction``, not on every add.
+is normalised once.  The level walk hands out its sums as integer numerators
+over one denominator, ``(p-1) * q**T`` for the deepest block depth ``T`` it
+reached, or ``(p-1) * (q**((p-1)**2) - 1)`` for an infinite
+equal-characteristic sum, so a total or a filter sum is one integer sum and
+one gcd.  The count-table rebuild and the checksum add their terms as one
+integer over a common power of q.
 That defers arithmetic only; the direct sum still walks every block, so it
 stays independent of the closed form it is checked against.
 """
@@ -102,7 +103,8 @@ class MassReport:
 
     def contribution(self, chi: CharClass) -> Fraction:
         """Contribution of the character class ``chi``, by :func:`_contribution`."""
-        return _contribution(self.field, chi, self.per_vbar, self.tres_extra)
+        value = self.per_vbar[chi.valuation % (self.field.p - 1)]
+        return _contribution(self.field, [chi], value, self.tres_extra)
 
     def to_json_obj(self) -> dict:
         return {
@@ -165,8 +167,9 @@ def char_contribution(field: LocalField, chi: CharClass) -> Fraction:
     ``1 / (1 - q**-(p-1)**2)``.
     """
     validate_char(field, chi)
-    sums, tres = _valuation_sums(field, None, [chi.valuation % (field.p - 1)])
-    return _contribution(field, chi, sums, tres)
+    w = chi.valuation % (field.p - 1)
+    nums, tres, den = _valuation_sums(field, None, [w])
+    return _contribution(field, [chi], Fraction(nums[w], den), tres)
 
 
 def char_contribution_closed(field: LocalField, chi: CharClass) -> Fraction:
@@ -214,17 +217,21 @@ def char_contribution_truncated(
     closed form's geometric series.
     """
     validate_char(field, chi)
-    sums, tres = _valuation_sums(field, max_level, [chi.valuation % (field.p - 1)])
-    return _contribution(field, chi, sums, tres)
+    w = chi.valuation % (field.p - 1)
+    nums, tres, den = _valuation_sums(field, max_level, [w])
+    return _contribution(field, [chi], Fraction(nums[w], den), tres)
 
 
 def _valuation_sums(field: LocalField, max_level: int | None, valuations):
-    """``(sums, tres)`` from one pass over the level walk: ``sums[w]`` is the
-    block sum of one character of valuation ``w`` for each ``w`` asked for,
-    ``tres`` the top-level mass if the walk reaches it.  No ``max_level``
-    means the full sum of :func:`char_contribution`.  A block's depth
-    ``l - l//p`` grows with its level ``l``, so each sum is one integer over a
-    power of q by Horner's rule, normalised once."""
+    """``(nums, tres, den)`` from one pass over the level walk: the block sum
+    of one character of valuation ``w`` is ``nums[w] / den`` for each ``w``
+    asked for, and ``tres`` is the top-level mass if the walk reaches it.  No
+    ``max_level`` means the full sum of :func:`char_contribution`.  A block's
+    depth ``l - l//p`` grows with its level ``l``, so each sum is one integer
+    over a power of q by Horner's rule.  After the walk each is aligned to the
+    one denominator ``(p-1) * q**T``, ``T`` the deepest depth, or in the
+    periodic case ``(p-1) * (q**((p-1)**2) - 1)``; no gcd is taken, so a
+    caller normalises once per value it builds."""
     p, q = field.p, field.q
     period = (p - 1) ** 2
     periodic = field.equal_char and max_level is None
@@ -238,18 +245,18 @@ def _valuation_sums(field: LocalField, max_level: int | None, valuations):
             num, top = acc[vbar]
             depth = level - level // p
             acc[vbar] = num * q ** (depth - top) + 1, depth
+    # A first period's n / q**t times 1 / (1 - q**-period) is the infinite sum.
+    top = period if periodic else max((t for _, t in acc.values()), default=0)
     c = p * (q - 1)
-    if periodic:
-        den = (p - 1) * (q**period - 1)
-        return {w: Fraction(c * n * q ** (period - t), den) for w, (n, t) in acc.items()}, tres
-    return {w: Fraction(c * n, (p - 1) * q**t) for w, (n, t) in acc.items()}, tres
+    nums = {w: c * n * q ** (top - t) for w, (n, t) in acc.items()}
+    return nums, tres, (p - 1) * (q**period - 1 if periodic else q**top)
 
 
-def _contribution(field: LocalField, chi: CharClass, sums: dict, tres: Fraction) -> Fraction:
-    """Contribution of ``chi`` from :func:`_valuation_sums`: its valuation's
-    sum, plus the top-level mass if ``chi`` is trivial."""
-    value = sums[chi.valuation % (field.p - 1)]
-    return value + tres if char_is_trivial(field, chi) else value
+def _contribution(field: LocalField, chars, value: Fraction, tres: Fraction) -> Fraction:
+    """Contribution of the distinct characters ``chars`` from ``value``, the
+    sum of their valuations' sums: plus the top-level mass if the trivial
+    character is among them."""
+    return value + tres if any(char_is_trivial(field, chi) for chi in chars) else value
 
 
 def _over_power_of(q: int, terms) -> tuple[int, int]:
@@ -271,47 +278,22 @@ def per_character_contributions(field: LocalField) -> list[tuple[CharClass, Frac
 
 
 def _characters_mass(field: LocalField, chars: list[CharClass]) -> Fraction:
-    """Summed contribution of distinct characters: one sum per valuation
-    among them, one :func:`_contribution` per character."""
-    sums, tres = _valuation_sums(field, None, {chi.valuation % (field.p - 1) for chi in chars})
-    return _sum_contributions(field, ((1, _contribution(field, chi, sums, tres)) for chi in chars))
-
-
-def _sum_contributions(field: LocalField, terms) -> Fraction:
-    """``sum(n * value for n, value in terms)`` for contributions of ``field``,
-    added as one integer over a common denominator of them all, so the sum is
-    normalised once (one gcd) instead of once per add; numerators over one
-    denominator are added first, so a repeated value costs one add.  Every
-    contribution's denominator divides ``(p-1) * q**((p-1)e)`` in mixed
-    characteristic (the deepest stratum's and the top level's) and
-    ``(p-1) * (q**((p-1)**2) - 1)`` in equal characteristic (the period's of
-    :func:`char_contribution`).  A value over any other denominator widens
-    the common one to their lcm, so the sum is exact whatever the terms.
-    """
-    p, q = field.p, field.q
-    den = (p - 1) * (q ** ((p - 1) ** 2) - 1 if field.equal_char else q ** ((p - 1) * field.e))
-    per_den = Counter()
-    for n, value in terms:
-        per_den[value.denominator] += n * value.numerator
-    num = 0
-    for d, part in per_den.items():
-        scale, rest = divmod(den, d)
-        if rest:
-            widen = d // math.gcd(den, d)
-            num, den = num * widen, den * widen
-            scale = den // d
-        num += part * scale
-    return Fraction(num, den)
+    """Summed contribution of distinct characters: one integer sum of their
+    numerators, one :func:`_contribution`."""
+    m = field.p - 1
+    nums, tres, den = _valuation_sums(field, None, {chi.valuation % m for chi in chars})
+    value = Fraction(sum(nums[chi.valuation % m] for chi in chars), den)
+    return _contribution(field, chars, value, tres)
 
 
 def total_mass(field: LocalField) -> MassReport:
     """Full mass report; the ramified total is asserted to be exactly p."""
     p = field.p
-    per_vbar, tres = _valuation_sums(field, None, range(p - 1))
-    total = _sum_contributions(field, [(p - 1, c) for c in per_vbar.values()] + [(1, tres)])
+    nums, tres, den = _valuation_sums(field, None, range(p - 1))
+    total = Fraction((p - 1) * sum(nums.values()), den) + tres
     if total != p:
         raise MassInvariantError(f"ramified mass {describe_rational(total)} != {p} for {field}")
-    return MassReport(field, per_vbar, tres, total)
+    return MassReport(field, {w: Fraction(n, den) for w, n in nums.items()}, tres, total)
 
 
 def peu_tres_split(field: LocalField) -> tuple[Fraction, Fraction]:
@@ -470,8 +452,9 @@ def galois_closure_contribution(field: LocalField, filter_spec: str) -> Fraction
         return cyclic_contribution(field)
     if filter_spec == "unramified-closure":
         return unramified_closure_contribution(field)
-    if filter_spec.startswith("group-order="):
-        return group_order_contribution(field, int(filter_spec.split("=", 1)[1]))
+    name, _, order = filter_spec.partition("=")
+    if name == "group-order" and order.isdecimal():
+        return group_order_contribution(field, int(order))
     raise ValueError(f"unknown filter {filter_spec!r}")
 
 

@@ -324,7 +324,7 @@ def truncation_bound(field: LocalField, max_level: int | None) -> int:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     if field.equal_char:
         if max_level is None:
-            raise ValueError("max_level required for an equal-characteristic field")
+            raise ValueError("max_level (--max-level) required for an equal-characteristic field")
         return max_level
     top = field.p * field.e
     return top if max_level is None else min(max_level, top)

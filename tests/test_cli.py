@@ -169,6 +169,24 @@ def test_oracle_check(capsys):
     assert "max-level" in err
 
 
+@pytest.mark.parametrize("bad", [("--e", "inf"), ("--e", "1", "--max-level", "-1")])
+def test_bound_errors_match_across_commands(capsys, bad):
+    lines = set()
+    for command in ("structure", "count", "oracle-check"):
+        code, out, err = run_cli(capsys, command, "--p", "3", *bad)
+        assert code == 1 and out == ""
+        lines.add(err.splitlines()[-1])
+    assert len(lines) == 1 and lines.pop().startswith("error: ")
+
+
+@pytest.mark.parametrize("f", ["-1", "0"])
+@pytest.mark.parametrize("command", [("tame", "--pprime", "2"), ("checksum",)])
+def test_bad_residue_degree_exits_1(capsys, command, f):
+    code, out, err = run_cli(capsys, *command, "--p", "3", "--f", f)
+    assert code == 1 and out == ""
+    assert err == f"error: residue degree f = {f} must be an integer >= 1\n"
+
+
 def _oracle_classes(capsys, *bound):
     argv = ("oracle-check", "--p", "3", "--e", "1", *bound, "--format", "json")
     code, out, _ = run_cli(capsys, *argv)

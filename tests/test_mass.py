@@ -252,6 +252,8 @@ def test_galois_closure_dispatcher():
     assert subfield_contribution(F3_SERIES, [(1, 1)]) == Fraction(9, 20) + Fraction(21, 20)
     with pytest.raises(ValueError, match="unknown filter"):
         galois_closure_contribution(F3_SERIES, "everything")
+    with pytest.raises(ValueError, match="unknown filter 'group-order=x'"):
+        galois_closure_contribution(F3_SERIES, "group-order=x")
 
 
 def test_tame_mass_branches():

@@ -1,6 +1,7 @@
 """Property tests over random fields: the level walk and the per-class sums
 against the independent paths they must agree with."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from localmass.mass import (
     group_order_contribution,
     mass_from_counts,
     per_character_contributions,
+    subfield_contribution,
 )
 from localmass.model import (
     INFINITE_E,
@@ -83,6 +85,28 @@ def test_group_order_slices_partition_mass(case):
     field, _ = case
     divisors = [n for n in range(1, field.p) if (field.p - 1) % n == 0]
     assert sum(group_order_contribution(field, n) for n in divisors) == field.p
+
+
+@SETTINGS
+@given(cases(), st.data())
+def test_subfield_slices_match_per_character_sums(case, data):
+    field, _ = case
+    m = field.p - 1
+    gens = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=3))
+    # The subgroup by a scan of every coefficient vector, not a closure.
+    subgroup = {(0, 0)}
+    for k in itertools.product(range(m), repeat=len(gens)):
+        subgroup.add(tuple(sum(c * g[i] for c, g in zip(k, gens)) % m for i in (0, 1)))
+    om = field.omega
+    expected = sum(
+        (
+            char_contribution(field, chi)
+            for chi in enumerate_characters(field)
+            if ((om[0] - chi.coords[0]) % m, (om[1] - chi.coords[1]) % m) in subgroup
+        ),
+        Fraction(0),
+    )
+    assert subfield_contribution(field, gens) == expected
 
 
 def per_stratum_sum(field, chi, max_level):
