@@ -20,6 +20,7 @@ success, 1 on invalid parameters, and 2 if an internal exact identity fails
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from itertools import chain
@@ -44,8 +45,30 @@ from .model import (
     truncation_bound,
 )
 from .oracle import MassOracleError, oracle_mass
-from .permgroup import verify_galois_criterion, verify_index_p_subgroups, verify_normalizer
 from .rationals import describe_rational, format_rational
+
+
+def _import_on_first_use(name: str):
+    """``import name``, with the module's code run at its first attribute access.
+
+    The module is registered in ``sys.modules`` and on its package at once, as
+    a plain import does, so code that looks it up there after importing the
+    cli (``perfbench/traced_main.py`` wraps its functions) still finds it; a
+    query that never touches it does not pay for compiling it.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    package, _, attr = name.rpartition(".")
+    setattr(sys.modules[package], attr, module)
+    return module
+
+
+#: Only galois-verify uses the group theory.
+permgroup = _import_on_first_use(f"{__package__}.permgroup")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -282,9 +305,9 @@ def _cmd_tame(args):
 def _cmd_galois_verify(args):
     obj = {
         "p": args.p,
-        "normalizer": verify_normalizer(args.p),
-        "solvability_criterion": verify_galois_criterion(args.p),
-        "index_p_subgroups": verify_index_p_subgroups(args.p),
+        "normalizer": permgroup.verify_normalizer(args.p),
+        "solvability_criterion": permgroup.verify_galois_criterion(args.p),
+        "index_p_subgroups": permgroup.verify_index_p_subgroups(args.p),
     }
     criterion = obj["solvability_criterion"]
     if args.format == "json":

@@ -39,15 +39,37 @@ TRIVIAL = "trivial"
 OMEGA = "omega"
 
 
+#: Miller-Rabin with the prime bases 2..41 is exact below this bound
+#: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division; adequate for the parameter sizes here."""
+    """Primality by deterministic Miller-Rabin, exact for n < PRIME_TEST_BOUND.
+
+    Raises ValueError at or above the bound rather than guess.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_TEST_BOUND}")
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

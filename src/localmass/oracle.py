@@ -2,9 +2,12 @@
 
 This module recomputes line counts and masses with no formulas at all: it
 materialises one character's eigenspace as a list of blocks, walks every
-nonzero coordinate vector, reads each vector's level off its support (the
+coordinate vector, reads each nonzero vector's level off its support (the
 highest block level where it is nonzero, the increasing-filtration
-convention), and adds up ``multiplicity * q**-level`` line by line.
+convention), and adds up ``multiplicity * q**-level`` line by line.  The walk
+is exhaustive, p**dim vectors, and its per-vector work runs in C through
+``itertools`` and ``Counter``; nothing is counted by a closed form or by
+splitting the space into halves.
 
 Independence is the point.  Block levels are found by scanning the integers
 and keeping those that are prime to p and whose valuation congruence matches
@@ -17,6 +20,7 @@ two-path check, not a tautology.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,26 +82,24 @@ def enumerate_lines(
 ) -> dict[int, int]:
     """Exact line count per level, by walking every nonzero vector.
 
-    Scalar multiples of a vector share its support, hence its level, so the
-    p - 1 nonzero multiples of each line land in the same bucket; dividing
-    the vector tally by p - 1 yields the line count, and the division is
-    checked to be exact.
+    The coordinates are ordered by descending block level, so a vector's
+    level is the level of its first nonzero coordinate; every vector of
+    ``product(range(p), repeat=dim)`` is tallied under that level with the
+    per-vector work (``compress``, ``next``, ``Counter``) done in C.  Scalar
+    multiples of a vector share its support, hence its level, so the p - 1
+    nonzero multiples of each line land in the same bucket; dividing the
+    vector tally by p - 1 yields the line count, and the division is checked
+    to be exact.
     """
     blocks = eigenspace_blocks(field, chi, max_level)
     dim = sum(b.dim for b in blocks)
     if dim > DIM_LIMIT:
         raise ValueError("oracle scale exceeded")
-    levels = []
-    for b in blocks:
-        levels.extend([b.level] * b.dim)
-    vectors_per_level: dict[int, int] = {}
-    for vec in itertools.product(range(field.p), repeat=dim):
-        top = -1
-        for coord, lvl in zip(vec, levels):
-            if coord and lvl > top:
-                top = lvl
-        if top >= 0:
-            vectors_per_level[top] = vectors_per_level.get(top, 0) + 1
+    levels_desc = sorted((b.level for b in blocks for _ in range(b.dim)), reverse=True)
+    vectors = itertools.product(range(field.p), repeat=dim)
+    supports = map(itertools.compress, itertools.repeat(levels_desc), vectors)
+    vectors_per_level = Counter(map(next, supports, itertools.repeat(-1)))
+    del vectors_per_level[-1]  # the zero vector
     counts = {}
     for lvl, n in sorted(vectors_per_level.items()):
         lines, rem = divmod(n, field.p - 1)

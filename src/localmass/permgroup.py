@@ -12,19 +12,19 @@ every claim at a scale where exhaustive computation settles it:
   subgroups of index p, pairwise intersecting trivially, any two of which
   generate the whole group.
 
-For p <= 5 the subgroup family is enumerated exhaustively by closing over
-all generator pairs (every subgroup of these symmetric groups is generated
-by at most two elements).  For p = 7 exhaustive pair closure is out of desk
-range, so a seeded family is used instead: the chain between the p-cycle
-group and its normalizer, the full symmetric and alternating groups, and the
-simple group of order 168 in its degree-7 action; results for p = 7 are
-labelled with that scope.
+For p <= 5 the transitive family is enumerated exhaustively: every subgroup
+containing the p-cycle is found by growing the cycle group one permutation at
+a time, and the rest are its conjugates.  For p = 7 a seeded family is used
+instead: the chain between the p-cycle group and its normalizer, the full
+symmetric and alternating groups, and the simple group of order 168 in its
+degree-7 action; results for p = 7 are labelled with that scope.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .model import is_prime
@@ -44,7 +44,7 @@ def pidentity(n: int) -> Perm:
 
 def pmul(a: Perm, b: Perm) -> Perm:
     """Composition a∘b: apply b first."""
-    return tuple(a[b[x]] for x in range(len(a)))
+    return tuple(map(a.__getitem__, b))
 
 
 def pinv(a: Perm) -> Perm:
@@ -64,8 +64,15 @@ def affine_perm(p: int, mult: int, shift: int = 0) -> Perm:
     return tuple((mult * x + shift) % p for x in range(p))
 
 
-def closure(gens, degree: int) -> frozenset[Perm]:
-    """Subgroup generated by ``gens``, by Cayley-graph search."""
+def closure(gens, degree: int, limit: int | None = None) -> frozenset[Perm]:
+    """Subgroup generated by ``gens``, by Cayley-graph search.
+
+    With ``limit`` the search stops as soon as it knows more than ``limit``
+    elements and returns that partial set, whose size alone tells the caller
+    that the group is larger than ``limit``.
+    """
+    if limit is None:
+        limit = math.factorial(degree)
     ident = pidentity(degree)
     gens = [tuple(g) for g in gens]
     elems = {ident}
@@ -77,6 +84,8 @@ def closure(gens, degree: int) -> frozenset[Perm]:
                 prod = pmul(g, h)
                 if prod not in elems:
                     elems.add(prod)
+                    if len(elems) > limit:
+                        return frozenset(elems)
                     nxt.append(prod)
         frontier = nxt
     return frozenset(elems)
@@ -171,27 +180,30 @@ class SubgroupRecord:
 
 
 @lru_cache(maxsize=None)
-def _pair_subgroups(elems: frozenset[Perm], degree: int) -> frozenset[frozenset[Perm]]:
-    """The subgroups generated by each pair of elements of the group ``elems``.
-
-    Memoized per group: the transitive family, the records built from it and
-    the index-p check all ask for the pair closures of the same groups.
-    """
-    listed = sorted(elems)
-    return frozenset(
-        closure([a, b], degree) for i, a in enumerate(listed) for b in listed[i:]
-    )
-
-
 def subgroups_of_order(
     elems: frozenset[Perm], degree: int, order: int
-) -> set[frozenset[Perm]]:
+) -> frozenset[frozenset[Perm]]:
     """All subgroups of the given order, by closure over generator pairs.
 
     Complete for the orders arising here: every subgroup of the ambient
-    groups involved (order <= INDEX_SEARCH_LIMIT) is 2-generated.
+    groups involved (order <= INDEX_SEARCH_LIMIT) is 2-generated.  Only
+    elements whose order divides ``order`` are paired, a pair inside a
+    subgroup already found is skipped, and each pair closure stops once it
+    exceeds ``order``.  Memoized per (group, order): a group's record and
+    ``verify_index_p_subgroups`` ask for the same search.
     """
-    return {sub for sub in _pair_subgroups(elems, degree) if len(sub) == order}
+    listed = [g for g in sorted(elems) if order % len(closure([g], degree, limit=order)) == 0]
+    found = []
+    for i, a in enumerate(listed):
+        holding_a = [sub for sub in found if a in sub]
+        for b in listed[i:]:
+            if any(b in sub for sub in holding_a):
+                continue
+            sub = closure([a, b], degree, limit=order)
+            if len(sub) == order:
+                found.append(sub)
+                holding_a.append(sub)
+    return frozenset(found)
 
 
 def is_transitive(elems: frozenset[Perm], degree: int) -> bool:
@@ -283,20 +295,62 @@ def _linear_degree7_gens() -> list[Perm]:
     return [tuple(apply(m, v) for v in range(7)) for m in (transvection, basis_cycle)]
 
 
+def _overgroups(gens: list[Perm], degree: int) -> dict[frozenset[Perm], list[Perm]]:
+    """Every subgroup of the symmetric group containing ``<gens>``, with generators.
+
+    Starting at ``<gens>``, each group found is extended by every permutation
+    outside it until nothing new appears.  A subgroup H containing ``<gens>``
+    is reached by adding the elements of H one at a time, so the search is
+    exhaustive without any bound on the number of generators H needs.
+    """
+    start = closure(gens, degree)
+    found = {start: list(gens)}
+    todo = [start]
+    while todo:
+        group = todo.pop()
+        group_gens = found[group]
+        tried = set(group)
+        for b in itertools.permutations(range(degree)):
+            if b in tried:
+                continue
+            tried.update(pmul(g, b) for g in group)  # <G, gb> = <G, b>
+            bigger = closure(group_gens + [b], degree)
+            if bigger not in found:
+                found[bigger] = group_gens + [b]
+                todo.append(bigger)
+    return found
+
+
+def _conjugates(elems: frozenset[Perm], degree: int) -> set[frozenset[Perm]]:
+    """The distinct conjugates of a subgroup under the symmetric group."""
+    conjugates = set()
+    for g in itertools.permutations(range(degree)):
+        g_inv = pinv(g)
+        conjugates.add(frozenset(pmul(pmul(g, h), g_inv) for h in elems))
+    return conjugates
+
+
 @lru_cache(maxsize=None)
 def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
     """Transitive subgroups to verify against, and how they were found.
 
-    Returns ``(records, mode)`` with mode "full" (exhaustive pair closure,
-    p <= 5) or "seeded" (p = 7).  Memoized: the enumeration is pure and the
-    p = 5 pair closure is the expensive step.
+    Returns ``(records, mode)`` with mode "full" (every transitive subgroup,
+    p <= 5) or "seeded" (p = 7).  A transitive subgroup of prime degree has
+    order divisible by p, so it holds a p-cycle and is conjugate to a group
+    containing the standard cycle; the full family is therefore the
+    conjugates of the overgroups of that cycle.  Conjugation preserves every
+    record field but the element set, so each conjugacy class is recorded
+    once.  Memoized: the enumeration is pure.
     """
     _require_degree(p)
     sigma = pcycle(p)
     if p <= 5:
-        ambient = closure([sigma, (1, 0) + tuple(range(2, p))] if p > 2 else [sigma], p)
-        found = sorted((s for s in _pair_subgroups(ambient, p) if is_transitive(s, p)), key=sorted)
-        return tuple(record_from_elements(s, p) for s in found), "full"
+        records = {}
+        for group in _overgroups([sigma], p):
+            rec = record_from_elements(group, p)
+            for conj in _conjugates(group, p):
+                records.setdefault(conj, replace(rec, elements=tuple(sorted(conj))))
+        return tuple(sorted(records.values(), key=lambda r: r.elements)), "full"
     # p == 7: the chain between the cycle group and its normalizer, plus the
     # known non-solvable transitive families.
     tau = affine_perm(p, primitive_root(p))

@@ -1,6 +1,8 @@
 """CLI dispatch, formats, determinism, and exit codes."""
 
+import contextlib
 import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import localmass.cli as cli
 import localmass.mass as mass
 import localmass.oracle as oracle
-from localmass.model import LocalField, trivial_char
+from localmass.model import PRIME_TEST_BOUND, LocalField, trivial_char
 from localmass.rationals import format_rational
 
 
@@ -148,6 +150,37 @@ def test_tame(capsys):
     code, _, err = run_cli(capsys, "tame", "--pprime", "3", "--p", "3", "--f", "1")
     assert code == 1
     assert "wild-case" in err
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the block with TimeoutError once it has run for ``seconds``."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_tame_with_an_18_digit_prime_is_immediate(capsys):
+    # Primality of p used to be trial division, hours of it at this size.
+    with _deadline(1):
+        code, out, _ = run_cli(capsys, "tame", "--pprime", "2", "--p", "1000000000000000003")
+    assert code == 0
+    assert out.startswith("degree-2 extensions over q=1000000000000000003: 2 ramified")
+
+
+def test_primality_past_its_exact_range_exits_1(capsys):
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "tame", "--pprime", "2", "--p", str(PRIME_TEST_BOUND))
+    assert code == 1 and out == ""
+    assert err == f"error: primality is decided only below {PRIME_TEST_BOUND}\n"
 
 
 def test_checksum(capsys):

@@ -66,6 +66,14 @@ def test_deep_mass_stdout_matches_recorded_digests(capsys):
     assert not _wrong_digests(capsys, pool)
 
 
+def test_verify_stdout_matches_recorded_digests(capsys):
+    # The brute-force checks: line enumeration at p = 3, 5, 7 and 13, and the
+    # transitive families of S_3, S_5 and S_7.
+    pool = workloads.VERIFY
+    assert len(pool) == 8 and not any(qu.known_failure for qu in pool)
+    assert not _wrong_digests(capsys, pool)
+
+
 def _old_structure_json(field, max_level):
     lay = layout(field, max_level)
     blocks = [

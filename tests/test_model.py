@@ -8,6 +8,7 @@ import pytest
 from localmass.model import (
     INFINITE_E,
     OMEGA,
+    PRIME_TEST_BOUND,
     TRIVIAL,
     BreakData,
     CharClass,
@@ -18,6 +19,7 @@ from localmass.model import (
     eigenspace_dim,
     enumerate_characters,
     generic_char,
+    is_prime,
     layout,
     nth_prime_to_p,
     omega_char,
@@ -81,6 +83,25 @@ def test_omega_identification():
     assert not omega_is_trivial(Q3)
     assert omega_char(F3_SERIES) == trivial_char()
     assert omega_char(Q3).valuation == 1
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == by_trial_division(n) for n in range(-3, 20000))
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    assert not is_prime((2**61 - 1) * 10007)
+    # Strong pseudoprimes to the bases 2..7 and 2..37: only a later base
+    # shows them composite.
+    assert not is_prime(3215031751)
+    assert not is_prime(318665857834031151167461)  # 399165290221 * 798330580441
+
+
+def test_is_prime_refuses_to_guess_past_its_exact_range():
+    assert is_prime(PRIME_TEST_BOUND - 1) is False  # even
+    with pytest.raises(ValueError, match=f"decided only below {PRIME_TEST_BOUND}$"):
+        is_prime(PRIME_TEST_BOUND)
 
 
 def test_nth_prime_to_p_examples():

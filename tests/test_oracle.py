@@ -1,8 +1,10 @@
 """Brute-force enumeration against the formula path."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localmass.mass import (
     char_contribution,
@@ -16,10 +18,12 @@ from localmass.model import (
     char_classes,
     char_is_omega,
     char_is_trivial,
+    cyclotomic_valuation,
     enumerate_characters,
     generic_char,
     layout,
     omega_char,
+    omega_is_trivial,
     trivial_char,
 )
 from localmass.oracle import eigenspace_blocks, enumerate_lines, oracle_mass
@@ -74,6 +78,47 @@ def test_line_accounting():
             counts = enumerate_lines(field, chi, bound)
             dim = sum(b.dim for b in eigenspace_blocks(field, chi, bound))
             assert (field.p - 1) * sum(counts.values()) + 1 == field.p**dim
+
+
+def _lines_by_vector_loop(field, chi, max_level):
+    """Line count per level with the level of each vector found by a Python
+    loop over its coordinates, highest nonzero block level wins."""
+    levels = [b.level for b in eigenspace_blocks(field, chi, max_level) for _ in range(b.dim)]
+    vectors_per_level = {}
+    for vec in itertools.product(range(field.p), repeat=len(levels)):
+        top = max((lvl for coord, lvl in zip(vec, levels) if coord), default=None)
+        if top is not None:
+            vectors_per_level[top] = vectors_per_level.get(top, 0) + 1
+    assert all(n % (field.p - 1) == 0 for n in vectors_per_level.values())
+    return {lvl: n // (field.p - 1) for lvl, n in sorted(vectors_per_level.items())}
+
+
+@st.composite
+def small_eigenspaces(draw):
+    """A field, one of its character classes, and a bound leaving at most 7
+    coordinates and 20 000 vectors, so the reference loop stays quick."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    f = draw(st.integers(1, 2))
+    e = draw(st.one_of(st.integers(1, 4), st.just(INFINITE_E)))
+    field = LocalField(p, f, e)
+    if not omega_is_trivial(field):
+        field = LocalField(p, f, e, (cyclotomic_valuation(field), draw(st.integers(0, p - 2))))
+    chi = draw(st.sampled_from(char_classes(field)))
+
+    def dim(bound):
+        return sum(b.dim for b in eigenspace_blocks(field, chi, bound))
+
+    bounds = [b for b in range(30) if dim(b) <= 7 and p ** dim(b) <= 20000]
+    return field, chi, draw(st.sampled_from(bounds)), dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_eigenspaces())
+def test_enumerate_lines_matches_a_per_vector_loop(case):
+    field, chi, bound, dim = case
+    lines = enumerate_lines(field, chi, bound)
+    assert lines == _lines_by_vector_loop(field, chi, bound)
+    assert (field.p - 1) * sum(lines.values()) == field.p ** dim(bound) - 1
 
 
 @pytest.mark.parametrize(

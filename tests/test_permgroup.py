@@ -1,5 +1,8 @@
 """Permutation verifications: normalizer, solvability criterion, index-p counts."""
 
+import itertools
+from functools import cache
+
 import pytest
 
 from localmass.permgroup import (
@@ -8,7 +11,9 @@ from localmass.permgroup import (
     pidentity,
     pinv,
     pmul,
+    record_from_elements,
     subgroup_closure,
+    subgroups_of_order,
     transitive_family,
     verify_galois_criterion,
     verify_index_p_subgroups,
@@ -118,3 +123,56 @@ def test_solvable_groups_sit_in_cycle_normalizer():
         for rec in records:
             if rec.solvable and std <= rec.element_set():
                 assert rec.order <= p * (p - 1)
+
+
+def _generated(gens, n):
+    """Test-local closure: multiply by the generators until nothing is new."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        products = {tuple(g[x] for x in h) for g in gens for h in frontier}
+        frontier = [x for x in products if x not in group]
+        group.update(frontier)
+    return frozenset(group)
+
+
+@cache
+def _pair_generated(elems, n):
+    """Every subgroup generated by a pair of elements of the group ``elems``."""
+    listed = sorted(elems)
+    return frozenset(_generated((a, b), n) for i, a in enumerate(listed) for b in listed[i:])
+
+
+def _symmetric(n):
+    return frozenset(itertools.permutations(range(n)))
+
+
+def _alternating(n):
+    def even(g):
+        return sum(g[i] > g[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
+
+    return frozenset(g for g in _symmetric(n) if even(g))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_transitive_family_is_every_transitive_pair_closure(p):
+    # Every subgroup of S_p, p <= 5, is 2-generated, so the pair closures of
+    # S_p are all its subgroups.  Each record must equal the one computed
+    # from its own element set, not only from its class representative.
+    expected = sorted(
+        (g for g in _pair_generated(_symmetric(p), p) if {h[0] for h in g} == set(range(p))),
+        key=sorted,
+    )
+    records, mode = transitive_family(p)
+    assert mode == "full"
+    assert [rec.elements for rec in records] == [tuple(sorted(g)) for g in expected]
+    assert list(records) == [record_from_elements(g, p) for g in expected]
+
+
+@pytest.mark.parametrize(
+    "group,n", [(_symmetric(4), 4), (_alternating(5), 5), (_symmetric(5), 5)], ids=["S4", "A5", "S5"]
+)
+@pytest.mark.parametrize("order", [12, 24])
+def test_subgroups_of_order_equal_the_pair_closures_of_that_order(group, n, order):
+    expected = {g for g in _pair_generated(group, n) if len(g) == order}
+    assert subgroups_of_order(group, n, order) == expected
