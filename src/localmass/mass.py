@@ -61,6 +61,9 @@ from .model import (
 )
 from .rationals import describe_rational, format_rational, geom_finite, geom_infinite, rat_pow
 
+#: Largest p' for ``tame_mass``, whose scan for the order of q mod p' takes p' steps.
+TAME_PRIME_LIMIT = 100_000
+
 
 class MassInvariantError(RuntimeError):
     """An internal exact identity failed; the report would be wrong."""
@@ -476,6 +479,8 @@ def tame_mass(pprime: int, p: int, q: int) -> TameReport:
     conjugates.  Either way every ramified extension is tame (c = 0) and the
     mass is exactly p'.
     """
+    if pprime > TAME_PRIME_LIMIT:
+        raise ValueError(f"p' = {pprime} exceeds the tame bound {TAME_PRIME_LIMIT}")
     if not is_prime(pprime):
         raise ValueError(f"p' = {pprime} is not prime")
     if not is_prime(p):

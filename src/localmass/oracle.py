@@ -48,33 +48,26 @@ class OracleBlock:
     dim: int
 
 
-def eigenspace_blocks(
-    field: LocalField, chi: CharClass, max_level: int
-) -> list[OracleBlock]:
-    """Blocks of chi's eigenspace with level <= max_level, by congruence scan.
+def eigenspace_blocks(field: LocalField, chi: CharClass, max_level: int):
+    """Yield chi's eigenspace blocks with level <= max_level, by congruence scan.
 
     A level d >= 1 prime to p carries an f-dimensional block for chi exactly
     when d is congruent to (cyclotomic valuation - valuation(chi)) mod p-1;
     in mixed characteristic only d < p*e qualify and the trivial character
     additionally owns a line at level p*e.  The cyclotomic character owns the
-    level-0 line.
+    level-0 line.  Blocks come in increasing level order.
     """
     validate_char(field, chi)
     p, m = field.p, max(field.p - 1, 1)
     residue = (cyclotomic_valuation(field) - chi.valuation) % m
-    blocks = []
     if char_is_omega(field, chi):
-        blocks.append(OracleBlock(0, 1))
-    for d in range(1, max_level + 1):
-        if d % p == 0:
-            continue
-        if not field.equal_char and d >= p * field.e:
-            continue
-        if d % m == residue % m:
-            blocks.append(OracleBlock(d, field.f))
+        yield OracleBlock(0, 1)
+    below = max_level if field.equal_char else min(max_level, p * field.e - 1)
+    for d in range(1, below + 1):
+        if d % p and d % m == residue % m:
+            yield OracleBlock(d, field.f)
     if not field.equal_char and char_is_trivial(field, chi) and p * field.e <= max_level:
-        blocks.append(OracleBlock(p * field.e, 1))
-    return blocks
+        yield OracleBlock(p * field.e, 1)
 
 
 def enumerate_lines(
@@ -91,7 +84,9 @@ def enumerate_lines(
     vector tally by p - 1 yields the line count, and the division is checked
     to be exact.
     """
-    blocks = eigenspace_blocks(field, chi, max_level)
+    # Each block has dimension >= 1, so DIM_LIMIT + 1 blocks are enough to
+    # tell whether the space is too large, however far the bound reaches.
+    blocks = list(itertools.islice(eigenspace_blocks(field, chi, max_level), DIM_LIMIT + 1))
     dim = sum(b.dim for b in blocks)
     if dim > DIM_LIMIT:
         raise ValueError("oracle scale exceeded")

@@ -12,18 +12,19 @@ every claim at a scale where exhaustive computation settles it:
   subgroups of index p, pairwise intersecting trivially, any two of which
   generate the whole group.
 
-For p <= 5 the transitive family is enumerated exhaustively: every subgroup
-containing the p-cycle is found by growing the cycle group one permutation at
-a time, and the rest are its conjugates.  For p = 7 a seeded family is used
-instead: the chain between the p-cycle group and its normalizer, the full
-symmetric and alternating groups, and the simple group of order 168 in its
-degree-7 action; results for p = 7 are labelled with that scope.
+Every group here is grown by one step, ``extend``: Dimino's coset extension
+of a known group by one permutation.  For p <= 5 the transitive family is
+enumerated exhaustively: every subgroup containing the p-cycle is found by
+extending the cycle group one permutation at a time, and the rest are its
+conjugates.  For p = 7 a seeded family is used instead: the chain between
+the p-cycle group and its normalizer, the full symmetric and alternating
+groups, and the simple group of order 168 in its degree-7 action; results
+for p = 7 are labelled with that scope.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -64,81 +65,85 @@ def affine_perm(p: int, mult: int, shift: int = 0) -> Perm:
     return tuple((mult * x + shift) % p for x in range(p))
 
 
-def closure(gens, degree: int, limit: int | None = None) -> frozenset[Perm]:
-    """Subgroup generated by ``gens``, by Cayley-graph search.
+def extend(
+    group: frozenset[Perm], gens: list[Perm], new: Perm, limit: int | None = None
+) -> frozenset[Perm]:
+    """``<group, new>`` for ``group = <gens>``, as a union of right cosets ``group∘r``.
 
-    With ``limit`` the search stops as soon as it knows more than ``limit``
-    elements and returns that partial set, whose size alone tells the caller
-    that the group is larger than ``limit``.
+    Each representative times each generator lies in a known coset or starts
+    a new one, which is added whole.  With ``limit`` it stops once it knows
+    more than ``limit`` elements and returns those cosets, whose size alone
+    tells the caller that the group is larger than ``limit``.
     """
-    if limit is None:
-        limit = math.factorial(degree)
-    ident = pidentity(degree)
-    gens = [tuple(g) for g in gens]
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                prod = pmul(g, h)
-                if prod not in elems:
-                    elems.add(prod)
-                    if len(elems) > limit:
-                        return frozenset(elems)
-                    nxt.append(prod)
-        frontier = nxt
+    gens = [*gens, new]
+    elems = set(group)
+    reps = [pidentity(len(new))]
+    for rep in reps:  # grows while it is walked
+        for g in gens:
+            if limit is not None and len(elems) > limit:
+                return frozenset(elems)
+            prod = pmul(rep, g)
+            if prod not in elems:
+                elems.update(pmul(h, prod) for h in group)
+                reps.append(prod)
     return frozenset(elems)
 
 
-def small_generating_set(elems: frozenset[Perm], degree: int) -> list[Perm]:
-    """Greedy small generating set for a known subgroup."""
-    gens: list[Perm] = []
-    cur: frozenset[Perm] = frozenset([pidentity(degree)])
-    for x in sorted(elems):
-        if x not in cur:
-            gens.append(x)
-            cur = closure(gens, degree)
-            if len(cur) == len(elems):
-                break
-    return gens
+def _grow(gens, degree: int, limit: int | None = None) -> tuple[frozenset[Perm], list[Perm]]:
+    """``extend`` by each of ``gens`` not yet in the group: the group and those used."""
+    group = frozenset([pidentity(degree)])
+    used: list[Perm] = []
+    for g in map(tuple, gens):
+        if g not in group:
+            group = extend(group, used, g, limit)
+            used.append(g)
+    return group, used
+
+
+def closure(gens, degree: int, limit: int | None = None) -> frozenset[Perm]:
+    """Subgroup generated by ``gens``; ``limit`` is as for ``extend``."""
+    return _grow(gens, degree, limit)[0]
+
+
+def _degree(perms) -> int:
+    return len(next(iter(perms)))
+
+
+def small_generating_set(elems: frozenset[Perm]) -> list[Perm]:
+    """Greedy small generating set for a known subgroup, in sorted order."""
+    return _grow(sorted(elems), _degree(elems))[1]
 
 
 def _commutator(a: Perm, b: Perm) -> Perm:
     return pmul(pmul(a, b), pmul(pinv(a), pinv(b)))
 
 
-def derived_subgroup(gens: list[Perm], degree: int) -> frozenset[Perm]:
-    """Commutator subgroup of <gens>: normal closure of generator commutators."""
-    ident = pidentity(degree)
-    seeds = {_commutator(a, b) for a in gens for b in gens}
-    seeds.discard(ident)
-    dgens = list(seeds)
-    elems = closure(dgens, degree)
-    inv_gens = [pinv(g) for g in gens]
-    changed = True
-    while changed:
-        changed = False
-        for g, gi in zip(gens, inv_gens):
-            for h in list(dgens):
-                conj = pmul(pmul(g, h), gi)
-                if conj not in elems:
-                    dgens.append(conj)
-                    elems = closure(dgens, degree)
-                    changed = True
-    return elems
+def derived_subgroup(gens: list[Perm]) -> tuple[frozenset[Perm], list[Perm]]:
+    """Commutator subgroup of ``<gens>`` (``gens`` nonempty), with its generators.
+
+    The normal closure of the generator commutators: each commutator or
+    conjugate outside the group so far extends it (at least doubling it),
+    and its conjugates by ``gens`` are queued in turn.
+    """
+    group = frozenset([pidentity(_degree(gens))])
+    dgens: list[Perm] = []
+    todo = [_commutator(a, b) for a in gens for b in gens]
+    while todo:
+        x = todo.pop()
+        if x not in group:
+            group = extend(group, dgens, x)
+            dgens.append(x)
+            todo += [pmul(pmul(g, x), pinv(g)) for g in gens]
+    return group, dgens
 
 
-def is_solvable(gens: list[Perm], degree: int) -> bool:
-    """Derived series reaches the trivial group."""
-    cur_gens = list(gens)
-    cur_order = len(closure(cur_gens, degree))
-    while cur_order > 1:
-        nxt = derived_subgroup(cur_gens, degree)
-        if len(nxt) == cur_order:
+def is_solvable(gens: list[Perm]) -> bool:
+    """Derived series of ``<gens>`` reaches the trivial group."""
+    while gens:
+        derived, dgens = derived_subgroup(gens)
+        if len(derived) > 1 and all(g in derived for g in gens):  # nontrivial and perfect
             return False
-        cur_gens = small_generating_set(nxt, degree)
-        cur_order = len(nxt)
+        gens = dgens
     return True
 
 
@@ -180,44 +185,44 @@ class SubgroupRecord:
 
 
 @lru_cache(maxsize=None)
-def subgroups_of_order(
-    elems: frozenset[Perm], degree: int, order: int
-) -> frozenset[frozenset[Perm]]:
+def subgroups_of_order(elems: frozenset[Perm], order: int) -> frozenset[frozenset[Perm]]:
     """All subgroups of the given order, by closure over generator pairs.
 
     Complete for the orders arising here: every subgroup of the ambient
     groups involved (order <= INDEX_SEARCH_LIMIT) is 2-generated.  Only
     elements whose order divides ``order`` are paired, a pair inside a
-    subgroup already found is skipped, and each pair closure stops once it
-    exceeds ``order``.  Memoized per (group, order): a group's record and
+    subgroup already found is skipped, and each pair's group, the first
+    one's cyclic group extended by the second, stops once it exceeds
+    ``order``.  Memoized per (group, order): a group's record and
     ``verify_index_p_subgroups`` ask for the same search.
     """
-    listed = [g for g in sorted(elems) if order % len(closure([g], degree, limit=order)) == 0]
+    cyclic = {g: closure([g], len(g), limit=order) for g in sorted(elems)}
+    listed = [g for g, group in cyclic.items() if order % len(group) == 0]
     found = []
     for i, a in enumerate(listed):
         holding_a = [sub for sub in found if a in sub]
         for b in listed[i:]:
             if any(b in sub for sub in holding_a):
                 continue
-            sub = closure([a, b], degree, limit=order)
+            sub = extend(cyclic[a], [a], b, limit=order)
             if len(sub) == order:
                 found.append(sub)
                 holding_a.append(sub)
     return frozenset(found)
 
 
-def is_transitive(elems: frozenset[Perm], degree: int) -> bool:
+def is_transitive(elems: frozenset[Perm]) -> bool:
     """A subgroup is transitive iff the orbit of 0 is everything."""
-    return {g[0] for g in elems} == set(range(degree))
+    return {g[0] for g in elems} == set(range(_degree(elems)))
 
 
-def record_from_elements(elems: frozenset[Perm], degree: int) -> SubgroupRecord:
-    gens = small_generating_set(elems, degree) or [pidentity(degree)]
+def record_from_elements(elems: frozenset[Perm]) -> SubgroupRecord:
+    degree = _degree(elems)
     order = len(elems)
     n_order_p = sum(1 for g in elems if _order_is_p(g, degree)) - 1  # identity excluded
     sylow = n_order_p // (degree - 1) if degree > 1 and n_order_p else 0
     if order % degree == 0 and order <= INDEX_SEARCH_LIMIT:
-        idx_count = len(subgroups_of_order(elems, degree, order // degree))
+        idx_count = len(subgroups_of_order(elems, order // degree))
     elif order % degree != 0:
         idx_count = 0
     else:
@@ -225,8 +230,8 @@ def record_from_elements(elems: frozenset[Perm], degree: int) -> SubgroupRecord:
     return SubgroupRecord(
         elements=tuple(sorted(elems)),
         order=order,
-        transitive=is_transitive(elems, degree),
-        solvable=is_solvable(gens, degree),
+        transitive=is_transitive(elems),
+        solvable=is_solvable(small_generating_set(elems)),
         sylow_p_count=sylow,
         index_p_subgroup_count=idx_count,
     )
@@ -241,7 +246,7 @@ def subgroup_closure(gens, degree: int | None = None) -> SubgroupRecord:
         degree = len(gens[0])
     if degree > MAX_DEGREE:
         raise ValueError("verification scale exceeded")
-    return record_from_elements(closure(gens, degree), degree)
+    return record_from_elements(closure(gens, degree))
 
 
 def _require_degree(p: int) -> None:
@@ -276,26 +281,7 @@ def normalizer_of_cycle(p: int) -> list[Perm]:
     return out
 
 
-def _linear_degree7_gens() -> list[Perm]:
-    # The simple group of order 168 acting on the 7 nonzero vectors of F_2^3
-    # (vector v+1 encoded in the bits of v+1): a transvection and a basis cycle.
-    def bits(v):
-        return ((v >> 0) & 1, (v >> 1) & 1, (v >> 2) & 1)
-
-    def unbits(t):
-        return t[0] | (t[1] << 1) | (t[2] << 2)
-
-    def apply(mat, v):
-        x = bits(v + 1)
-        y = tuple(sum(mat[i][j] * x[j] for j in range(3)) % 2 for i in range(3))
-        return unbits(y) - 1
-
-    transvection = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-    basis_cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
-    return [tuple(apply(m, v) for v in range(7)) for m in (transvection, basis_cycle)]
-
-
-def _overgroups(gens: list[Perm], degree: int) -> dict[frozenset[Perm], list[Perm]]:
+def _overgroups(gens: list[Perm]) -> dict[frozenset[Perm], list[Perm]]:
     """Every subgroup of the symmetric group containing ``<gens>``, with generators.
 
     Starting at ``<gens>``, each group found is extended by every permutation
@@ -303,6 +289,7 @@ def _overgroups(gens: list[Perm], degree: int) -> dict[frozenset[Perm], list[Per
     is reached by adding the elements of H one at a time, so the search is
     exhaustive without any bound on the number of generators H needs.
     """
+    degree = _degree(gens)
     start = closure(gens, degree)
     found = {start: list(gens)}
     todo = [start]
@@ -314,17 +301,17 @@ def _overgroups(gens: list[Perm], degree: int) -> dict[frozenset[Perm], list[Per
             if b in tried:
                 continue
             tried.update(pmul(g, b) for g in group)  # <G, gb> = <G, b>
-            bigger = closure(group_gens + [b], degree)
+            bigger = extend(group, group_gens, b)
             if bigger not in found:
                 found[bigger] = group_gens + [b]
                 todo.append(bigger)
     return found
 
 
-def _conjugates(elems: frozenset[Perm], degree: int) -> set[frozenset[Perm]]:
+def _conjugates(elems: frozenset[Perm]) -> set[frozenset[Perm]]:
     """The distinct conjugates of a subgroup under the symmetric group."""
     conjugates = set()
-    for g in itertools.permutations(range(degree)):
+    for g in itertools.permutations(range(_degree(elems))):
         g_inv = pinv(g)
         conjugates.add(frozenset(pmul(pmul(g, h), g_inv) for h in elems))
     return conjugates
@@ -346,9 +333,9 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
     sigma = pcycle(p)
     if p <= 5:
         records = {}
-        for group in _overgroups([sigma], p):
-            rec = record_from_elements(group, p)
-            for conj in _conjugates(group, p):
+        for group in _overgroups([sigma]):
+            rec = record_from_elements(group)
+            for conj in _conjugates(group):
                 records.setdefault(conj, replace(rec, elements=tuple(sorted(conj))))
         return tuple(sorted(records.values(), key=lambda r: r.elements)), "full"
     # p == 7: the chain between the cycle group and its normalizer, plus the
@@ -359,7 +346,8 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
         [sigma, pmul(pmul(tau, tau), tau)],  # order-2 tame part
         [sigma, pmul(tau, tau)],  # order-3 tame part
         [sigma, tau],  # full normalizer
-        _linear_degree7_gens(),
+        # (2 6)(4 5) keeps the Fano lines {i, i+1, i+3} mod 7, as sigma does: order 168
+        [sigma, (0, 1, 6, 3, 5, 4, 2)],
         [sigma, (1, 2, 0) + tuple(range(3, p))],  # with a 3-cycle: alternating
         [sigma, (1, 0) + tuple(range(2, p))],  # with a transposition: symmetric
     ]
@@ -445,7 +433,7 @@ def verify_index_p_subgroups(p: int) -> dict:
             checked.append({"order": rec.order, "skipped": "commutative"})
             continue
         subs = sorted(
-            subgroups_of_order(rec.element_set(), p, rec.order // p), key=sorted
+            subgroups_of_order(rec.element_set(), rec.order // p), key=sorted
         )
         if len(subs) != p:
             raise AssertionError(f"order {rec.order}: {len(subs)} index-p subgroups, expected {p}")

@@ -183,6 +183,33 @@ def test_primality_past_its_exact_range_exits_1(capsys):
     assert err == f"error: primality is decided only below {PRIME_TEST_BOUND}\n"
 
 
+def test_tame_prime_above_its_bound_exits_1_at_once(capsys):
+    # The order of q mod p' is a scan of up to p' - 1 powers.
+    with _deadline(1):
+        code, _, _ = run_cli(capsys, "tame", "--pprime", "99991", "--p", "3")
+        assert code == 0
+        code, out, err = run_cli(capsys, "tame", "--pprime", "100000007", "--p", "3")
+    assert code == 1 and out == ""
+    assert err == f"error: p' = 100000007 exceeds the tame bound {mass.TAME_PRIME_LIMIT}\n"
+
+
+@pytest.mark.parametrize(
+    "field", [("--e", "inf", "--max-level", "30000000"), ("--e", "10000000")], ids=["inf", "e"]
+)
+def test_oracle_check_beyond_its_scale_exits_1_at_once(capsys, field):
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "oracle-check", "--p", "3", *field)
+    assert code == 1 and out == ""
+    assert err == "error: oracle scale exceeded\n"
+
+
+def test_oracle_check_bound_far_above_the_top_level_is_immediate(capsys):
+    with _deadline(1):
+        code, out, _ = run_cli(capsys, "oracle-check", "--p", "3", "--e", "1", "--max-level", "30000000")
+    assert code == 0
+    assert out.startswith("oracle vs formulas over p=3 f=1 e=1 (q=3), levels <= 30000000\n")
+
+
 def test_checksum(capsys):
     code, out, _ = run_cli(capsys, "checksum", "--p", "3", "--f", "1", "--format", "json")
     assert code == 0

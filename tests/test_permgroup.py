@@ -1,17 +1,24 @@
 """Permutation verifications: normalizer, solvability criterion, index-p counts."""
 
 import itertools
+import math
+import random
 from functools import cache
 
 import pytest
 
 from localmass.permgroup import (
+    affine_perm,
     closure,
+    derived_subgroup,
+    extend,
+    is_solvable,
     pcycle,
     pidentity,
     pinv,
     pmul,
     record_from_elements,
+    small_generating_set,
     subgroup_closure,
     subgroups_of_order,
     transitive_family,
@@ -166,7 +173,7 @@ def test_transitive_family_is_every_transitive_pair_closure(p):
     records, mode = transitive_family(p)
     assert mode == "full"
     assert [rec.elements for rec in records] == [tuple(sorted(g)) for g in expected]
-    assert list(records) == [record_from_elements(g, p) for g in expected]
+    assert list(records) == [record_from_elements(g) for g in expected]
 
 
 @pytest.mark.parametrize(
@@ -175,4 +182,70 @@ def test_transitive_family_is_every_transitive_pair_closure(p):
 @pytest.mark.parametrize("order", [12, 24])
 def test_subgroups_of_order_equal_the_pair_closures_of_that_order(group, n, order):
     expected = {g for g in _pair_generated(group, n) if len(g) == order}
-    assert subgroups_of_order(group, n, order) == expected
+    assert subgroups_of_order(group, order) == expected
+
+
+def _gens(group, n):
+    return small_generating_set(group) or [tuple(range(n))]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_extend_equals_the_generated_group(n):
+    # Every subgroup H of S_n against a sample of permutations g.
+    sample = random.Random(n).sample(sorted(_symmetric(n)), 8)
+    for group in _pair_generated(_symmetric(n), n):
+        gens = _gens(group, n)
+        for g in sample:
+            whole = _generated(gens + [g], n)
+            assert extend(group, gens, g) == whole
+            if len(whole) > len(group):  # a limit below the order stops past it
+                for limit in (len(group), len(whole) - 1):
+                    partial = extend(group, gens, g, limit)
+                    assert limit < len(partial) <= 2 * limit
+                    # Made of whole right cosets of the group.
+                    assert {pmul(h, x) for h in group for x in partial} == partial
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_closure_stops_once_past_its_limit(n):
+    gens = [pcycle(n), (1, 0) + tuple(range(2, n))]
+    assert closure(gens, n) == _symmetric(n)
+    for limit in range(1, math.factorial(n)):
+        assert limit < len(closure(gens, n, limit=limit)) <= 2 * limit
+
+
+def _commutators_generated(group, n):
+    """Test-local derived subgroup: the closure of every commutator."""
+
+    def inverse(g):
+        return tuple(sorted(range(n), key=g.__getitem__))
+
+    def mul(a, b):
+        return tuple(a[x] for x in b)
+
+    return _generated({mul(mul(a, b), mul(inverse(a), inverse(b))) for a in group for b in group}, n)
+
+
+def _derived_cases():
+    cases = [(group, 4) for group in _pair_generated(_symmetric(4), 4)]
+    frobenius = _generated([pcycle(5), affine_perm(5, 2)], 5)
+    return cases + [(_alternating(5), 5), (_symmetric(5), 5), (frobenius, 5)]
+
+
+def test_derived_subgroup_is_the_closure_of_all_commutators():
+    for group, n in _derived_cases():
+        derived, dgens = derived_subgroup(_gens(group, n))
+        assert derived == _commutators_generated(group, n)
+        assert _generated(dgens, n) == derived
+        assert 2 ** len(dgens) <= len(derived)
+
+
+def test_is_solvable_agrees_with_the_derived_series_of_every_subgroup_of_s5():
+    solvable = {}
+    for group in _pair_generated(_symmetric(5), 5):
+        series = [group]
+        while len(series[-1]) > 1 and (nxt := _commutators_generated(series[-1], 5)) != series[-1]:
+            series.append(nxt)
+        solvable[group] = len(series[-1]) == 1
+        assert is_solvable(_gens(group, 5)) == solvable[group]
+    assert sorted(len(g) for g, ok in solvable.items() if not ok) == [60, 120]

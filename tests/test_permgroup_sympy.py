@@ -1,8 +1,8 @@
 """The transitive families of ``permgroup`` against sympy's permutation groups.
 
 sympy computes order, transitivity and solvability by its own algorithms
-(Schreier-Sims, orbits, derived series), so agreement checks the Cayley-graph
-closures and the derived-series test here independently.
+(Schreier-Sims, orbits, derived series), so agreement checks the coset
+extensions and the derived-series test here independently.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from localmass.permgroup import small_generating_set, transitive_family  # noqa:
 def test_transitive_family_matches_sympy(p):
     records, _ = transitive_family(p)
     for rec in records:
-        gens = small_generating_set(rec.element_set(), p)
+        gens = small_generating_set(rec.element_set())
         group = combinatorics.PermutationGroup(
             [combinatorics.Permutation(list(g)) for g in gens]
         )
