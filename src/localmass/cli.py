@@ -259,15 +259,10 @@ def _cmd_mass(args):
 
 def _cmd_count(args):
     field = _field(args)
-    entries = [
-        rec
-        for rec in count_table(field, args.max_level).values()
-        if args.vbar is None or rec.vbar == args.vbar % max(field.p - 1, 1)
-    ]
+    entries = list(count_table(field, args.max_level, args.vbar).values())
     # No count in a row exceeds its extensions: converting the largest of
     # them now raises the int-to-str limit's ValueError before any output.
-    if entries:
-        str(max(rec.extensions for rec in entries))
+    str(max((rec.extensions for rec in entries), default=0))
     if args.format == "json":
         levels = sorted(entries, key=lambda rec: str(rec.level))  # json sorts keys as strings
         head = {"field": field.to_json_obj()}

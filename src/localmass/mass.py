@@ -23,9 +23,9 @@ each weighted ``q**-d``.  Summing level by level gives every quantity here:
 
 A contribution depends only on the character's valuation and on whether the
 character is trivial: the trivial one adds the top-level mass to its
-valuation's sum.  One pass over the level walk makes the sums of the
-valuations asked for, at most p - 1 of them, and one rule turns them into
-contributions.
+valuation's sum.  A valuation's blocks sit at the levels prime to p of one
+progression of step p - 1, so each valuation asked for is summed over its
+own walk, with :func:`_over_power_of`, the one integer Horner loop.
 
 All values are exact ``Fraction``s; a violated internal identity raises
 :class:`MassInvariantError` instead of returning a wrong report.  Each value
@@ -105,9 +105,10 @@ class MassReport:
         return self.total + 1
 
     def contribution(self, chi: CharClass) -> Fraction:
-        """Contribution of the character class ``chi``, by :func:`_contribution`."""
+        """Contribution of the character class ``chi``: its valuation's
+        value, plus the top-level mass if it is trivial."""
         value = self.per_vbar[chi.valuation % (self.field.p - 1)]
-        return _contribution(self.field, [chi], value, self.tres_extra)
+        return value + self.tres_extra if char_is_trivial(self.field, chi) else value
 
     def to_json_obj(self) -> dict:
         return {
@@ -170,9 +171,7 @@ def char_contribution(field: LocalField, chi: CharClass) -> Fraction:
     ``1 / (1 - q**-(p-1)**2)``.
     """
     validate_char(field, chi)
-    w = chi.valuation % (field.p - 1)
-    nums, tres, den = _valuation_sums(field, None, [w])
-    return _contribution(field, [chi], Fraction(nums[w], den), tres)
+    return _characters_mass(field, [chi])
 
 
 def char_contribution_closed(field: LocalField, chi: CharClass) -> Fraction:
@@ -220,46 +219,33 @@ def char_contribution_truncated(
     closed form's geometric series.
     """
     validate_char(field, chi)
-    w = chi.valuation % (field.p - 1)
-    nums, tres, den = _valuation_sums(field, max_level, [w])
-    return _contribution(field, [chi], Fraction(nums[w], den), tres)
+    return _characters_mass(field, [chi], max_level)
 
 
 def _valuation_sums(field: LocalField, max_level: int | None, valuations):
-    """``(nums, tres, den)`` from one pass over the level walk: the block sum
-    of one character of valuation ``w`` is ``nums[w] / den`` for each ``w``
-    asked for, and ``tres`` is the top-level mass if the walk reaches it.  No
-    ``max_level`` means the full sum of :func:`char_contribution`.  A block's
-    depth ``l - l//p`` grows with its level ``l``, so each sum is one integer
-    over a power of q by Horner's rule.  After the walk each is aligned to the
-    one denominator ``(p-1) * q**T``, ``T`` the deepest depth, or in the
-    periodic case ``(p-1) * (q**((p-1)**2) - 1)``; no gcd is taken, so a
-    caller normalises once per value it builds."""
+    """``(nums, tres, den)``: the block sum of one character of valuation
+    ``w`` is ``nums[w] / den`` for each ``w`` asked for, and ``tres`` is the
+    top-level mass if the bound reaches it; no ``max_level`` means the full
+    sum.  Each sum is one :func:`_over_power_of` over the blocks of
+    ``level_walk(field, bound, w)``, whose depth ``l - l//p`` grows with the
+    level ``l``, aligned to the one denominator ``(p-1) * q**T``, ``T`` the
+    deepest depth, or ``(p-1) * (q**((p-1)**2) - 1)`` in the periodic case.
+    No gcd is taken: a caller normalises once per value it builds."""
     p, q = field.p, field.q
     period = (p - 1) ** 2
     periodic = field.equal_char and max_level is None
-    acc = dict.fromkeys(valuations, (0, 0))
-    tres = Fraction(0)
     bound = p * (p - 1) if periodic else truncation_bound(field, max_level)
-    for level, vbar, _, _ in level_walk(field, bound):
-        if level and level % p == 0:  # the top level p*e
-            tres = tres_term(field)
-        elif level and vbar in acc:
-            num, top = acc[vbar]
-            depth = level - level // p
-            acc[vbar] = num * q ** (depth - top) + 1, depth
+    # Levels 0 and p*e, the lines outside the strata, are the multiples of p.
+    sums = {}
+    for w in valuations:
+        levels = (lv for lv, *_ in level_walk(field, bound, w) if lv % p)
+        sums[w] = _over_power_of(q, ((lv - lv // p, 1) for lv in levels))
+    tres = tres_term(field) if not field.equal_char and p * field.e <= bound else Fraction(0)
     # A first period's n / q**t times 1 / (1 - q**-period) is the infinite sum.
-    top = period if periodic else max((t for _, t in acc.values()), default=0)
+    top = period if periodic else max((t for _, t in sums.values()), default=0)
     c = p * (q - 1)
-    nums = {w: c * n * q ** (top - t) for w, (n, t) in acc.items()}
+    nums = {w: c * n * q ** (top - t) for w, (n, t) in sums.items()}
     return nums, tres, (p - 1) * (q**period - 1 if periodic else q**top)
-
-
-def _contribution(field: LocalField, chars, value: Fraction, tres: Fraction) -> Fraction:
-    """Contribution of the distinct characters ``chars`` from ``value``, the
-    sum of their valuations' sums: plus the top-level mass if the trivial
-    character is among them."""
-    return value + tres if any(char_is_trivial(field, chi) for chi in chars) else value
 
 
 def _over_power_of(q: int, terms) -> tuple[int, int]:
@@ -280,13 +266,14 @@ def per_character_contributions(field: LocalField) -> list[tuple[CharClass, Frac
     return [(chi, report.contribution(chi)) for chi in enumerate_characters(field)]
 
 
-def _characters_mass(field: LocalField, chars: list[CharClass]) -> Fraction:
-    """Summed contribution of distinct characters: one integer sum of their
-    numerators, one :func:`_contribution`."""
+def _characters_mass(field: LocalField, chars, max_level: int | None = None) -> Fraction:
+    """Summed contribution of the distinct characters ``chars`` at levels <=
+    ``max_level`` (all if None): one integer sum of their valuations'
+    numerators, plus the top-level mass if the trivial one is among them."""
     m = field.p - 1
-    nums, tres, den = _valuation_sums(field, None, {chi.valuation % m for chi in chars})
+    nums, tres, den = _valuation_sums(field, max_level, {chi.valuation % m for chi in chars})
     value = Fraction(sum(nums[chi.valuation % m] for chi in chars), den)
-    return _contribution(field, chars, value, tres)
+    return value + tres if any(char_is_trivial(field, chi) for chi in chars) else value
 
 
 def total_mass(field: LocalField) -> MassReport:
@@ -307,22 +294,26 @@ def peu_tres_split(field: LocalField) -> tuple[Fraction, Fraction]:
     return field.p - tres, tres
 
 
-def count_table(field: LocalField, max_level: int | None = None) -> dict[int, LevelCount]:
+def count_table(
+    field: LocalField, max_level: int | None = None, vbar: int | None = None
+) -> dict[int, LevelCount]:
     """Aggregate counts per level, over all character classes.
 
     Includes the level-0 row for the unramified extension and, in mixed
     characteristic, the top-level row; ``max_level`` truncates as
     :func:`localmass.model.truncation_bound` says, so it is required in
-    equal characteristic.  Whether the cyclotomic character is the trivial
-    one is read off the field: when it is (the field contains the p-th roots
-    of unity), every top-level extension is cyclic and its own class.
+    equal characteristic.  With ``vbar`` only the rows of that valuation
+    (mod p-1) are made, from the level walk of that valuation alone.
+    Whether the cyclotomic character is the trivial one is read off the
+    field: when it is (the field contains the p-th roots of unity), every
+    top-level extension is cyclic and its own class.
     """
     p, f = field.p, field.f
     table = {}
-    for level, vbar, dim, markers in level_walk(field, truncation_bound(field, max_level)):
+    for level, w, dim, markers in level_walk(field, truncation_bound(field, max_level), vbar):
         lines = extensions = 0
         for marker, blocks in Counter(markers).items():
-            bonus = 1 if char_is_omega(field, CharClass(vbar, marker)) else 0
+            bonus = 1 if char_is_omega(field, CharClass(w, marker)) else 0
             # Below the level each of its characters has one f-dimensional
             # block per lower stratum, plus the level-0 line if cyclotomic;
             # the block adds the lines not already in that space.
@@ -330,7 +321,7 @@ def count_table(field: LocalField, max_level: int | None = None) -> dict[int, Le
             n = blocks * ((p ** (below + dim) - p**below) // (p - 1))
             lines += n
             extensions += n if bonus else n * p
-        table[level] = LevelCount(level, vbar, lines, extensions, lines)
+        table[level] = LevelCount(level, w, lines, extensions, lines)
     return table
 
 
@@ -405,7 +396,7 @@ def _xi_filter_mass(field: LocalField, keep) -> Fraction:
     om = field.omega
     if om is None:
         raise ValueError("omega class required")
-    m = max(field.p - 1, 1)
+    m = field.p - 1
     kept = [
         chi
         for chi in enumerate_characters(field)
@@ -421,7 +412,7 @@ def group_order_contribution(field: LocalField, n: int) -> Fraction:
     with dihedral closure of order 2p.  Every extension is captured by
     exactly one n, so these contributions partition the total mass p.
     """
-    m = max(field.p - 1, 1)
+    m = field.p - 1
     if n < 1 or m % n != 0:
         raise ValueError("order must divide p - 1")
     return _xi_filter_mass(field, lambda xi: math.lcm(*(m // math.gcd(c, m) for c in xi)) == n)
@@ -431,7 +422,7 @@ def subfield_contribution(field: LocalField, subgroup_gens: list[tuple[int, int]
     """Mass of the extensions split by the degree-(p-1)-type subfield of K
     dual to the subgroup generated by ``subgroup_gens`` in (Z/(p-1))^2.
     """
-    m = max(field.p - 1, 1)
+    m = field.p - 1
     subgroup = {(0, 0)}
     frontier = [(a % m, b % m) for a, b in subgroup_gens]
     while frontier:

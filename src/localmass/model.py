@@ -11,8 +11,9 @@ stable lines in a filtered module attached to ``F``.  That module decomposes
 into eigen-blocks, one per character class of the degree-(p-1) abelian
 closure, and each block sits at a well-defined filtration level.  This module
 owns the one walk over those levels (:func:`level_walk`, truncated by
-:func:`truncation_bound`), which the block layout, the per-level counts of
-:mod:`localmass.mass` and the ``structure`` command read, the one list of
+:func:`truncation_bound`, whole or one valuation at a time), which the block
+layout, the mass kernel, the per-level counts of :mod:`localmass.mass` and
+the ``structure`` command read, the one list of
 character classes that behave differently (:func:`char_classes`), the
 stratum arithmetic, and the break/discriminant arithmetic of the tame
 subextension.
@@ -279,7 +280,7 @@ def enumerate_characters(field: LocalField) -> list[CharClass]:
     otherwise the cyclotomic class is marked only when the field carries its
     coordinates.
     """
-    m = max(field.p - 1, 1)
+    m = field.p - 1
     chars = []
     for a in range(m):
         for b in range(m):
@@ -352,7 +353,7 @@ def truncation_bound(field: LocalField, max_level: int | None) -> int:
     return top if max_level is None else min(max_level, top)
 
 
-def level_walk(field: LocalField, bound: int):
+def level_walk(field: LocalField, bound: int, vbar: int | None = None):
     """Yield ``(level, vbar, dim, markers)`` for each occupied level <= bound.
 
     Levels come in increasing order: the level-0 line of the cyclotomic
@@ -360,22 +361,27 @@ def level_walk(field: LocalField, bound: int):
     block of dimension f per character of valuation ``vbar``, and in mixed
     characteristic the top-level line p*e of the trivial character.
     ``markers`` lists the distinguished marker of each block at the level.
+    Given ``vbar`` (mod p-1), only its rows come: its levels step by p - 1
+    from the ``r`` in [1, p-1] congruent to cyclotomic valuation - ``vbar``.
     """
-    p, m = field.p, max(field.p - 1, 1)
+    p, m = field.p, field.p - 1
     w_omega = cyclotomic_valuation(field)
-    yield 0, w_omega, 1, (OMEGA,)
-    markers = []
-    for w in range(m):
+    walked = range(m) if vbar is None else [vbar % m]
+    if w_omega in walked:
+        yield 0, w_omega, 1, (OMEGA,)
+    markers = {}
+    for w in walked:
         special = [OMEGA] if w == w_omega else []
         if w == 0 and not omega_is_trivial(field):
             special.append(TRIVIAL)
-        markers.append(tuple(special) + (GENERIC,) * (m - len(special)))
+        markers[w] = tuple(special) + (GENERIC,) * (m - len(special))
     last = bound if field.equal_char else min(bound, p * field.e - 1)
-    for level in range(1, last + 1):
+    start, step = (1, 1) if vbar is None else ((w_omega - walked[0] - 1) % m + 1, m)
+    for level in range(start, last + 1, step):
         if level % p:
             w = (w_omega - level) % m
             yield level, w, field.f, markers[w]
-    if not field.equal_char and p * field.e <= bound:
+    if not field.equal_char and p * field.e <= bound and 0 in walked:
         yield p * field.e, 0, 1, (TRIVIAL,)
 
 

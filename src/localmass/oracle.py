@@ -58,7 +58,7 @@ def eigenspace_blocks(field: LocalField, chi: CharClass, max_level: int):
     level-0 line.  Blocks come in increasing level order.
     """
     validate_char(field, chi)
-    p, m = field.p, max(field.p - 1, 1)
+    p, m = field.p, field.p - 1
     residue = (cyclotomic_valuation(field) - chi.valuation) % m
     if char_is_omega(field, chi):
         yield OracleBlock(0, 1)
@@ -89,7 +89,7 @@ def enumerate_lines(
     blocks = list(itertools.islice(eigenspace_blocks(field, chi, max_level), DIM_LIMIT + 1))
     dim = sum(b.dim for b in blocks)
     if dim > DIM_LIMIT:
-        raise ValueError("oracle scale exceeded")
+        raise ValueError(f"oracle scale exceeded: dimension >= {dim} > DIM_LIMIT = {DIM_LIMIT}")
     levels_desc = sorted((b.level for b in blocks for _ in range(b.dim)), reverse=True)
     vectors = itertools.product(range(field.p), repeat=dim)
     supports = map(itertools.compress, itertools.repeat(levels_desc), vectors)

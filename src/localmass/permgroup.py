@@ -147,12 +147,13 @@ def is_solvable(gens: list[Perm]) -> bool:
     return True
 
 
-def _order_is_p(g: Perm, p: int) -> bool:
-    """Whether g**p is the identity: g has order p or is the identity."""
-    acc = g
-    for _ in range(p - 1):
-        acc = pmul(acc, g)
-    return acc == pidentity(p)
+def _is_p_cycle(g: Perm) -> bool:
+    """Whether the orbit of 0 under g is every point: in prime degree, whether
+    g has order p, since an lcm of cycle lengths below p is not p."""
+    x, size = g[0], 1
+    while x:
+        x, size = g[x], size + 1
+    return size == len(g)
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ def is_transitive(elems: frozenset[Perm]) -> bool:
 def record_from_elements(elems: frozenset[Perm]) -> SubgroupRecord:
     degree = _degree(elems)
     order = len(elems)
-    n_order_p = sum(1 for g in elems if _order_is_p(g, degree)) - 1  # identity excluded
+    n_order_p = sum(map(_is_p_cycle, elems))
     sylow = n_order_p // (degree - 1) if degree > 1 and n_order_p else 0
     if order % degree == 0 and order <= INDEX_SEARCH_LIMIT:
         idx_count = len(subgroups_of_order(elems, order // degree))
@@ -244,14 +245,17 @@ def subgroup_closure(gens, degree: int | None = None) -> SubgroupRecord:
         if not gens:
             raise ValueError("degree required for an empty generating set")
         degree = len(gens[0])
-    if degree > MAX_DEGREE:
-        raise ValueError("verification scale exceeded")
+    _require_scale(degree)
     return record_from_elements(closure(gens, degree))
 
 
+def _require_scale(n: int) -> None:
+    if n > MAX_DEGREE:
+        raise ValueError(f"verification scale exceeded: degree {n} > MAX_DEGREE = {MAX_DEGREE}")
+
+
 def _require_degree(p: int) -> None:
-    if p > MAX_DEGREE:
-        raise ValueError("verification scale exceeded")
+    _require_scale(p)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 
@@ -405,7 +409,7 @@ def verify_galois_criterion(p: int) -> dict:
         if rec.solvable:
             # The unique Sylow must be normal: the group sits in its normalizer.
             elems = rec.element_set()
-            gen = next(g for g in elems if g != pidentity(p) and _order_is_p(g, p))
+            gen = next(filter(_is_p_cycle, elems))
             sylow = closure([gen], p)
             for g in elems:
                 if pmul(pmul(g, gen), pinv(g)) not in sylow:

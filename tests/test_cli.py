@@ -200,7 +200,7 @@ def test_oracle_check_beyond_its_scale_exits_1_at_once(capsys, field):
     with _deadline(1):
         code, out, err = run_cli(capsys, "oracle-check", "--p", "3", *field)
     assert code == 1 and out == ""
-    assert err == "error: oracle scale exceeded\n"
+    assert err == "error: oracle scale exceeded: dimension >= 13 > DIM_LIMIT = 12\n"
 
 
 def test_oracle_check_bound_far_above_the_top_level_is_immediate(capsys):
@@ -302,6 +302,12 @@ def test_galois_verify(capsys):
     assert obj["normalizer"]["normalizer_order"] == 6
     assert obj["solvability_criterion"]["criterion_holds"] is True
     assert obj["index_p_subgroups"]["holds"] is True
+
+
+def test_galois_verify_beyond_its_scale_exits_1(capsys):
+    code, out, err = run_cli(capsys, "galois-verify", "--p", "11")
+    assert code == 1 and out == ""
+    assert err == "error: verification scale exceeded: degree 11 > MAX_DEGREE = 7\n"
 
 
 @pytest.mark.parametrize("p", [0, 1, -3, 4, 6])

@@ -66,6 +66,13 @@ def test_deep_mass_stdout_matches_recorded_digests(capsys):
     assert not _wrong_digests(capsys, pool)
 
 
+def test_wide_tables_stdout_matches_recorded_digests(capsys):
+    # Thousands of levels from the level walk: structure and count tables.
+    pool = workloads.WIDE_TABLES
+    assert sum(qu.known_failure is None for qu in pool) == 5
+    assert not _wrong_digests(capsys, pool)
+
+
 def test_verify_stdout_matches_recorded_digests(capsys):
     # The brute-force checks: line enumeration at p = 3, 5, 7 and 13, and the
     # transitive families of S_3, S_5 and S_7.

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import localmass.mass as mass
 from localmass.mass import (
     MassInvariantError,
     char_contribution,
@@ -193,6 +194,25 @@ def test_roots_of_unity_field_counts():
     top = count_table(LocalField(3, 1, 2, (0, 1)))[6]
     assert (top.lines, top.extensions, top.conjugacy_classes) == (9, 27, 9)
     assert mass_from_counts(mu3, count_table(mu3)) == 3
+
+
+def test_one_valuation_reads_only_its_levels(monkeypatch):
+    # The trivial character of F_101((t)) has a block every p - 1 = 100
+    # levels: 100 of them below p(p - 1) = 10 100, plus the level-0 line.
+    rows = []
+
+    def spy(*args):
+        for row in walk(*args):
+            rows.append(row)
+            yield row
+
+    walk = mass.level_walk
+    monkeypatch.setattr(mass, "level_walk", spy)
+    field = LocalField(101, 1, INFINITE_E)
+    assert galois_closure_contribution(field, "cyclic") == char_contribution_closed(
+        field, trivial_char()
+    )
+    assert len(rows) <= 101
 
 
 def test_unramified_closure_contribution():

@@ -8,6 +8,7 @@ from functools import cache
 import pytest
 
 from localmass.permgroup import (
+    _is_p_cycle,
     affine_perm,
     closure,
     derived_subgroup,
@@ -33,6 +34,16 @@ def test_perm_basics():
     assert pmul(a, pinv(a)) == pidentity(3)
     assert pmul(a, a) == (2, 0, 1)
     assert pcycle(5) == (1, 2, 3, 4, 0)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_p_cycles_are_the_elements_of_order_p(p):
+    ident = pidentity(p)
+    for g in itertools.permutations(range(p)):
+        power = g
+        for _ in range(p - 1):
+            power = pmul(power, g)
+        assert _is_p_cycle(g) == (g != ident and power == ident), g
 
 
 def test_subgroup_closure_cycle():

@@ -23,6 +23,7 @@ from localmass.model import (
     char_is_trivial,
     cyclotomic_valuation,
     enumerate_characters,
+    level_walk,
     omega_is_trivial,
     stratum_slot,
     truncation_bound,
@@ -69,6 +70,20 @@ def test_count_table_levels_match_congruence_scan(case):
     }
     rows = [(rec.level, rec.vbar) for rec in count_table(field, max_level).values()]
     assert rows == sorted(scanned)
+
+
+@SETTINGS
+@given(cases())
+def test_one_valuation_walk_is_the_full_walk_filtered(case):
+    field, max_level = case
+    m = field.p - 1
+    bound = truncation_bound(field, max_level)
+    walk = list(level_walk(field, bound))
+    table = count_table(field, max_level)
+    for w in [*range(2 * m), -1]:  # every valuation, and each once more past p - 1
+        assert list(level_walk(field, bound, w)) == [row for row in walk if row[1] == w % m]
+        rows = [(level, rec) for level, rec in table.items() if rec.vbar == w % m]
+        assert list(count_table(field, max_level, vbar=w).items()) == rows
 
 
 @SETTINGS
