@@ -8,117 +8,92 @@ extension and conjugacy-class counts per discriminant level, the masses of
 extensions with constrained Galois closure, and the tame degree-p' analogue,
 all in exact rational arithmetic, together with a brute-force enumeration
 oracle and permutation-group verifications of the underlying group theory.
+
+Importing the package runs none of its modules: each exported name loads its
+module on first access (PEP 562), so ``import localmass.cli`` pays only for
+what a command runs.
 """
 
-from .mass import (
-    LevelCount,
-    MassInvariantError,
-    MassReport,
-    TameReport,
-    char_contribution,
-    char_contribution_closed,
-    char_contribution_truncated,
-    contribution_checksum,
-    count_table,
-    cyclic_contribution,
-    galois_closure_contribution,
-    group_order_contribution,
-    mass_from_counts,
-    per_character_contributions,
-    peu_tres_split,
-    subfield_contribution,
-    tame_mass,
-    total_mass,
-    tres_term,
-    unramified_closure_contribution,
-)
-from .model import (
-    GENERIC,
-    INFINITE_E,
-    OMEGA,
-    TRIVIAL,
-    BreakData,
-    CharClass,
-    EigenBlock,
-    FilteredLayout,
-    LocalField,
-    char_classes,
-    char_is_omega,
-    char_is_trivial,
-    cyclotomic_valuation,
-    discriminant_valuation,
-    enumerate_characters,
-    eigenspace_dim,
-    generic_char,
-    is_prime,
-    layout,
-    level_walk,
-    nth_prime_to_p,
-    omega_char,
-    omega_is_trivial,
-    stratum_level,
-    stratum_slot,
-    trivial_char,
-    truncation_bound,
-)
-from .oracle import MassOracleError, enumerate_lines, oracle_mass
-from .rationals import format_rational, geom_finite, geom_infinite, rat_pow
+import importlib
+
+#: The module that defines each exported name.
+_HOME = {
+    **dict.fromkeys(
+        (
+            "LevelCount",
+            "MassReport",
+            "TameReport",
+            "char_contribution",
+            "char_contribution_closed",
+            "char_contribution_truncated",
+            "contribution_checksum",
+            "count_table",
+            "cyclic_contribution",
+            "galois_closure_contribution",
+            "group_order_contribution",
+            "mass_from_counts",
+            "per_character_contributions",
+            "peu_tres_split",
+            "subfield_contribution",
+            "tame_mass",
+            "total_mass",
+            "tres_term",
+            "unramified_closure_contribution",
+        ),
+        "mass",
+    ),
+    **dict.fromkeys(
+        (
+            "GENERIC",
+            "INFINITE_E",
+            "OMEGA",
+            "TRIVIAL",
+            "BreakData",
+            "CharClass",
+            "EigenBlock",
+            "FilteredLayout",
+            "LocalField",
+            "MassInvariantError",
+            "MassOracleError",
+            "char_classes",
+            "char_is_omega",
+            "char_is_trivial",
+            "cyclotomic_valuation",
+            "discriminant_valuation",
+            "enumerate_characters",
+            "eigenspace_dim",
+            "generic_char",
+            "is_prime",
+            "layout",
+            "level_walk",
+            "nth_prime_to_p",
+            "omega_char",
+            "omega_is_trivial",
+            "stratum_level",
+            "stratum_slot",
+            "trivial_char",
+            "truncation_bound",
+        ),
+        "model",
+    ),
+    **dict.fromkeys(("enumerate_lines", "oracle_mass"), "oracle"),
+    **dict.fromkeys(("format_rational", "geom_finite", "geom_infinite", "rat_pow"), "rationals"),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BreakData",
-    "CharClass",
-    "EigenBlock",
-    "FilteredLayout",
-    "GENERIC",
-    "INFINITE_E",
-    "LevelCount",
-    "LocalField",
-    "MassInvariantError",
-    "MassOracleError",
-    "MassReport",
-    "OMEGA",
-    "TRIVIAL",
-    "TameReport",
-    "char_contribution",
-    "char_contribution_closed",
-    "char_contribution_truncated",
-    "char_classes",
-    "char_is_omega",
-    "char_is_trivial",
-    "contribution_checksum",
-    "count_table",
-    "cyclic_contribution",
-    "cyclotomic_valuation",
-    "discriminant_valuation",
-    "eigenspace_dim",
-    "enumerate_characters",
-    "enumerate_lines",
-    "format_rational",
-    "galois_closure_contribution",
-    "generic_char",
-    "geom_finite",
-    "geom_infinite",
-    "group_order_contribution",
-    "is_prime",
-    "layout",
-    "level_walk",
-    "mass_from_counts",
-    "nth_prime_to_p",
-    "omega_char",
-    "omega_is_trivial",
-    "oracle_mass",
-    "per_character_contributions",
-    "peu_tres_split",
-    "rat_pow",
-    "stratum_level",
-    "stratum_slot",
-    "subfield_contribution",
-    "tame_mass",
-    "total_mass",
-    "tres_term",
-    "trivial_char",
-    "truncation_bound",
-    "unramified_closure_contribution",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,36 +15,33 @@ sorted keys and no timestamps, TSV with a fixed column order.  Only the asked
 format is rendered, and it is written as it is produced.  Exit status is 0 on
 success, 1 on invalid parameters, and 2 if an internal exact identity fails
 (which would mean a bug, never bad user input); on 1 and 2 stdout stays empty.
+
+A query loads only what its subcommand runs.  ``structure`` needs the level
+walk of :mod:`localmass.model` alone; ``mass``, ``count``, ``tame`` and
+``checksum`` also load :mod:`localmass.mass`, ``oracle-check`` loads it and
+:mod:`localmass.oracle`, and ``galois-verify`` loads only
+:mod:`localmass.permgroup`.  :mod:`json` is imported by the json renderers.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import sys
 from itertools import chain
 from operator import attrgetter
 
-from .mass import (
-    MassInvariantError,
-    char_contribution_truncated,
-    contribution_checksum,
-    count_table,
-    galois_closure_contribution,
-    tame_mass,
-    total_mass,
-)
 from .model import (
     INFINITE_E,
     LocalField,
+    MassInvariantError,
+    MassOracleError,
     char_classes,
     char_is_trivial,
     enumerate_characters,
     level_walk,
     truncation_bound,
 )
-from .oracle import MassOracleError, oracle_mass
 from .rationals import describe_rational, format_rational
 
 
@@ -54,7 +51,9 @@ def _import_on_first_use(name: str):
     The module is registered in ``sys.modules`` and on its package at once, as
     a plain import does, so code that looks it up there after importing the
     cli (``perfbench/traced_main.py`` wraps its functions) still finds it; a
-    query that never touches it does not pay for compiling it.
+    query that never touches it does not pay for compiling and running it.
+    Handlers therefore reach such a module's functions through the module,
+    as ``mass.total_mass``, never through a name bound at import.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -67,7 +66,11 @@ def _import_on_first_use(name: str):
     return module
 
 
-#: Only galois-verify uses the group theory.
+#: The mass kernel, for every subcommand but structure and galois-verify.
+mass = _import_on_first_use(f"{__package__}.mass")
+#: The line oracle, for oracle-check only.
+oracle = _import_on_first_use(f"{__package__}.oracle")
+#: The group theory, for galois-verify only.
 permgroup = _import_on_first_use(f"{__package__}.permgroup")
 
 
@@ -159,6 +162,8 @@ def _omega_coords(args) -> tuple[int, int] | None:
 
 
 def _json(obj: dict):
+    import json
+
     yield json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -167,6 +172,8 @@ def _json_streamed(obj: dict, key: str, brackets: str, members):
     written as it is produced.  ``members`` yields the members of ``value``
     rendered as ``json.dumps(..., indent=2)`` renders them at depth 2;
     ``brackets`` is ``"[]"`` for a list and ``"{}"`` for an object."""
+    import json
+
     head, tail = json.dumps({**obj, key: None}, sort_keys=True, indent=2).split(f'"{key}": null')
     yield f'{head}"{key}": {brackets[0]}'
     sep = "\n"
@@ -223,14 +230,14 @@ def _cmd_structure(args):
 
 def _cmd_mass(args):
     field = _field(args)
-    if args.filter:
-        value = format_rational(galois_closure_contribution(field, args.filter))
+    if args.filter is not None:
+        value = format_rational(mass.galois_closure_contribution(field, args.filter))
         if args.format == "json":
             return _json({"field": field.to_json_obj(), "filter": args.filter, "contribution": value})
         if args.format == "tsv":
             return _tsv([("filter", "contribution"), (args.filter, value)])
         return _text([f"{_describe(field)}: mass of {args.filter} extensions = {value}"])
-    report = total_mass(field)
+    report = mass.total_mass(field)
     obj = report.to_json_obj()
     # A contribution depends only on the character's valuation and on whether
     # it is trivial, so the (p-1)^2 rows hold at most p distinct values.  Each
@@ -259,7 +266,7 @@ def _cmd_mass(args):
 
 def _cmd_count(args):
     field = _field(args)
-    entries = list(count_table(field, args.max_level, args.vbar).values())
+    entries = list(mass.count_table(field, args.max_level, args.vbar).values())
     # No count in a row exceeds its extensions: converting the largest of
     # them now raises the int-to-str limit's ValueError before any output.
     str(max((rec.extensions for rec in entries), default=0))
@@ -278,7 +285,7 @@ def _cmd_count(args):
 
 
 def _cmd_tame(args):
-    report = tame_mass(args.pprime, args.p, LocalField(args.p, args.f, INFINITE_E).q)
+    report = mass.tame_mass(args.pprime, args.p, LocalField(args.p, args.f, INFINITE_E).q)
     value = format_rational(report.mass)
     if args.format == "json":
         return _json(report.to_json_obj())
@@ -336,8 +343,8 @@ def _cmd_oracle_check(args):
     for chi in char_classes(field):
         if args.vbar is not None and chi.valuation != args.vbar % (field.p - 1):
             continue
-        brute = oracle_mass(field, chi, bound)
-        reference = char_contribution_truncated(field, chi, bound)
+        brute = oracle.oracle_mass(field, chi, bound)
+        reference = mass.char_contribution_truncated(field, chi, bound)
         if brute != reference:
             raise MassOracleError(
                 f"oracle {describe_rational(brute)} != {kind} formula"
@@ -359,7 +366,7 @@ def _cmd_oracle_check(args):
 
 def _cmd_checksum(args):
     q = LocalField(args.p, args.f, INFINITE_E).q
-    lhs, rhs = contribution_checksum(args.p, q)
+    lhs, rhs = mass.contribution_checksum(args.p, q)
     # The checksum has returned, so the sides are equal: one decimal string.
     side = format_rational(lhs)
     if args.format == "json":

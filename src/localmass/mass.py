@@ -42,13 +42,13 @@ stays independent of the closed form it is checked against.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .model import (
     CharClass,
     LocalField,
+    MassInvariantError,
     char_is_omega,
     char_is_trivial,
     cyclotomic_valuation,
@@ -65,12 +65,7 @@ from .rationals import describe_rational, format_rational, geom_finite, geom_inf
 TAME_PRIME_LIMIT = 100_000
 
 
-class MassInvariantError(RuntimeError):
-    """An internal exact identity failed; the report would be wrong."""
-
-
-@dataclass(frozen=True)
-class LevelCount:
+class LevelCount(namedtuple("LevelCount", "level vbar lines extensions conjugacy_classes")):
     """Extensions and conjugacy classes at one filtration level.
 
     ``vbar`` is the valuation class of the characters whose eigen-blocks sit
@@ -78,26 +73,19 @@ class LevelCount:
     p*e, and the valuation fixed by the level's congruence in between.
     """
 
-    level: int
-    vbar: int
-    lines: int
-    extensions: int
-    conjugacy_classes: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MassReport:
+class MassReport(namedtuple("MassReport", "field per_vbar tres_extra total")):
     """Per-valuation contributions and the asserted total mass.
 
-    ``per_vbar[w]`` is the ramified below-top contribution of one character
-    of valuation ``w``; ``tres_extra`` is the top-level mass (nonzero only in
-    mixed characteristic), attributed to the trivial character.
+    ``per_vbar[w]`` is the ramified below-top contribution, a ``Fraction``,
+    of one character of valuation ``w``; ``tres_extra`` is the top-level mass
+    (nonzero only in mixed characteristic), attributed to the trivial
+    character, and ``total`` the ramified total over the ``field``.
     """
 
-    field: LocalField
-    per_vbar: dict[int, Fraction]
-    tres_extra: Fraction
-    total: Fraction
+    __slots__ = ()
 
     @property
     def grand_total(self) -> Fraction:
@@ -120,18 +108,19 @@ class MassReport:
         }
 
 
-@dataclass(frozen=True)
-class TameReport:
-    """Mass data for degree-p' extensions, p' prime to the residue characteristic."""
+class TameReport(
+    namedtuple(
+        "TameReport",
+        "pprime p q deg_kprime omega_trivial ramified_count conjugacy_classes mass",
+    )
+):
+    """Mass data for degree-p' extensions, p' prime to the residue characteristic.
 
-    pprime: int
-    p: int
-    q: int
-    deg_kprime: int
-    omega_trivial: bool
-    ramified_count: int
-    conjugacy_classes: int
-    mass: Fraction
+    ``mass`` is a ``Fraction`` and ``omega_trivial`` a bool; the other
+    fields are integers.
+    """
+
+    __slots__ = ()
 
     @property
     def grand_total(self) -> Fraction:
@@ -343,7 +332,7 @@ def contribution_checksum(p: int, q: int) -> tuple[Fraction, Fraction]:
     they differ (they never should).
     """
     if p < 3 or not is_prime(p):
-        raise ValueError("defined for primes p >= 3")
+        raise ValueError(f"checksum at p = {p}: defined for primes p >= 3, pass an odd prime")
     _require_power(q, p)
     m = p - 1
     # lhs = sum over a < p-1 of [(q**((p-2)a) - 1)(q**(m*m) - 1) + (q**((p-2)m) - 1)] / q**(m*a),
@@ -395,7 +384,11 @@ def _xi_filter_mass(field: LocalField, keep) -> Fraction:
     """Mass of the characters chi whose class xi = omega*chi^-1 passes ``keep``."""
     om = field.omega
     if om is None:
-        raise ValueError("omega class required")
+        raise ValueError(
+            f"omega class required for p={field.p} f={field.f} e={field.e}: pass the cyclotomic"
+            " coordinates as LocalField(..., omega=(a, b)), or --omega-a and --omega-b"
+            " on the command line"
+        )
     m = field.p - 1
     kept = [
         chi
@@ -477,7 +470,11 @@ def tame_mass(pprime: int, p: int, q: int) -> TameReport:
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if pprime == p:
-        raise ValueError("use the wild-case operations")
+        raise ValueError(
+            f"p' = {pprime} is the residue characteristic p = {p}: use the wild-case"
+            f" operations (total_mass, or the mass command) for degree {p},"
+            f" or pass a prime p' != {p}"
+        )
     _require_power(q, p)
     deg = next(d for d in range(1, pprime) if pow(q, d, pprime) == 1)  # order of q mod p'
     trivial = (q - 1) % pprime == 0

@@ -24,12 +24,17 @@ residue-unit generator class), and a distinguished marker for the trivial
 character and for the mod-p cyclotomic character.  The cyclotomic class is a
 fact about the field, so :class:`LocalField` carries its coordinates, and
 whether it is the trivial class is :func:`omega_is_trivial` of the field.
+
+The two errors that mean an internal check failed, :class:`MassInvariantError`
+and :class:`MassOracleError`, are defined here, beside the types every
+command loads, so that catching them loads neither of the modules that raise
+them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: Absolute ramification index of an equal-characteristic field.
 INFINITE_E = math.inf
@@ -38,6 +43,14 @@ INFINITE_E = math.inf
 GENERIC = "none"
 TRIVIAL = "trivial"
 OMEGA = "omega"
+
+
+class MassInvariantError(RuntimeError):
+    """An internal exact identity failed; the report would be wrong."""
+
+
+class MassOracleError(RuntimeError):
+    """Enumeration produced an impossible grouping; indicates a bug."""
 
 
 #: Miller-Rabin with the prime bases 2..41 is exact below this bound
@@ -74,8 +87,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LocalField:
+class LocalField(namedtuple("LocalField", "p f e omega")):
     """Parameters (p, f, e) of a local field with residue cardinality q = p^f.
 
     ``e`` is a finite integer for mixed characteristic and ``math.inf`` for
@@ -91,31 +103,26 @@ class LocalField:
     (0, 0)) does and Q_3(sqrt(3)) does not.
     """
 
-    p: int
-    f: int
-    e: int | float
-    omega: tuple[int, int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if not isinstance(self.f, int) or self.f < 1:
-            raise ValueError(f"residue degree f = {self.f!r} must be an integer >= 1")
-        if self.e != INFINITE_E and (not isinstance(self.e, int) or self.e < 1):
-            raise ValueError(
-                f"ramification index e = {self.e!r} must be an integer >= 1 or infinite"
-            )
-        forced = self.equal_char or self.p == 2
-        if self.omega is None:
-            omega = (0, 0) if forced else None
-        else:
-            m = self.p - 1
-            omega = (self.omega[0] % m, self.omega[1] % m)
-            if forced and omega != (0, 0):
-                raise ValueError("cyclotomic character is trivial for this field")
-            if omega[0] != cyclotomic_valuation(self):
-                raise ValueError("cyclotomic coordinates must have valuation e mod p-1")
-        object.__setattr__(self, "omega", omega)
+    def __new__(cls, p: int, f: int, e: int | float, omega: tuple[int, int] | None = None):
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if not isinstance(f, int) or f < 1:
+            raise ValueError(f"residue degree f = {f!r} must be an integer >= 1")
+        if e != INFINITE_E and (not isinstance(e, int) or e < 1):
+            raise ValueError(f"ramification index e = {e!r} must be an integer >= 1 or infinite")
+        self = super().__new__(cls, p, f, e, None)
+        forced = self.equal_char or p == 2
+        if omega is None:
+            return super().__new__(cls, p, f, e, (0, 0)) if forced else self
+        m = p - 1
+        omega = (omega[0] % m, omega[1] % m)
+        if forced and omega != (0, 0):
+            raise ValueError("cyclotomic character is trivial for this field")
+        if omega[0] != cyclotomic_valuation(self):
+            raise ValueError("cyclotomic coordinates must have valuation e mod p-1")
+        return super().__new__(cls, p, f, e, omega)
 
     @property
     def q(self) -> int:
@@ -135,26 +142,26 @@ class LocalField:
         }
 
 
-@dataclass(frozen=True)
-class CharClass:
+class CharClass(namedtuple("CharClass", "valuation distinguished coords")):
     """A character class: valuation mod p-1, optional coordinates, marker.
 
     ``coords = (a, b)`` are exponents in the basis (uniformizer class,
     residue-unit generator class), so ``a`` is the valuation.
     """
 
-    valuation: int
-    distinguished: str = GENERIC
-    coords: tuple[int, int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.distinguished not in (GENERIC, TRIVIAL, OMEGA):
-            raise ValueError(f"unknown marker {self.distinguished!r}")
-        if self.distinguished == TRIVIAL:
-            if self.valuation != 0 or self.coords not in (None, (0, 0)):
+    def __new__(
+        cls, valuation: int, distinguished: str = GENERIC, coords: tuple[int, int] | None = None
+    ):
+        if distinguished not in (GENERIC, TRIVIAL, OMEGA):
+            raise ValueError(f"unknown marker {distinguished!r}")
+        if distinguished == TRIVIAL:
+            if valuation != 0 or coords not in (None, (0, 0)):
                 raise ValueError("trivial character must have valuation 0 and coords (0, 0)")
-        if self.coords is not None and self.coords[0] != self.valuation:
+        if coords is not None and coords[0] != valuation:
             raise ValueError("first coordinate must equal the valuation")
+        return super().__new__(cls, valuation, distinguished, coords)
 
 
 def trivial_char() -> CharClass:
@@ -313,23 +320,21 @@ def char_classes(field: LocalField) -> list[CharClass]:
     return classes
 
 
-@dataclass(frozen=True)
-class EigenBlock:
-    """One eigen-block of the filtered module: where, whose, and how big."""
+class EigenBlock(namedtuple("EigenBlock", "level valuation dim distinguished")):
+    """One eigen-block of the filtered module: where, whose, and how big.
 
-    level: int
-    valuation: int
-    dim: int
-    distinguished: str  # "omega" | "trivial" | "none"
+    ``distinguished`` is the block character's marker: "omega", "trivial"
+    or "none".
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FilteredLayout:
-    """Explicit eigen-block decomposition of the filtered module."""
+class FilteredLayout(namedtuple("FilteredLayout", "field max_level blocks")):
+    """Explicit eigen-block decomposition of the filtered module: the
+    ``blocks`` (a tuple of :class:`EigenBlock`) at levels <= ``max_level``."""
 
-    field: LocalField
-    max_level: int
-    blocks: tuple[EigenBlock, ...]
+    __slots__ = ()
 
     @property
     def total_dim(self) -> int:
@@ -403,8 +408,7 @@ def layout(field: LocalField, max_level: int | None = None) -> FilteredLayout:
     return FilteredLayout(field, bound, blocks)
 
 
-@dataclass(frozen=True)
-class BreakData:
+class BreakData(namedtuple("BreakData", "b t r")):
     """Ramification data of a degree-p extension read off its Galois closure.
 
     ``b`` is the unique ramification break of the wild subgroup, ``t`` the
@@ -412,15 +416,14 @@ class BreakData:
     tame subextension.  The break is always prime to the tame order.
     """
 
-    b: int
-    t: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.b < 1 or self.t < 1 or self.r < 1:
+    def __new__(cls, b: int, t: int, r: int):
+        if b < 1 or t < 1 or r < 1:
             raise ValueError("break data must be positive")
-        if math.gcd(self.b, self.t) != 1:
+        if math.gcd(b, t) != 1:
             raise ValueError("break must be prime to the tame inertia order")
+        return super().__new__(cls, b, t, r)
 
 
 def discriminant_valuation(p: int, bd: BreakData) -> int:

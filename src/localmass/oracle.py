@@ -20,13 +20,13 @@ two-path check, not a tautology.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .model import (
     CharClass,
     LocalField,
+    MassOracleError,
     char_is_omega,
     char_is_trivial,
     cyclotomic_valuation,
@@ -38,14 +38,10 @@ from .rationals import rat_pow
 DIM_LIMIT = 12
 
 
-class MassOracleError(RuntimeError):
-    """Enumeration produced an impossible grouping; indicates a bug."""
+class OracleBlock(namedtuple("OracleBlock", "level dim")):
+    """One eigen-space block as the congruence scan finds it."""
 
-
-@dataclass(frozen=True)
-class OracleBlock:
-    level: int
-    dim: int
+    __slots__ = ()
 
 
 def eigenspace_blocks(field: LocalField, chi: CharClass, max_level: int):

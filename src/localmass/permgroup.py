@@ -25,7 +25,7 @@ for p = 7 are labelled with that scope.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 
 from .model import is_prime
@@ -156,21 +156,21 @@ def _is_p_cycle(g: Perm) -> bool:
     return size == len(g)
 
 
-@dataclass(frozen=True)
-class SubgroupRecord:
+class SubgroupRecord(
+    namedtuple(
+        "SubgroupRecord",
+        "elements order transitive solvable sylow_p_count index_p_subgroup_count",
+    )
+):
     """A subgroup of the degree-p symmetric group with its derived flags.
 
+    ``elements`` is the sorted tuple of its permutations.
     ``index_p_subgroup_count`` is None when the group is too large for the
     exhaustive index-p search (only the 168-element group and the alternating
     and symmetric groups at p = 7 in practice).
     """
 
-    elements: tuple[Perm, ...]
-    order: int
-    transitive: bool
-    solvable: bool
-    sylow_p_count: int
-    index_p_subgroup_count: int | None
+    __slots__ = ()
 
     def element_set(self) -> frozenset[Perm]:
         return frozenset(self.elements)
@@ -340,7 +340,7 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
         for group in _overgroups([sigma]):
             rec = record_from_elements(group)
             for conj in _conjugates(group):
-                records.setdefault(conj, replace(rec, elements=tuple(sorted(conj))))
+                records.setdefault(conj, rec._replace(elements=tuple(sorted(conj))))
         return tuple(sorted(records.values(), key=lambda r: r.elements)), "full"
     # p == 7: the chain between the cycle group and its normalizer, plus the
     # known non-solvable transitive families.

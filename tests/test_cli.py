@@ -45,6 +45,11 @@ def test_mass_filter(capsys):
     assert json.loads(out)["contribution"] == "51/20"
 
 
+def test_mass_empty_filter_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "mass", "--p", "3", "--e", "1", "--filter", "")
+    assert (code, out, err) == (1, "", "error: unknown filter ''\n")
+
+
 def test_mass_filter_requires_omega_in_mixed_char(capsys):
     code, _, err = run_cli(
         capsys, "mass", "--p", "3", "--f", "1", "--e", "1", "--filter", "group-order=2"
@@ -215,6 +220,9 @@ def test_checksum(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["equal"] is True and obj["lhs"] == "80/3"
+    code, out, err = run_cli(capsys, "checksum", "--p", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: checksum at p = 2: defined for primes p >= 3, pass an odd prime\n"
 
 
 def test_oracle_check(capsys):
@@ -272,8 +280,8 @@ def test_oracle_check_mixed_char_bounds_around_the_top_level(capsys):
 
 
 def test_oracle_mismatch_names_its_inputs(capsys, monkeypatch):
-    real = cli.oracle_mass
-    monkeypatch.setattr(cli, "oracle_mass", lambda *args: real(*args) + Fraction(1, 3))
+    real = cli.oracle.oracle_mass
+    monkeypatch.setattr(cli.oracle, "oracle_mass", lambda *args: real(*args) + Fraction(1, 3))
     code, out, err = run_cli(capsys, "oracle-check", "--p", "3", "--e", "1", "--max-level", "2")
     assert code == 2 and out == ""
     assert "internal identity failure" in err
@@ -364,7 +372,7 @@ def test_internal_identity_failure_exits_2(capsys, monkeypatch):
     def broken(p, q):
         raise MassInvariantError("synthetic")
 
-    monkeypatch.setattr(cli, "contribution_checksum", broken)
+    monkeypatch.setattr(cli.mass, "contribution_checksum", broken)
     code, _, err = run_cli(capsys, "checksum", "--p", "3", "--f", "1")
     assert code == 2
     assert "internal identity failure" in err

@@ -2,7 +2,6 @@
 hand-rolled json of the long tables, one renderer per query, and nothing at
 all when a query fails."""
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -93,7 +92,7 @@ def _old_structure_json(field, max_level):
 
 def _old_count_json(field, max_level, vbar):
     levels = {
-        str(rec.level): dataclasses.asdict(rec)
+        str(rec.level): rec._asdict()
         for rec in count_table(field, max_level).values()
         if vbar is None or rec.vbar == vbar % max(field.p - 1, 1)
     }
@@ -155,7 +154,7 @@ def test_only_the_requested_renderer_runs(capsys, monkeypatch, fmt):
 
     for name in set().union(*RENDERERS.values()):
         monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
-    monkeypatch.setattr(cli.json, "dumps", spy("json.dumps", json.dumps))
+    monkeypatch.setattr(json, "dumps", spy("json.dumps", json.dumps))
     for argv in QUERIES:
         calls.clear()
         code, out, _ = run_cli(capsys, *argv, "--format", fmt)

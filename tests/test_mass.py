@@ -298,6 +298,36 @@ def test_tame_mass_branches():
         tame_mass(2, 3, 10)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: group_order_contribution(LocalField(3, 1, 2), 2),
+            "omega class required for p=3 f=1 e=2: pass the cyclotomic coordinates as"
+            " LocalField(..., omega=(a, b)), or --omega-a and --omega-b on the command line",
+        ),
+        (
+            lambda: tame_mass(3, 3, 9),
+            "p' = 3 is the residue characteristic p = 3: use the wild-case operations"
+            " (total_mass, or the mass command) for degree 3, or pass a prime p' != 3",
+        ),
+        (
+            lambda: contribution_checksum(2, 2),
+            "checksum at p = 2: defined for primes p >= 3, pass an odd prime",
+        ),
+        (
+            lambda: contribution_checksum(9, 9),
+            "checksum at p = 9: defined for primes p >= 3, pass an odd prime",
+        ),
+    ],
+    ids=["omega", "tame", "checksum-2", "checksum-9"],
+)
+def test_refusals_name_their_inputs(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_mass_report_serialization():
     obj = total_mass(F3_SERIES).to_json_obj()
     assert obj["per_vbar"] == {"0": "9/20", "1": "21/20"}
