@@ -18,7 +18,8 @@ success, 1 on invalid parameters, and 2 if an internal exact identity fails
 
 A query loads only what its subcommand runs.  ``structure`` needs the level
 walk of :mod:`localmass.model` alone; ``mass``, ``count``, ``tame`` and
-``checksum`` also load :mod:`localmass.mass`, ``oracle-check`` loads it and
+``checksum`` also load :mod:`localmass.mass` and :mod:`localmass.rationals`
+(and with it :mod:`fractions`), ``oracle-check`` loads those and
 :mod:`localmass.oracle`, and ``galois-verify`` loads only
 :mod:`localmass.permgroup`.  :mod:`json` is imported by the json renderers.
 """
@@ -42,7 +43,6 @@ from .model import (
     level_walk,
     truncation_bound,
 )
-from .rationals import describe_rational, format_rational
 
 
 def _import_on_first_use(name: str):
@@ -66,6 +66,8 @@ def _import_on_first_use(name: str):
     return module
 
 
+#: Formatting of rationals (it loads fractions), for all but structure and galois-verify.
+rationals = _import_on_first_use(f"{__package__}.rationals")
 #: The mass kernel, for every subcommand but structure and galois-verify.
 mass = _import_on_first_use(f"{__package__}.mass")
 #: The line oracle, for oracle-check only.
@@ -231,7 +233,7 @@ def _cmd_structure(args):
 def _cmd_mass(args):
     field = _field(args)
     if args.filter is not None:
-        value = format_rational(mass.galois_closure_contribution(field, args.filter))
+        value = rationals.format_rational(mass.galois_closure_contribution(field, args.filter))
         if args.format == "json":
             return _json({"field": field.to_json_obj(), "filter": args.filter, "contribution": value})
         if args.format == "tsv":
@@ -249,7 +251,7 @@ def _cmd_mass(args):
     for chi in enumerate_characters(field):
         key = (chi.valuation % m, char_is_trivial(field, chi))
         if key not in decimal:
-            decimal[key] = format_rational(report.contribution(chi))
+            decimal[key] = rationals.format_rational(report.contribution(chi))
         rows.append((*chi.coords, chi.valuation, chi.distinguished, decimal[key]))
     header = ("a", "b", "vbar", "distinguished", "contribution")
     if args.format == "json":
@@ -286,7 +288,7 @@ def _cmd_count(args):
 
 def _cmd_tame(args):
     report = mass.tame_mass(args.pprime, args.p, LocalField(args.p, args.f, INFINITE_E).q)
-    value = format_rational(report.mass)
+    value = rationals.format_rational(report.mass)
     if args.format == "json":
         return _json(report.to_json_obj())
     if args.format == "tsv":
@@ -347,11 +349,12 @@ def _cmd_oracle_check(args):
         reference = mass.char_contribution_truncated(field, chi, bound)
         if brute != reference:
             raise MassOracleError(
-                f"oracle {describe_rational(brute)} != {kind} formula"
-                f" {describe_rational(reference)} for vbar {chi.valuation} ({chi.distinguished})"
+                f"oracle {rationals.describe_rational(brute)} != {kind} formula"
+                f" {rationals.describe_rational(reference)}"
+                f" for vbar {chi.valuation} ({chi.distinguished})"
                 f" over {_describe(field)}, levels <= {bound}"
             )
-        rows.append((chi.valuation, chi.distinguished, format_rational(brute), kind, True))
+        rows.append((chi.valuation, chi.distinguished, rationals.format_rational(brute), kind, True))
     header = ("vbar", "distinguished", "mass", "reference", "exact_match")
     if args.format == "json":
         classes = [dict(zip(header, row)) for row in rows]
@@ -368,7 +371,7 @@ def _cmd_checksum(args):
     q = LocalField(args.p, args.f, INFINITE_E).q
     lhs, rhs = mass.contribution_checksum(args.p, q)
     # The checksum has returned, so the sides are equal: one decimal string.
-    side = format_rational(lhs)
+    side = rationals.format_rational(lhs)
     if args.format == "json":
         return _json({"p": args.p, "q": q, "lhs": side, "rhs": side, "equal": True})
     if args.format == "tsv":

@@ -13,13 +13,13 @@ every claim at a scale where exhaustive computation settles it:
   generate the whole group.
 
 Every group here is grown by one step, ``extend``: Dimino's coset extension
-of a known group by one permutation.  For p <= 5 the transitive family is
-enumerated exhaustively: every subgroup containing the p-cycle is found by
-extending the cycle group one permutation at a time, and the rest are its
-conjugates.  For p = 7 a seeded family is used instead: the chain between
-the p-cycle group and its normalizer, the full symmetric and alternating
-groups, and the simple group of order 168 in its degree-7 action; results
-for p = 7 are labelled with that scope.
+of a known group by one permutation, and every subgroup is found by one
+exhaustive search, ``_subgroups``.  It gives each group's index-p subgroups
+and, for p <= 5, the transitive family: the subgroups of the symmetric group
+containing the p-cycle, and their conjugates.  For p = 7 a seeded family is
+used instead: the chain between the p-cycle group and its normalizer, the
+full symmetric and alternating groups, and the simple group of order 168 in
+its degree-7 action; results for p = 7 are labelled with that scope.
 """
 
 from __future__ import annotations
@@ -165,9 +165,10 @@ class SubgroupRecord(
     """A subgroup of the degree-p symmetric group with its derived flags.
 
     ``elements`` is the sorted tuple of its permutations.
-    ``index_p_subgroup_count`` is None when the group is too large for the
-    exhaustive index-p search (only the 168-element group and the alternating
-    and symmetric groups at p = 7 in practice).
+    ``index_p_subgroup_count`` comes from the exhaustive search
+    ``subgroups_of_order``; it is None for a group of more than
+    ``INDEX_SEARCH_LIMIT`` elements (only the 168-element group and the
+    alternating and symmetric groups at p = 7 in practice).
     """
 
     __slots__ = ()
@@ -185,31 +186,45 @@ class SubgroupRecord(
         }
 
 
+def _subgroups(
+    ambient: list[Perm], gens: list[Perm], order: int
+) -> dict[frozenset[Perm], list[Perm]]:
+    """Every subgroup of ``ambient`` (its sorted elements) containing ``<gens>``
+    whose order divides ``order``, with generators.
+
+    Starting at ``<gens>``, each group G found is extended by one element of
+    each double coset GbG in ``ambient`` but G until nothing new appears; an
+    extension is stopped once past ``order`` elements, and kept only if its
+    order divides ``order``.  A subgroup H is reached by adding the elements
+    of H one at a time, each group on the way a subgroup of H, so the search
+    is exhaustive without any bound on the number of generators H needs.
+    """
+    start = closure(gens, _degree(ambient))
+    found = {start: list(gens)}
+    todo = [start]
+    while todo:
+        group = todo.pop()
+        group_gens = found[group]
+        tried = set(group)
+        for b in ambient:
+            if b in tried:
+                continue
+            tried.update(pmul(pmul(g, b), h) for g in group for h in group)  # <G, gbh> = <G, b>
+            bigger = extend(group, group_gens, b, limit=order)
+            if order % len(bigger) == 0 and bigger not in found:
+                found[bigger] = group_gens + [b]
+                todo.append(bigger)
+    return found
+
+
 @lru_cache(maxsize=None)
 def subgroups_of_order(elems: frozenset[Perm], order: int) -> frozenset[frozenset[Perm]]:
-    """All subgroups of the given order, by closure over generator pairs.
+    """All subgroups of the given order, by the exhaustive search ``_subgroups``.
 
-    Complete for the orders arising here: every subgroup of the ambient
-    groups involved (order <= INDEX_SEARCH_LIMIT) is 2-generated.  Only
-    elements whose order divides ``order`` are paired, a pair inside a
-    subgroup already found is skipped, and each pair's group, the first
-    one's cyclic group extended by the second, stops once it exceeds
-    ``order``.  Memoized per (group, order): a group's record and
+    Memoized per (group, order): a group's record and
     ``verify_index_p_subgroups`` ask for the same search.
     """
-    cyclic = {g: closure([g], len(g), limit=order) for g in sorted(elems)}
-    listed = [g for g, group in cyclic.items() if order % len(group) == 0]
-    found = []
-    for i, a in enumerate(listed):
-        holding_a = [sub for sub in found if a in sub]
-        for b in listed[i:]:
-            if any(b in sub for sub in holding_a):
-                continue
-            sub = extend(cyclic[a], [a], b, limit=order)
-            if len(sub) == order:
-                found.append(sub)
-                holding_a.append(sub)
-    return frozenset(found)
+    return frozenset(sub for sub in _subgroups(sorted(elems), [], order) if len(sub) == order)
 
 
 def is_transitive(elems: frozenset[Perm]) -> bool:
@@ -285,33 +300,6 @@ def normalizer_of_cycle(p: int) -> list[Perm]:
     return out
 
 
-def _overgroups(gens: list[Perm]) -> dict[frozenset[Perm], list[Perm]]:
-    """Every subgroup of the symmetric group containing ``<gens>``, with generators.
-
-    Starting at ``<gens>``, each group found is extended by every permutation
-    outside it until nothing new appears.  A subgroup H containing ``<gens>``
-    is reached by adding the elements of H one at a time, so the search is
-    exhaustive without any bound on the number of generators H needs.
-    """
-    degree = _degree(gens)
-    start = closure(gens, degree)
-    found = {start: list(gens)}
-    todo = [start]
-    while todo:
-        group = todo.pop()
-        group_gens = found[group]
-        tried = set(group)
-        for b in itertools.permutations(range(degree)):
-            if b in tried:
-                continue
-            tried.update(pmul(g, b) for g in group)  # <G, gb> = <G, b>
-            bigger = extend(group, group_gens, b)
-            if bigger not in found:
-                found[bigger] = group_gens + [b]
-                todo.append(bigger)
-    return found
-
-
 def _conjugates(elems: frozenset[Perm]) -> set[frozenset[Perm]]:
     """The distinct conjugates of a subgroup under the symmetric group."""
     conjugates = set()
@@ -337,7 +325,8 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
     sigma = pcycle(p)
     if p <= 5:
         records = {}
-        for group in _overgroups([sigma]):
+        s_p = list(itertools.permutations(range(p)))  # in sorted order
+        for group in _subgroups(s_p, [sigma], len(s_p)):
             rec = record_from_elements(group)
             for conj in _conjugates(group):
                 records.setdefault(conj, rec._replace(elements=tuple(sorted(conj))))

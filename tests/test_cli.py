@@ -403,7 +403,7 @@ def test_mass_formats_each_distinct_contribution_once(capsys, monkeypatch, fmt):
         calls.append(x)
         return format_rational(x)
 
-    monkeypatch.setattr(cli, "format_rational", counting)
+    monkeypatch.setattr(cli.rationals, "format_rational", counting)
     code, _, _ = run_cli(capsys, *P31_F2, "--format", fmt)
     assert code == 0
     assert len(calls) <= 31 + 1

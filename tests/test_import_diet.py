@@ -23,13 +23,14 @@ def run_fresh(code: str) -> None:
 
 
 def test_cli_import_skips_dataclasses_inspect_and_json():
+    # Nor fractions: galois-verify prints no rational.
     run_fresh("""
         import sys
         import localmass.cli as cli
-        loaded = {"dataclasses", "inspect", "json"} & set(sys.modules)
+        loaded = {"dataclasses", "inspect", "json", "fractions"} & set(sys.modules)
         assert not loaded, loaded
         assert cli.main(["galois-verify", "--p", "3", "--format", "tsv"]) == 0
-        loaded = {"dataclasses", "inspect", "json"} & set(sys.modules)
+        loaded = {"dataclasses", "inspect", "json", "fractions"} & set(sys.modules)
         assert not loaded, loaded
     """)
 
@@ -40,14 +41,15 @@ def test_cli_registers_the_kernels_without_running_them():
     run_fresh("""
         import sys, types
         import localmass.cli as cli
-        deferred = ["localmass.mass", "localmass.oracle", "localmass.permgroup"]
+        deferred = ["localmass.rationals", "localmass.mass", "localmass.oracle",
+                    "localmass.permgroup"]
         def executed():
             return [n for n in deferred if type(sys.modules[n]) is types.ModuleType]
         assert all(n in sys.modules for n in deferred)
         assert not executed(), executed()
         assert cli.main(["structure", "--p", "3", "--e", "2", "--format", "tsv"]) == 0
         assert not executed(), executed()
-        assert {"dataclasses", "inspect", "json"}.isdisjoint(sys.modules)
+        assert {"dataclasses", "inspect", "json", "fractions"}.isdisjoint(sys.modules)
     """)
 
 

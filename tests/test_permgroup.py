@@ -196,6 +196,14 @@ def test_subgroups_of_order_equal_the_pair_closures_of_that_order(group, n, orde
     assert subgroups_of_order(group, order) == expected
 
 
+def test_subgroups_of_order_needs_no_two_element_generating_set():
+    # <(0 1), (2 3), (4 5)> is elementary abelian of order 8: no pair of its
+    # elements generates it, and it has 7 subgroups of order 4.
+    group = closure([(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)], 6)
+    assert subgroups_of_order(group, 8) == {group}
+    assert len(subgroups_of_order(group, 4)) == 7
+
+
 def _gens(group, n):
     return small_generating_set(group) or [tuple(range(n))]
 
