@@ -5,7 +5,9 @@ every claim at a scale where exhaustive computation settles it:
 
 * the normalizer of an order-p subgroup of the symmetric group has order
   p(p-1), its quotient by that subgroup is cyclic via the conjugation
-  action, and an affine complement realizes the splitting;
+  action, and an affine complement realizes the splitting: one scan of the
+  symmetric group, ``normalizer_of_cycle``, gives the normalizer, its
+  conjugation character and, as the stabilizer of 0, the complement;
 * Galois's solvability criterion: a transitive subgroup of the degree-p
   symmetric group is solvable iff it contains a unique Sylow p-subgroup;
 * a solvable transitive subgroup other than the p-cycle group has exactly p
@@ -16,7 +18,8 @@ Every group here is grown by one step, ``extend``: Dimino's coset extension
 of a known group by one permutation, and every subgroup is found by one
 exhaustive search, ``_subgroups``.  It gives each group's index-p subgroups
 and, for p <= 5, the transitive family: the subgroups of the symmetric group
-containing the p-cycle, and their conjugates.  For p = 7 a seeded family is
+containing the p-cycle, and their conjugates.  A group's record is built
+from the generators that found it.  For p = 7 a seeded family is
 used instead: the chain between the p-cycle group and its normalizer, the
 full symmetric and alternating groups, and the simple group of order 168 in
 its degree-7 action; results for p = 7 are labelled with that scope.
@@ -60,9 +63,9 @@ def pcycle(n: int) -> Perm:
     return tuple((x + 1) % n for x in range(n))
 
 
-def affine_perm(p: int, mult: int, shift: int = 0) -> Perm:
-    """x -> mult*x + shift mod p."""
-    return tuple((mult * x + shift) % p for x in range(p))
+def affine_perm(p: int, mult: int) -> Perm:
+    """x -> mult*x mod p."""
+    return tuple(mult * x % p for x in range(p))
 
 
 def extend(
@@ -89,29 +92,19 @@ def extend(
     return frozenset(elems)
 
 
-def _grow(gens, degree: int, limit: int | None = None) -> tuple[frozenset[Perm], list[Perm]]:
-    """``extend`` by each of ``gens`` not yet in the group: the group and those used."""
+def closure(gens, degree: int) -> frozenset[Perm]:
+    """Subgroup generated by ``gens``: ``extend`` by each one not yet in it."""
     group = frozenset([pidentity(degree)])
     used: list[Perm] = []
     for g in map(tuple, gens):
         if g not in group:
-            group = extend(group, used, g, limit)
+            group = extend(group, used, g)
             used.append(g)
-    return group, used
-
-
-def closure(gens, degree: int, limit: int | None = None) -> frozenset[Perm]:
-    """Subgroup generated by ``gens``; ``limit`` is as for ``extend``."""
-    return _grow(gens, degree, limit)[0]
+    return group
 
 
 def _degree(perms) -> int:
     return len(next(iter(perms)))
-
-
-def small_generating_set(elems: frozenset[Perm]) -> list[Perm]:
-    """Greedy small generating set for a known subgroup, in sorted order."""
-    return _grow(sorted(elems), _degree(elems))[1]
 
 
 def _commutator(a: Perm, b: Perm) -> Perm:
@@ -232,7 +225,8 @@ def is_transitive(elems: frozenset[Perm]) -> bool:
     return {g[0] for g in elems} == set(range(_degree(elems)))
 
 
-def record_from_elements(elems: frozenset[Perm]) -> SubgroupRecord:
+def _record(elems: frozenset[Perm], gens: list[Perm]) -> SubgroupRecord:
+    """The record of ``elems = <gens>`` (``gens`` nonempty)."""
     degree = _degree(elems)
     order = len(elems)
     n_order_p = sum(map(_is_p_cycle, elems))
@@ -247,21 +241,24 @@ def record_from_elements(elems: frozenset[Perm]) -> SubgroupRecord:
         elements=tuple(sorted(elems)),
         order=order,
         transitive=is_transitive(elems),
-        solvable=is_solvable(small_generating_set(elems)),
+        solvable=is_solvable(gens),
         sylow_p_count=sylow,
         index_p_subgroup_count=idx_count,
     )
 
 
-def subgroup_closure(gens, degree: int | None = None) -> SubgroupRecord:
-    """Generated subgroup with all derived flags."""
+def subgroup_closure(gens) -> SubgroupRecord:
+    """Generated subgroup with all derived flags; the trivial group of degree
+    n is ``[pidentity(n)]``."""
     gens = [tuple(g) for g in gens]
-    if degree is None:
-        if not gens:
-            raise ValueError("degree required for an empty generating set")
-        degree = len(gens[0])
+    if not gens:
+        raise ValueError("empty generating set: the trivial group of degree n is [pidentity(n)]")
+    degree = len(gens[0])
     _require_scale(degree)
-    return record_from_elements(closure(gens, degree))
+    for g in gens:
+        if sorted(g) != list(range(degree)):
+            raise ValueError(f"generator {g} is not a permutation of range({degree})")
+    return _record(closure(gens, degree), gens)
 
 
 def _require_scale(n: int) -> None:
@@ -275,28 +272,16 @@ def _require_degree(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-def primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group mod p."""
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        acc, order = g, 1
-        while acc != 1:
-            acc = acc * g % p
-            order += 1
-        if order == p - 1:
-            return g
-    raise ValueError(f"{p} is not prime")
-
-
-def normalizer_of_cycle(p: int) -> list[Perm]:
-    """Normalizer in the symmetric group of the subgroup generated by the p-cycle."""
+def normalizer_of_cycle(p: int) -> dict[Perm, int]:
+    """Normalizer in the symmetric group of ``<σ>``, σ the p-cycle, with its
+    conjugation character: ``{g: a}`` with ``g σ g⁻¹ = σ^a``, in one pass."""
     sigma = pcycle(p)
-    cycle_group = closure([sigma], p)
-    out = []
+    power_of = {tuple((x + a) % p for x in range(p)): a for a in range(1, p)}  # σ^a: x -> x + a
+    out = {}
     for g in itertools.permutations(range(p)):
-        if pmul(pmul(g, sigma), pinv(g)) in cycle_group:
-            out.append(g)
+        a = power_of.get(pmul(pmul(g, sigma), pinv(g)))
+        if a is not None:
+            out[g] = a
     return out
 
 
@@ -326,25 +311,24 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
     if p <= 5:
         records = {}
         s_p = list(itertools.permutations(range(p)))  # in sorted order
-        for group in _subgroups(s_p, [sigma], len(s_p)):
-            rec = record_from_elements(group)
+        for group, gens in _subgroups(s_p, [sigma], len(s_p)).items():
+            rec = _record(group, gens)
             for conj in _conjugates(group):
                 records.setdefault(conj, rec._replace(elements=tuple(sorted(conj))))
         return tuple(sorted(records.values(), key=lambda r: r.elements)), "full"
     # p == 7: the chain between the cycle group and its normalizer, plus the
-    # known non-solvable transitive families.
-    tau = affine_perm(p, primitive_root(p))
+    # known non-solvable transitive families.  3 generates the units mod 7.
     seeds = [
         [sigma],
-        [sigma, pmul(pmul(tau, tau), tau)],  # order-2 tame part
-        [sigma, pmul(tau, tau)],  # order-3 tame part
-        [sigma, tau],  # full normalizer
+        [sigma, affine_perm(p, 6)],  # order-2 tame part
+        [sigma, affine_perm(p, 2)],  # order-3 tame part
+        [sigma, affine_perm(p, 3)],  # full normalizer
         # (2 6)(4 5) keeps the Fano lines {i, i+1, i+3} mod 7, as sigma does: order 168
         [sigma, (0, 1, 6, 3, 5, 4, 2)],
         [sigma, (1, 2, 0) + tuple(range(3, p))],  # with a 3-cycle: alternating
         [sigma, (1, 0) + tuple(range(2, p))],  # with a transposition: symmetric
     ]
-    records = tuple(subgroup_closure(g, p) for g in seeds)
+    records = tuple(subgroup_closure(g) for g in seeds)
     orders = [r.order for r in records]
     if orders != [7, 14, 21, 42, 168, 2520, 5040]:
         raise RuntimeError(f"unexpected seeded family orders {orders}")
@@ -354,33 +338,24 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
 def verify_normalizer(p: int) -> dict:
     """Check the order and split cyclic quotient of the cycle normalizer."""
     _require_degree(p)
-    sigma = pcycle(p)
-    cycle_group = closure([sigma], p)
-    normalizer = normalizer_of_cycle(p)
-    if len(normalizer) != p * (p - 1):
-        raise AssertionError(f"normalizer order {len(normalizer)} != {p * (p - 1)}")
-    # Conjugation character: g sigma g^-1 = sigma^a defines g -> a.
-    power_of = {}
-    acc = sigma
-    for a in range(1, p):
-        power_of[acc] = a
-        acc = pmul(acc, sigma)
-    image = set()
-    kernel = 0
-    for g in normalizer:
-        a = power_of[pmul(pmul(g, sigma), pinv(g))]
-        image.add(a)
-        if a == 1:
-            kernel += 1
-    if image != set(range(1, p)) or kernel != p:
+    character = normalizer_of_cycle(p)
+    if len(character) != p * (p - 1):
+        raise AssertionError(f"normalizer order {len(character)} != {p * (p - 1)}")
+    kernel = {g for g, a in character.items() if a == 1}
+    if set(character.values()) != set(range(1, p)) or kernel != closure([pcycle(p)], p):
         raise AssertionError("conjugation character is not onto with kernel the cycle group")
-    tau = affine_perm(p, primitive_root(p))
-    complement = closure([tau], p)
-    if len(complement) != p - 1 or (complement & cycle_group) != {pidentity(p)}:
+    # The stabilizer of 0, the maps x -> a*x, splits the sequence if it is
+    # cyclic of order p - 1 and meets the kernel trivially.
+    complement = {g for g in character if g[0] == 0}
+    if (
+        len(complement) != p - 1
+        or complement & kernel != {pidentity(p)}
+        or not any(closure([g], p) == complement for g in complement)
+    ):
         raise AssertionError("affine complement does not split the sequence")
     return {
         "p": p,
-        "normalizer_order": len(normalizer),
+        "normalizer_order": len(character),
         "quotient_cyclic_order": p - 1,
         "complement_order": len(complement),
         "split": True,

@@ -80,6 +80,21 @@ def test_verify_stdout_matches_recorded_digests(capsys):
     assert not _wrong_digests(capsys, pool)
 
 
+@pytest.mark.parametrize(
+    "p,fmt,digest",
+    [
+        (5, "json", "288f1858cf67f428"),
+        (5, "text", "2c94b5606c779ba2"),
+        (7, "json", "0986479c38e88178"),
+        (7, "tsv", "ee17aeea6129aa43"),
+    ],
+)
+def test_galois_verify_outputs_no_workload_records(capsys, p, fmt, digest):
+    # digests.json holds the other eight p in {2, 3, 5, 7} x format outputs.
+    code, out, _ = run_cli(capsys, "galois-verify", "--p", p, "--format", fmt)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (0, digest)
+
+
 def _old_structure_json(field, max_level):
     lay = layout(field, max_level)
     blocks = [

@@ -1,8 +1,8 @@
 """Permutation verifications: normalizer, solvability criterion, index-p counts."""
 
 import itertools
-import math
 import random
+import re
 from functools import cache
 
 import pytest
@@ -14,12 +14,11 @@ from localmass.permgroup import (
     derived_subgroup,
     extend,
     is_solvable,
+    normalizer_of_cycle,
     pcycle,
     pidentity,
     pinv,
     pmul,
-    record_from_elements,
-    small_generating_set,
     subgroup_closure,
     subgroups_of_order,
     transitive_family,
@@ -63,12 +62,27 @@ def test_subgroup_closure_symmetric_5():
 
 
 def test_subgroup_closure_empty_and_guard():
-    rec = subgroup_closure([], degree=4)
+    rec = subgroup_closure([pidentity(4)])
     assert rec.order == 1 and not rec.transitive and rec.solvable
-    with pytest.raises(ValueError, match="degree required"):
+    with pytest.raises(ValueError, match="empty generating set"):
         subgroup_closure([])
     with pytest.raises(ValueError, match="scale exceeded"):
         subgroup_closure([pcycle(11)])
+
+
+@pytest.mark.parametrize(
+    "gens,bad", [([(0, 0, 1)], "(0, 0, 1)"), ([pcycle(5), (1, 0, 2)], "(1, 0, 2)")], ids=["repeat", "short"]
+)
+def test_subgroup_closure_rejects_what_is_not_a_permutation(gens, bad):
+    with pytest.raises(ValueError, match=f"generator {re.escape(bad)} is not a permutation"):
+        subgroup_closure(gens)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_normalizer_of_cycle_is_the_affine_group_with_its_multipliers(p):
+    # x -> a*x + b conjugates the p-cycle x -> x + 1 to x -> x + a.
+    affine = {tuple((a * x + b) % p for x in range(p)): a for a in range(1, p) for b in range(p)}
+    assert normalizer_of_cycle(p) == affine
 
 
 @pytest.mark.parametrize("p,order", [(2, 2), (3, 6), (5, 20), (7, 42)])
@@ -156,9 +170,10 @@ def _generated(gens, n):
 
 @cache
 def _pair_generated(elems, n):
-    """Every subgroup generated by a pair of elements of the group ``elems``."""
+    """Every subgroup generated by a pair of elements of the group ``elems``,
+    mapped to one such pair."""
     listed = sorted(elems)
-    return frozenset(_generated((a, b), n) for i, a in enumerate(listed) for b in listed[i:])
+    return {_generated((a, b), n): [a, b] for i, a in enumerate(listed) for b in listed[i:]}
 
 
 def _symmetric(n):
@@ -176,15 +191,13 @@ def _alternating(n):
 def test_transitive_family_is_every_transitive_pair_closure(p):
     # Every subgroup of S_p, p <= 5, is 2-generated, so the pair closures of
     # S_p are all its subgroups.  Each record must equal the one computed
-    # from its own element set, not only from its class representative.
-    expected = sorted(
-        (g for g in _pair_generated(_symmetric(p), p) if {h[0] for h in g} == set(range(p))),
-        key=sorted,
-    )
+    # from its own generators, not only from its class representative.
+    pairs = _pair_generated(_symmetric(p), p)
+    expected = sorted((g for g in pairs if {h[0] for h in g} == set(range(p))), key=sorted)
     records, mode = transitive_family(p)
     assert mode == "full"
     assert [rec.elements for rec in records] == [tuple(sorted(g)) for g in expected]
-    assert list(records) == [record_from_elements(g) for g in expected]
+    assert list(records) == [subgroup_closure(pairs[g]) for g in expected]
 
 
 @pytest.mark.parametrize(
@@ -205,7 +218,14 @@ def test_subgroups_of_order_needs_no_two_element_generating_set():
 
 
 def _gens(group, n):
-    return small_generating_set(group) or [tuple(range(n))]
+    """Test-local generators of ``group``: each element not yet reached
+    extends the group reached so far."""
+    gens, reached = [], frozenset([pidentity(n)])
+    for g in sorted(group):
+        if g not in reached:
+            reached = extend(reached, gens, g)
+            gens.append(g)
+    return gens or [pidentity(n)]
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -223,14 +243,6 @@ def test_extend_equals_the_generated_group(n):
                     assert limit < len(partial) <= 2 * limit
                     # Made of whole right cosets of the group.
                     assert {pmul(h, x) for h in group for x in partial} == partial
-
-
-@pytest.mark.parametrize("n", [4, 5])
-def test_closure_stops_once_past_its_limit(n):
-    gens = [pcycle(n), (1, 0) + tuple(range(2, n))]
-    assert closure(gens, n) == _symmetric(n)
-    for limit in range(1, math.factorial(n)):
-        assert limit < len(closure(gens, n, limit=limit)) <= 2 * limit
 
 
 def _commutators_generated(group, n):

@@ -9,14 +9,25 @@ import pytest
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
-from localmass.permgroup import small_generating_set, transitive_family  # noqa: E402
+from localmass.permgroup import extend, pidentity, transitive_family  # noqa: E402
+
+
+def _gens(elems):
+    """Test-local generators of the group ``elems``: each element not yet
+    reached extends the group reached so far."""
+    gens, reached = [], frozenset([pidentity(len(next(iter(elems))))])
+    for g in sorted(elems):
+        if g not in reached:
+            reached = extend(reached, gens, g)
+            gens.append(g)
+    return gens
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_transitive_family_matches_sympy(p):
     records, _ = transitive_family(p)
     for rec in records:
-        gens = small_generating_set(rec.element_set())
+        gens = _gens(rec.element_set())
         group = combinatorics.PermutationGroup(
             [combinatorics.Permutation(list(g)) for g in gens]
         )
