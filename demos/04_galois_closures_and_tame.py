@@ -46,12 +46,12 @@ print(f"  trivial subgroup:  {format_rational(subfield_contribution(series3, [])
 print(f"  full dual group:   {format_rational(subfield_contribution(series3, [(1, 0), (0, 1)]))}")
 
 # A one-identity checksum equivalent to the whole equal-characteristic total.
-lhs, rhs = contribution_checksum(5, 5)
+lhs, rhs = contribution_checksum(series5)
 print(f"\nchecksum identity at (p, q) = (5, 5): both sides {format_rational(lhs)}")
 
 print("\ntame masses (degree p' prime to the residue characteristic):")
-for pprime, p, q in [(2, 3, 3), (3, 5, 5), (5, 3, 81), (7, 5, 25), (11, 3, 27)]:
-    rep = tame_mass(pprime, p, q)
+for pprime, p, f in [(2, 3, 1), (3, 5, 1), (5, 3, 4), (7, 5, 2), (11, 3, 3)]:
+    rep = tame_mass(LocalField(p, f, INFINITE_E), pprime)
     branch = "p' | q-1: split classes" if rep.omega_trivial else "one class of conjugates"
-    print(f"  p'={pprime:>2} over q={q:>2}: {rep.ramified_count} ramified extensions in"
+    print(f"  p'={pprime:>2} over q={rep.q:>2}: {rep.ramified_count} ramified extensions in"
           f" {rep.conjugacy_classes} class(es), mass {format_rational(rep.mass)}  ({branch})")

@@ -16,6 +16,10 @@ format is rendered, and it is written as it is produced.  Exit status is 0 on
 success, 1 on invalid parameters, and 2 if an internal exact identity fails
 (which would mean a bug, never bad user input); on 1 and 2 stdout stays empty.
 
+Only this module renders: the other modules return plain values, and each
+handler makes every conversion that can fail (a decimal string past the
+int-to-str limit) before its renderer writes the first byte.
+
 A query loads only what its subcommand runs.  ``structure`` needs the level
 walk of :mod:`localmass.model` alone; ``mass``, ``count``, ``tame`` and
 ``checksum`` also load :mod:`localmass.mass` and :mod:`localmass.rationals`
@@ -222,7 +226,7 @@ def _cmd_structure(args):
         for marker in markers
     )
     if args.format == "json":
-        head = {"field": field.to_json_obj(), "max_level": bound, "total_dim": total_dim}
+        head = {"field": _field_json(field), "max_level": bound, "total_dim": total_dim}
         return _json_streamed(head, "blocks", "[]", (_BLOCK_JSON.format(*b) for b in blocks))
     if args.format == "tsv":
         return _tsv(chain([("level", "vbar", "dim", "distinguished")], blocks))
@@ -235,23 +239,30 @@ def _cmd_mass(args):
     if args.filter is not None:
         value = rationals.format_rational(mass.galois_closure_contribution(field, args.filter))
         if args.format == "json":
-            return _json({"field": field.to_json_obj(), "filter": args.filter, "contribution": value})
+            return _json({"field": _field_json(field), "filter": args.filter, "contribution": value})
         if args.format == "tsv":
             return _tsv([("filter", "contribution"), (args.filter, value)])
         return _text([f"{_describe(field)}: mass of {args.filter} extensions = {value}"])
     report = mass.total_mass(field)
-    obj = report.to_json_obj()
     # A contribution depends only on the character's valuation and on whether
     # it is trivial, so the (p-1)^2 rows hold at most p distinct values.  Each
-    # is converted to decimal once (the per-valuation ones by the report's own
-    # json), whatever the format, so every format fails or passes alike.
+    # is converted to decimal once, whatever the format, so every format
+    # fails or passes alike.
+    fmt = rationals.format_rational
+    decimal = {(w, False): fmt(c) for w, c in sorted(report.per_vbar.items())}
+    obj = {
+        "field": _field_json(field),
+        "per_vbar": {str(w): value for (w, _), value in decimal.items()},
+        "tres_extra": fmt(report.tres_extra),
+        "total_ramified": fmt(report.total),
+        "grand_total": fmt(report.grand_total),
+    }
     m = field.p - 1
-    decimal = {(w, False): obj["per_vbar"][str(w)] for w in report.per_vbar}
     rows = []
     for chi in enumerate_characters(field):
         key = (chi.valuation % m, char_is_trivial(field, chi))
         if key not in decimal:
-            decimal[key] = rationals.format_rational(report.contribution(chi))
+            decimal[key] = fmt(report.contribution(chi))
         rows.append((*chi.coords, chi.valuation, chi.distinguished, decimal[key]))
     header = ("a", "b", "vbar", "distinguished", "contribution")
     if args.format == "json":
@@ -274,7 +285,7 @@ def _cmd_count(args):
     str(max((rec.extensions for rec in entries), default=0))
     if args.format == "json":
         levels = sorted(entries, key=lambda rec: str(rec.level))  # json sorts keys as strings
-        head = {"field": field.to_json_obj()}
+        head = {"field": _field_json(field)}
         return _json_streamed(head, "levels", "{}", map(_LEVEL_JSON.format, levels))
     if args.format == "tsv":
         columns = ("level", "vbar", "lines", "extensions", "conjugacy_classes")
@@ -287,18 +298,20 @@ def _cmd_count(args):
 
 
 def _cmd_tame(args):
-    report = mass.tame_mass(args.pprime, args.p, LocalField(args.p, args.f, INFINITE_E).q)
+    report = mass.tame_mass(LocalField(args.p, args.f, INFINITE_E), args.pprime)
+    q = str(report.q)  # the one conversion that can fail, before any output
     value = rationals.format_rational(report.mass)
     if args.format == "json":
-        return _json(report.to_json_obj())
+        grand_total = rationals.format_rational(report.grand_total)
+        return _json({**report._asdict(), "mass": value, "grand_total": grand_total})
     if args.format == "tsv":
         return _tsv([
             ("pprime", "p", "q", "deg_kprime", "omega_trivial", "ramified", "classes", "mass"),
-            (report.pprime, report.p, report.q, report.deg_kprime, report.omega_trivial,
+            (report.pprime, report.p, q, report.deg_kprime, report.omega_trivial,
              report.ramified_count, report.conjugacy_classes, value),
         ])
     return _text([
-        f"degree-{report.pprime} extensions over q={report.q}:"
+        f"degree-{report.pprime} extensions over q={q}:"
         f" {report.ramified_count} ramified in {report.conjugacy_classes}"
         f" conjugacy class(es), mass {value}"
         f" (cyclotomic degree {report.deg_kprime},"
@@ -358,7 +371,7 @@ def _cmd_oracle_check(args):
     header = ("vbar", "distinguished", "mass", "reference", "exact_match")
     if args.format == "json":
         classes = [dict(zip(header, row)) for row in rows]
-        return _json({"field": field.to_json_obj(), "max_level": bound, "classes": classes})
+        return _json({"field": _field_json(field), "max_level": bound, "classes": classes})
     if args.format == "tsv":
         return _tsv([header, *rows])
     return _text([
@@ -368,8 +381,9 @@ def _cmd_oracle_check(args):
 
 
 def _cmd_checksum(args):
-    q = LocalField(args.p, args.f, INFINITE_E).q
-    lhs, rhs = mass.contribution_checksum(args.p, q)
+    field = LocalField(args.p, args.f, INFINITE_E)
+    q = field.q
+    lhs, rhs = mass.contribution_checksum(field)
     # The checksum has returned, so the sides are equal: one decimal string.
     side = rationals.format_rational(lhs)
     if args.format == "json":
@@ -379,9 +393,13 @@ def _cmd_checksum(args):
     return _text([f"checksum identity at p={args.p}, q={q}: both sides {side}"])
 
 
+def _field_json(field: LocalField) -> dict:
+    str(field.q)  # a q past the int-to-str limit fails here, before any output
+    return {"p": field.p, "f": field.f, "e": "inf" if field.equal_char else field.e, "q": field.q}
+
+
 def _describe(field: LocalField) -> str:
-    e = "inf" if field.equal_char else field.e
-    return f"p={field.p} f={field.f} e={e} (q={field.q})"
+    return "p={p} f={f} e={e} (q={q})".format(**_field_json(field))
 
 
 _HANDLERS = {

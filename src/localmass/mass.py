@@ -37,6 +37,9 @@ one gcd.  The count-table rebuild and the checksum add their terms as one
 integer over a common power of q.
 That defers arithmetic only; the direct sum still walks every block, so it
 stays independent of the closed form it is checked against.
+
+Every function takes a :class:`~localmass.model.LocalField` first and trusts
+its checks.  The reports are plain values; :mod:`localmass.cli` renders them.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .model import (
     truncation_bound,
     validate_char,
 )
-from .rationals import describe_rational, format_rational, geom_finite, geom_infinite, rat_pow
+from .rationals import describe_rational, geom_finite, geom_infinite, rat_pow
 
 #: Largest p' for ``tame_mass``, whose scan for the order of q mod p' takes p' steps.
 TAME_PRIME_LIMIT = 100_000
@@ -98,15 +101,6 @@ class MassReport(namedtuple("MassReport", "field per_vbar tres_extra total")):
         value = self.per_vbar[chi.valuation % (self.field.p - 1)]
         return value + self.tres_extra if char_is_trivial(self.field, chi) else value
 
-    def to_json_obj(self) -> dict:
-        return {
-            "field": self.field.to_json_obj(),
-            "per_vbar": {str(w): format_rational(c) for w, c in sorted(self.per_vbar.items())},
-            "tres_extra": format_rational(self.tres_extra),
-            "total_ramified": format_rational(self.total),
-            "grand_total": format_rational(self.grand_total),
-        }
-
 
 class TameReport(
     namedtuple(
@@ -125,19 +119,6 @@ class TameReport(
     @property
     def grand_total(self) -> Fraction:
         return self.mass + 1
-
-    def to_json_obj(self) -> dict:
-        return {
-            "pprime": self.pprime,
-            "p": self.p,
-            "q": self.q,
-            "deg_kprime": self.deg_kprime,
-            "omega_trivial": self.omega_trivial,
-            "ramified_count": self.ramified_count,
-            "conjugacy_classes": self.conjugacy_classes,
-            "mass": format_rational(self.mass),
-            "grand_total": format_rational(self.grand_total),
-        }
 
 
 def tres_term(field: LocalField) -> Fraction:
@@ -323,17 +304,17 @@ def mass_from_counts(field: LocalField, table: dict[int, LevelCount]) -> Fractio
     return Fraction(num, field.q**top)
 
 
-def contribution_checksum(p: int, q: int) -> tuple[Fraction, Fraction]:
+def contribution_checksum(field: LocalField) -> tuple[Fraction, Fraction]:
     """Both sides of the closed-form identity equivalent to total mass p.
 
     Summing the closed-form contribution over the ``p - 1`` valuation offsets
     in equal characteristic and equating the total with p reduces to one
     polynomial identity in q; this evaluates both sides exactly and raises if
-    they differ (they never should).
+    they differ (they never should).  Only ``field.p`` and ``field.q`` enter.
     """
-    if p < 3 or not is_prime(p):
+    p, q = field.p, field.q
+    if p < 3:
         raise ValueError(f"checksum at p = {p}: defined for primes p >= 3, pass an odd prime")
-    _require_power(q, p)
     m = p - 1
     # lhs = sum over a < p-1 of [(q**((p-2)a) - 1)(q**(m*m) - 1) + (q**((p-2)m) - 1)] / q**(m*a),
     # taken as two sums over the common denominator q**(m(p-2)) with the
@@ -445,39 +426,29 @@ def galois_closure_contribution(field: LocalField, filter_spec: str) -> Fraction
     raise ValueError(f"unknown filter {filter_spec!r}")
 
 
-def _require_power(q: int, p: int) -> None:
-    if q < p:
-        raise ValueError(f"q = {q} is not a power of {p}")
-    while q % p == 0:
-        q //= p
-    if q != 1:
-        raise ValueError("q must be a power of the residue characteristic")
-
-
-def tame_mass(pprime: int, p: int, q: int) -> TameReport:
+def tame_mass(field: LocalField, pprime: int) -> TameReport:
     """Mass report for degree-p' extensions, p' a prime different from p.
 
     The relevant module is two-dimensional, so the structure is decided by
     one divisibility: if p' divides q - 1 the p' ramified extensions are each
     their own conjugacy class; otherwise there is a single class of p'
     conjugates.  Either way every ramified extension is tame (c = 0) and the
-    mass is exactly p'.
+    mass is exactly p'.  Only ``field.p`` and ``field.q`` enter.
     """
+    p, q = field.p, field.q
     if pprime > TAME_PRIME_LIMIT:
         raise ValueError(f"p' = {pprime} exceeds the tame bound {TAME_PRIME_LIMIT}")
     if not is_prime(pprime):
         raise ValueError(f"p' = {pprime} is not prime")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     if pprime == p:
         raise ValueError(
             f"p' = {pprime} is the residue characteristic p = {p}: use the wild-case"
             f" operations (total_mass, or the mass command) for degree {p},"
             f" or pass a prime p' != {p}"
         )
-    _require_power(q, p)
-    deg = next(d for d in range(1, pprime) if pow(q, d, pprime) == 1)  # order of q mod p'
-    trivial = (q - 1) % pprime == 0
+    residue = q % pprime  # once: q = p**f may have millions of bits
+    deg = next(d for d in range(1, pprime) if pow(residue, d, pprime) == 1)  # order of q mod p'
+    trivial = residue == 1
     return TameReport(
         pprime=pprime,
         p=p,

@@ -25,6 +25,10 @@ character and for the mod-p cyclotomic character.  The cyclotomic class is a
 fact about the field, so :class:`LocalField` carries its coordinates, and
 whether it is the trivial class is :func:`omega_is_trivial` of the field.
 
+:class:`LocalField` checks the parameters, so no computation that takes a
+field re-checks them.  The records are plain values; :mod:`localmass.cli`
+alone renders them.
+
 The two errors that mean an internal check failed, :class:`MassInvariantError`
 and :class:`MassOracleError`, are defined here, beside the types every
 command loads, so that catching them loads neither of the modules that raise
@@ -108,9 +112,9 @@ class LocalField(namedtuple("LocalField", "p f e omega")):
     def __new__(cls, p: int, f: int, e: int | float, omega: tuple[int, int] | None = None):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
-        if not isinstance(f, int) or f < 1:
+        if isinstance(f, bool) or not isinstance(f, int) or f < 1:
             raise ValueError(f"residue degree f = {f!r} must be an integer >= 1")
-        if e != INFINITE_E and (not isinstance(e, int) or e < 1):
+        if e != INFINITE_E and (isinstance(e, bool) or not isinstance(e, int) or e < 1):
             raise ValueError(f"ramification index e = {e!r} must be an integer >= 1 or infinite")
         self = super().__new__(cls, p, f, e, None)
         forced = self.equal_char or p == 2
@@ -132,14 +136,6 @@ class LocalField(namedtuple("LocalField", "p f e omega")):
     def equal_char(self) -> bool:
         """True when the field has equal characteristic (e infinite)."""
         return self.e == INFINITE_E
-
-    def to_json_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "f": self.f,
-            "e": "inf" if self.equal_char else self.e,
-            "q": self.q,
-        }
 
 
 class CharClass(namedtuple("CharClass", "valuation distinguished coords")):
@@ -204,12 +200,22 @@ def char_is_trivial(field: LocalField, chi: CharClass) -> bool:
 
 
 def validate_char(field: LocalField, chi: CharClass) -> None:
-    """Check the field-dependent character invariants."""
+    """Check the field-dependent character invariants.  Coordinates force the
+    marker: (0, 0) is trivial, the field's cyclotomic coordinates are omega and
+    any other pair is generic; a trivial cyclotomic class may carry either."""
     if chi.distinguished == OMEGA:
         if chi.valuation % (field.p - 1) != cyclotomic_valuation(field):
             raise ValueError("cyclotomic character must have valuation e mod p-1")
     if chi.distinguished == TRIVIAL and chi.valuation != 0:
         raise ValueError("trivial character must have valuation 0")
+    if chi.coords is not None:
+        coords = tuple(c % (field.p - 1) for c in chi.coords)
+        needed = TRIVIAL if coords == (0, 0) else OMEGA if coords == field.omega else GENERIC
+        if chi.distinguished != needed and not (needed == TRIVIAL and char_is_trivial(field, chi)):
+            raise ValueError(
+                f"character with coordinates {chi.coords} must be marked {needed!r},"
+                f" not {chi.distinguished!r}"
+            )
 
 
 def nth_prime_to_p(p: int, n: int) -> int:

@@ -169,15 +169,6 @@ class SubgroupRecord(
     def element_set(self) -> frozenset[Perm]:
         return frozenset(self.elements)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "order": self.order,
-            "transitive": self.transitive,
-            "solvable": self.solvable,
-            "sylow_p_count": self.sylow_p_count,
-            "index_p_subgroup_count": self.index_p_subgroup_count,
-        }
-
 
 def _subgroups(
     ambient: list[Perm], gens: list[Perm], order: int
@@ -342,17 +333,22 @@ def verify_normalizer(p: int) -> dict:
     if len(character) != p * (p - 1):
         raise AssertionError(f"normalizer order {len(character)} != {p * (p - 1)}")
     kernel = {g for g, a in character.items() if a == 1}
-    if set(character.values()) != set(range(1, p)) or kernel != closure([pcycle(p)], p):
-        raise AssertionError("conjugation character is not onto with kernel the cycle group")
+    image = sorted(set(character.values()))
+    if image != list(range(1, p)) or kernel != closure([pcycle(p)], p):
+        raise AssertionError(
+            f"conjugation character at p = {p}: image {image}, kernel of order {len(kernel)};"
+            f" expected 1..{p - 1} and the cycle group"
+        )
     # The stabilizer of 0, the maps x -> a*x, splits the sequence if it is
     # cyclic of order p - 1 and meets the kernel trivially.
     complement = {g for g in character if g[0] == 0}
-    if (
-        len(complement) != p - 1
-        or complement & kernel != {pidentity(p)}
-        or not any(closure([g], p) == complement for g in complement)
-    ):
-        raise AssertionError("affine complement does not split the sequence")
+    meet = len(complement & kernel)
+    cyclic = any(closure([g], p) == complement for g in complement)
+    if len(complement) != p - 1 or meet != 1 or not cyclic:
+        raise AssertionError(
+            f"affine complement at p = {p}: order {len(complement)} (expected {p - 1}),"
+            f" meets the kernel in {meet} element(s) (expected 1), cyclic={cyclic}"
+        )
     return {
         "p": p,
         "normalizer_order": len(character),
@@ -367,23 +363,27 @@ def verify_galois_criterion(p: int) -> dict:
     records, mode = transitive_family(p)
     for rec in records:
         if rec.order % p != 0 or rec.order % (p * p) == 0:
-            raise AssertionError(f"transitive order {rec.order} not divisible by p exactly once")
+            raise AssertionError(
+                f"transitive order {rec.order} is not divisible by p = {p} exactly once"
+            )
         if rec.solvable != (rec.sylow_p_count == 1):
-            raise AssertionError(f"criterion fails at order {rec.order}")
+            raise AssertionError(
+                f"criterion fails at p = {p}, order {rec.order}:"
+                f" solvable={rec.solvable} but sylow_p_count={rec.sylow_p_count}"
+            )
         if rec.solvable:
             # The unique Sylow must be normal: the group sits in its normalizer.
             elems = rec.element_set()
             gen = next(filter(_is_p_cycle, elems))
             sylow = closure([gen], p)
-            for g in elems:
-                if pmul(pmul(g, gen), pinv(g)) not in sylow:
-                    raise AssertionError("solvable group not inside its Sylow normalizer")
-    return {
-        "p": p,
-        "enumeration": mode,
-        "transitive_groups": [rec.to_json_obj() for rec in records],
-        "criterion_holds": True,
-    }
+            outside = {pmul(pmul(g, gen), pinv(g)) for g in elems} - sylow
+            if outside:
+                raise AssertionError(
+                    f"solvable group of order {rec.order} at p = {p} not inside its Sylow"
+                    f" normalizer: conjugates {sorted(outside)} of {gen} lie outside <{gen}>"
+                )
+    groups = [{k: v for k, v in rec._asdict().items() if k != "elements"} for rec in records]
+    return {"p": p, "enumeration": mode, "transitive_groups": groups, "criterion_holds": True}
 
 
 def verify_index_p_subgroups(p: int) -> dict:
@@ -405,12 +405,14 @@ def verify_index_p_subgroups(p: int) -> dict:
         )
         if len(subs) != p:
             raise AssertionError(f"order {rec.order}: {len(subs)} index-p subgroups, expected {p}")
-        ident = pidentity(p)
         for i, a in enumerate(subs):
-            for b in subs[i + 1 :]:
-                if a & b != {ident}:
-                    raise AssertionError("index-p subgroups intersect nontrivially")
-                if closure(list(a | b), p) != rec.element_set():
-                    raise AssertionError("two index-p subgroups fail to generate")
+            for j, b in enumerate(subs[i + 1 :], i + 1):
+                # Both lie in the group and hold the identity: sizes decide.
+                meet, generated = len(a & b), len(closure(list(a | b), p))
+                if meet != 1 or generated != rec.order:
+                    raise AssertionError(
+                        f"p = {p}, order {rec.order}: index-p subgroups {i} and {j} meet in"
+                        f" {meet} element(s) and generate {generated}, expected 1 and {rec.order}"
+                    )
         checked.append({"order": rec.order, "index_p_subgroups": len(subs)})
     return {"p": p, "enumeration": mode, "groups": checked, "holds": True}

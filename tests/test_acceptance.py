@@ -114,9 +114,9 @@ def test_criterion_06_closed_form_equals_direct_sum():
 
 def test_criterion_07_checksum_identity():
     for p in (3, 5, 7):
-        for q in (p, p * p):
-            lhs, rhs = contribution_checksum(p, q)
-            assert lhs == rhs, (p, q)
+        for f in (1, 2):
+            lhs, rhs = contribution_checksum(LocalField(p, f, INFINITE_E))
+            assert lhs == rhs, (p, f)
     _ok(7, "checksum identity at p in {3,5,7}, q in {p, p^2}")
 
 
@@ -162,12 +162,13 @@ def test_criterion_10_oracle_equivalence():
 
 
 def test_criterion_11_tame_masses():
-    residue = {3: 3, 5: 5, 9: 3, 25: 5, 27: 3}
+    fields = [LocalField(p, f, INFINITE_E) for p, f in ((3, 1), (5, 1), (3, 2), (5, 2), (3, 3))]
     for pprime in (2, 3, 5, 7, 11):
-        for q, p in residue.items():
+        for field in fields:
+            p, q = field.p, field.q
             if pprime == p:
                 continue
-            report = tame_mass(pprime, p, q)
+            report = tame_mass(field, pprime)
             assert report.mass == pprime, (pprime, q)
             assert report.ramified_count == pprime
             if report.omega_trivial:

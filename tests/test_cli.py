@@ -10,7 +10,8 @@ import pytest
 import localmass.cli as cli
 import localmass.mass as mass
 import localmass.oracle as oracle
-from localmass.model import PRIME_TEST_BOUND, LocalField, trivial_char
+import localmass.permgroup as permgroup
+from localmass.model import INFINITE_E, PRIME_TEST_BOUND, LocalField, trivial_char
 from localmass.rationals import format_rational
 
 
@@ -198,6 +199,17 @@ def test_tame_prime_above_its_bound_exits_1_at_once(capsys):
     assert err == f"error: p' = 100000007 exceeds the tame bound {mass.TAME_PRIME_LIMIT}\n"
 
 
+def test_tame_over_a_huge_residue_field_is_immediate(capsys):
+    # q = 2**(10**6) is reduced mod p' once, not at each step of the order scan.
+    with _deadline(1):
+        report = mass.tame_mass(LocalField(2, 10**6, INFINITE_E), 99989)
+        assert report.deg_kprime == 24997
+        code, out, err = run_cli(capsys, "tame", "--pprime", "99989", "--p", "2", "--f", "1000000")
+    # Printing q then meets the int-to-str limit: a clean exit 1.
+    assert code == 1 and out == ""
+    assert err.startswith("error: Exceeds the limit")
+
+
 @pytest.mark.parametrize(
     "field", [("--e", "inf", "--max-level", "30000000"), ("--e", "10000000")], ids=["inf", "e"]
 )
@@ -318,6 +330,20 @@ def test_galois_verify_beyond_its_scale_exits_1(capsys):
     assert err == "error: verification scale exceeded: degree 11 > MAX_DEGREE = 7\n"
 
 
+def test_galois_verify_identity_failure_names_p_and_both_sides(capsys, monkeypatch):
+    monkeypatch.setattr(permgroup, "is_solvable", lambda gens: False)
+    permgroup.transitive_family.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "galois-verify", "--p", "5")
+    finally:
+        permgroup.transitive_family.cache_clear()  # drop the records built unsolvable
+    assert code == 2 and out == ""
+    assert err == (
+        "internal identity failure: criterion fails at p = 5, order 20:"
+        " solvable=False but sylow_p_count=1\n"
+    )
+
+
 @pytest.mark.parametrize("p", [0, 1, -3, 4, 6])
 def test_galois_verify_rejects_nonprime(capsys, p):
     code, out, err = run_cli(capsys, "galois-verify", "--p", str(p))
@@ -369,7 +395,7 @@ def test_invalid_parameters_exit_1(capsys):
 def test_internal_identity_failure_exits_2(capsys, monkeypatch):
     from localmass.mass import MassInvariantError
 
-    def broken(p, q):
+    def broken(field):
         raise MassInvariantError("synthetic")
 
     monkeypatch.setattr(cli.mass, "contribution_checksum", broken)
@@ -396,7 +422,8 @@ P31_F2 = ("mass", "--p", "31", "--f", "2", "--e", "inf")
 @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
 def test_mass_formats_each_distinct_contribution_once(capsys, monkeypatch, fmt):
     # 900 rows, at most p = 31 distinct values: formatting per row would make
-    # thousands of decimal conversions.
+    # thousands of decimal conversions.  The other three are the report's
+    # tres_extra, total and grand total.
     calls = []
 
     def counting(x):
@@ -406,7 +433,7 @@ def test_mass_formats_each_distinct_contribution_once(capsys, monkeypatch, fmt):
     monkeypatch.setattr(cli.rationals, "format_rational", counting)
     code, _, _ = run_cli(capsys, *P31_F2, "--format", fmt)
     assert code == 0
-    assert len(calls) <= 31 + 1
+    assert len(calls) <= 31 + 3
 
 
 @pytest.mark.parametrize("field", [P31_F2[1:], ("--p", "7", "--f", "1", "--e", "3")])

@@ -95,13 +95,18 @@ def test_galois_verify_outputs_no_workload_records(capsys, p, fmt, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (0, digest)
 
 
+def _field_obj(field):
+    e = "inf" if field.e == INFINITE_E else field.e
+    return {"p": field.p, "f": field.f, "e": e, "q": field.p**field.f}
+
+
 def _old_structure_json(field, max_level):
     lay = layout(field, max_level)
     blocks = [
         {"level": b.level, "vbar": b.valuation, "dim": b.dim, "distinguished": b.distinguished}
         for b in lay.blocks
     ]
-    obj = {"field": field.to_json_obj(), "max_level": lay.max_level, "total_dim": lay.total_dim}
+    obj = {"field": _field_obj(field), "max_level": lay.max_level, "total_dim": lay.total_dim}
     return json.dumps(dict(obj, blocks=blocks), sort_keys=True, indent=2) + "\n"
 
 
@@ -111,11 +116,18 @@ def _old_count_json(field, max_level, vbar):
         for rec in count_table(field, max_level).values()
         if vbar is None or rec.vbar == vbar % max(field.p - 1, 1)
     }
-    return json.dumps({"field": field.to_json_obj(), "levels": levels}, sort_keys=True, indent=2) + "\n"
+    return json.dumps({"field": _field_obj(field), "levels": levels}, sort_keys=True, indent=2) + "\n"
 
 
 def _old_mass_json(field):
-    obj = total_mass(field).to_json_obj()
+    report = total_mass(field)
+    obj = {
+        "field": _field_obj(field),
+        "per_vbar": {str(w): format_rational(c) for w, c in report.per_vbar.items()},
+        "tres_extra": format_rational(report.tres_extra),
+        "total_ramified": format_rational(report.total),
+        "grand_total": format_rational(report.total + 1),
+    }
     obj["per_character"] = [
         {"a": chi.coords[0], "b": chi.coords[1], "vbar": chi.valuation,
          "distinguished": chi.distinguished, "contribution": format_rational(value)}
@@ -193,3 +205,20 @@ def test_count_past_the_int_str_limit_writes_nothing(capsys, fmt):
         sys.set_int_max_str_digits(limit)
     assert code == 1 and out == ""
     assert err.startswith("error: Exceeds the limit (640 digits) for integer string conversion")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tame", "--pprime", 2, "--p", 3, "--f", 20000, "--format", "tsv"),
+        ("tame", "--pprime", 2, "--p", 3, "--f", 20000, "--format", "json"),
+        ("structure", "--p", 3, "--f", 20000, "--e", 1, "--format", "json"),
+    ],
+    ids=["tame-tsv", "tame-json", "structure-json"],
+)
+def test_q_past_the_int_str_limit_writes_nothing(capsys, argv):
+    # q = 3**20000 has 9 543 digits; it used to be converted first by the
+    # renderer, after main's error handling, and escaped as a traceback.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")

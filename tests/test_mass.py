@@ -1,5 +1,6 @@
 """Contributions, totals, counts, filters, checksum, and the tame case."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,11 +27,14 @@ from localmass.mass import (
 )
 from localmass.model import (
     INFINITE_E,
+    OMEGA,
+    CharClass,
     LocalField,
     generic_char,
     omega_char,
     trivial_char,
 )
+from localmass.oracle import oracle_mass
 from localmass.rationals import rat_pow
 
 Q3 = LocalField(3, 1, 1)
@@ -153,7 +157,7 @@ def test_mass_from_counts_equal_char_truncation():
 @pytest.mark.parametrize("power", [1, 2, 3])
 def test_contribution_checksum(p, power):
     q = p**power
-    lhs, rhs = contribution_checksum(p, q)
+    lhs, rhs = contribution_checksum(LocalField(p, power, INFINITE_E))
     assert lhs == rhs
     # The left side as one Fraction per term, the reference for the
     # common-denominator sum.
@@ -167,11 +171,11 @@ def test_contribution_checksum(p, power):
     ]
     assert lhs == sum(terms)
     with pytest.raises(ValueError):
-        contribution_checksum(2, 2)
+        contribution_checksum(LocalField(2, 1, INFINITE_E))
 
 
 def test_checksum_value_p3():
-    lhs, rhs = contribution_checksum(3, 3)
+    lhs, rhs = contribution_checksum(F3_SERIES)
     assert lhs == Fraction(80, 3)
 
 
@@ -277,25 +281,23 @@ def test_galois_closure_dispatcher():
 
 
 def test_tame_mass_branches():
-    rep = tame_mass(2, 3, 3)
+    rep = tame_mass(F3_SERIES, 2)
     assert rep.omega_trivial and rep.deg_kprime == 1
     assert rep.ramified_count == 2 and rep.conjugacy_classes == 2
     assert rep.mass == 2 and rep.grand_total == 3
 
-    rep = tame_mass(3, 5, 5)
+    rep = tame_mass(LocalField(5, 1, INFINITE_E), 3)
     assert not rep.omega_trivial and rep.deg_kprime == 2
     assert rep.ramified_count == 3 and rep.conjugacy_classes == 1
     assert rep.mass == 3
 
-    rep = tame_mass(5, 3, 81)
+    rep = tame_mass(LocalField(3, 4, INFINITE_E), 5)
     assert rep.omega_trivial and rep.mass == 5
 
     with pytest.raises(ValueError, match="wild-case"):
-        tame_mass(3, 3, 9)
+        tame_mass(LocalField(3, 2, INFINITE_E), 3)
     with pytest.raises(ValueError):
-        tame_mass(4, 3, 3)
-    with pytest.raises(ValueError):
-        tame_mass(2, 3, 10)
+        tame_mass(F3_SERIES, 4)
 
 
 @pytest.mark.parametrize(
@@ -307,20 +309,16 @@ def test_tame_mass_branches():
             " LocalField(..., omega=(a, b)), or --omega-a and --omega-b on the command line",
         ),
         (
-            lambda: tame_mass(3, 3, 9),
+            lambda: tame_mass(LocalField(3, 2, INFINITE_E), 3),
             "p' = 3 is the residue characteristic p = 3: use the wild-case operations"
             " (total_mass, or the mass command) for degree 3, or pass a prime p' != 3",
         ),
         (
-            lambda: contribution_checksum(2, 2),
+            lambda: contribution_checksum(LocalField(2, 1, INFINITE_E)),
             "checksum at p = 2: defined for primes p >= 3, pass an odd prime",
         ),
-        (
-            lambda: contribution_checksum(9, 9),
-            "checksum at p = 9: defined for primes p >= 3, pass an odd prime",
-        ),
     ],
-    ids=["omega", "tame", "checksum-2", "checksum-9"],
+    ids=["omega", "tame", "checksum-2"],
 )
 def test_refusals_name_their_inputs(call, message):
     with pytest.raises(ValueError) as exc:
@@ -328,14 +326,33 @@ def test_refusals_name_their_inputs(call, message):
     assert str(exc.value) == message
 
 
-def test_mass_report_serialization():
-    obj = total_mass(F3_SERIES).to_json_obj()
-    assert obj["per_vbar"] == {"0": "9/20", "1": "21/20"}
-    assert obj["total_ramified"] == "3"
-    assert obj["grand_total"] == "4"
-    assert obj["tres_extra"] == "0"
-    assert total_mass(Q3).to_json_obj()["tres_extra"] == "1/3"
+def test_mass_report_values():
+    report = total_mass(F3_SERIES)
+    assert report.per_vbar == {0: Fraction(9, 20), 1: Fraction(21, 20)}
+    assert report.total == 3 and report.grand_total == 4
+    assert report.tres_extra == 0
+    assert total_mass(Q3).tres_extra == Fraction(1, 3)
     assert count_table(Q3)[3].extensions == 9
+
+
+def test_coordinates_force_the_marker():
+    # (0, 0) is the trivial character, whose contribution over Q_3 is 4/3;
+    # marked "none" it used to get the generic value 1, from the oracle too.
+    message = "character with coordinates (0, 0) must be marked 'trivial', not 'none'"
+    for call in (char_contribution, char_contribution_closed):
+        with pytest.raises(ValueError) as exc:
+            call(Q3, generic_char(0, (0, 0)))
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle_mass(Q3, generic_char(0, (0, 0)), 3)
+    q3_omega = LocalField(3, 1, 1, (1, 1))
+    with pytest.raises(ValueError, match=r"\(1, 1\) must be marked 'omega', not 'none'"):
+        char_contribution(q3_omega, generic_char(1, (1, 1)))
+    with pytest.raises(ValueError, match=r"\(1, 0\) must be marked 'none', not 'omega'"):
+        char_contribution(q3_omega, CharClass(1, OMEGA, (1, 0)))
+    # Where the cyclotomic class is trivial, (0, 0) may carry either marker.
+    assert char_contribution(F3_SERIES, CharClass(0, OMEGA, (0, 0))) == Fraction(9, 20)
+    assert char_contribution(Q3, trivial_char()) == Fraction(4, 3)
 
 
 def test_invariant_error_is_detectable():

@@ -46,6 +46,19 @@ def test_local_field_validation():
         LocalField(3, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3, True, 1), "residue degree f = True must be an integer >= 1"),
+        ((3, 1, True), "ramification index e = True must be an integer >= 1 or infinite"),
+    ],    ids=["f", "e"],
+)
+def test_local_field_rejects_bool_parameters(args, message):
+    with pytest.raises(ValueError) as exc:
+        LocalField(*args)
+    assert str(exc.value) == message
+
+
 def test_local_field_omega_validation():
     assert LocalField(5, 1, 3, (7, -1)).omega == (3, 3)  # reduced mod p-1
     assert Q3.omega is None
