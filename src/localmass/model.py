@@ -437,10 +437,9 @@ def discriminant_valuation(p: int, bd: BreakData) -> int:
 
     Obtained by computing the closure's discriminant along the two towers of
     the closure diagram; integrality is re-checked at runtime because break
-    data may come from external input.
+    data may come from external input.  p is taken to be prime: the caller
+    checks it, as ``LocalField`` does.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     if (p - 1) % bd.t != 0:
         raise ValueError("inconsistent break data")
     num = (p - 1) * (bd.b + bd.t)

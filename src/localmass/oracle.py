@@ -5,9 +5,12 @@ materialises one character's eigenspace as a list of blocks, walks every
 coordinate vector, reads each nonzero vector's level off its support (the
 highest block level where it is nonzero, the increasing-filtration
 convention), and adds up ``multiplicity * q**-level`` line by line.  The walk
-is exhaustive, p**dim vectors, and its per-vector work runs in C through
-``itertools`` and ``Counter``; nothing is counted by a closed form or by
-splitting the space into halves.
+is exhaustive, p**dim vectors, and its per-vector work runs in C: one
+``bisect_right`` tags each vector with its first nonzero coordinate, and the
+tags are packed into ``bytes`` and counted.  The tally depends only on
+``(p, dim)``, so each such space is walked once per process and shared by
+every character whose eigenspace has that shape; nothing is counted by a
+closed form or by splitting the space into halves.
 
 Independence is the point.  Block levels are found by scanning the integers
 and keeping those that are prime to p and whose valuation congruence matches
@@ -20,8 +23,10 @@ two-path check, not a tautology.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
+from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .model import (
     CharClass,
@@ -36,6 +41,10 @@ from .rationals import rat_pow
 
 #: Hard cap on the enumerated eigenspace dimension (p**12 vectors at most).
 DIM_LIMIT = 12
+#: Hard cap on the number of vectors walked, p**dim.
+VECTOR_LIMIT = 10**7
+#: Vectors tagged per ``bytes`` chunk, so the walk's memory stays flat.
+_CHUNK = 1 << 16
 
 
 class OracleBlock(namedtuple("OracleBlock", "level dim")):
@@ -66,34 +75,61 @@ def eigenspace_blocks(field: LocalField, chi: CharClass, max_level: int):
         yield OracleBlock(p * field.e, 1)
 
 
+@lru_cache(maxsize=64)
+def _vectors_by_leading_position(p: int, dim: int) -> tuple[int, ...]:
+    """Vectors of F_p**dim per position of their first nonzero coordinate.
+
+    Entry i counts the vectors whose first nonzero coordinate is i; the zero
+    vector is not counted.  Every vector of ``product(range(p), repeat=dim)``
+    is read: ``bisect_right`` over the unit vectors e_{dim-1} < ... < e_0 (in
+    tuple order) returns dim - i for such a vector and 0 for the zero vector.
+    """
+    units = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in reversed(range(dim))]
+    vectors = itertools.product(range(p), repeat=dim)
+    tags = map(bisect_right, itertools.repeat(units), vectors)
+    tally = [0] * dim
+    while chunk := bytes(itertools.islice(tags, _CHUNK)):
+        for i in range(dim):
+            tally[i] += chunk.count(dim - i)
+    return tuple(tally)
+
+
 def enumerate_lines(
     field: LocalField, chi: CharClass, max_level: int
 ) -> dict[int, int]:
     """Exact line count per level, by walking every nonzero vector.
 
     The coordinates are ordered by descending block level, so a vector's
-    level is the level of its first nonzero coordinate; every vector of
-    ``product(range(p), repeat=dim)`` is tallied under that level with the
-    per-vector work (``compress``, ``next``, ``Counter``) done in C.  Scalar
+    level is the level of its first nonzero coordinate.  Every vector of
+    ``product(range(p), repeat=dim)`` is tagged with that position by one
+    ``bisect_right`` into ``bytes`` (see ``_vectors_by_leading_position``),
+    once per ``(p, dim)``; the positions are then read as levels.  Scalar
     multiples of a vector share its support, hence its level, so the p - 1
     nonzero multiples of each line land in the same bucket; dividing the
     vector tally by p - 1 yields the line count, and the division is checked
     to be exact.
     """
-    # Each block has dimension >= 1, so DIM_LIMIT + 1 blocks are enough to
-    # tell whether the space is too large, however far the bound reaches.
-    blocks = list(itertools.islice(eigenspace_blocks(field, chi, max_level), DIM_LIMIT + 1))
-    dim = sum(b.dim for b in blocks)
+    # Each block has dimension >= 1, so reading stops within DIM_LIMIT + 1
+    # blocks, however far the bound reaches.
+    p, blocks, dim = field.p, [], 0
+    for block in eigenspace_blocks(field, chi, max_level):
+        blocks.append(block)
+        dim += block.dim
+        if dim > DIM_LIMIT or p**dim > VECTOR_LIMIT:
+            break
     if dim > DIM_LIMIT:
         raise ValueError(f"oracle scale exceeded: dimension >= {dim} > DIM_LIMIT = {DIM_LIMIT}")
+    if p**dim > VECTOR_LIMIT:
+        raise ValueError(
+            f"oracle scale exceeded: vectors >= {p}**{dim} > VECTOR_LIMIT = {VECTOR_LIMIT}"
+        )
     levels_desc = sorted((b.level for b in blocks for _ in range(b.dim)), reverse=True)
-    vectors = itertools.product(range(field.p), repeat=dim)
-    supports = map(itertools.compress, itertools.repeat(levels_desc), vectors)
-    vectors_per_level = Counter(map(next, supports, itertools.repeat(-1)))
-    del vectors_per_level[-1]  # the zero vector
+    vectors_per_level = {}
+    for lvl, n in zip(levels_desc, _vectors_by_leading_position(p, dim)):
+        vectors_per_level[lvl] = vectors_per_level.get(lvl, 0) + n
     counts = {}
     for lvl, n in sorted(vectors_per_level.items()):
-        lines, rem = divmod(n, field.p - 1)
+        lines, rem = divmod(n, p - 1)
         if rem:
             raise MassOracleError(
                 f"{n} vectors at level {lvl} do not split into lines for {chi} over {field}"

@@ -220,6 +220,26 @@ def test_oracle_check_beyond_its_scale_exits_1_at_once(capsys, field):
     assert err == "error: oracle scale exceeded: dimension >= 13 > DIM_LIMIT = 12\n"
 
 
+def test_oracle_check_past_the_vector_cap_exits_1_at_once(capsys):
+    # Dimension 12 is within DIM_LIMIT, but 13**12 vectors would never finish.
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "oracle-check", "--p", "13", "--e", "inf", "--max-level", "140")
+    assert code == 1 and out == ""
+    assert err == "error: oracle scale exceeded: vectors >= 13**7 > VECTOR_LIMIT = 10000000\n"
+
+
+def test_oracle_check_walks_each_space_once(capsys):
+    # At (5, 1, inf) to level 40 the five classes have dimensions 9, 8, 8,
+    # 8, 8: two spaces to walk, and the other three classes reuse a tally.
+    tally = oracle._vectors_by_leading_position
+    tally.cache_clear()
+    code, _, _ = run_cli(capsys, "oracle-check", "--p", "5", "--e", "inf", "--max-level", "40")
+    assert code == 0
+    assert tally.cache_info().misses == 2
+    tally(5, 9), tally(5, 8)
+    assert tally.cache_info().misses == 2
+
+
 def test_oracle_check_bound_far_above_the_top_level_is_immediate(capsys):
     with _deadline(1):
         code, out, _ = run_cli(capsys, "oracle-check", "--p", "3", "--e", "1", "--max-level", "30000000")
@@ -309,7 +329,13 @@ def test_oracle_line_split_failure_names_its_inputs(capsys, monkeypatch):
         return vectors + vectors[-1:]
 
     monkeypatch.setattr(oracle.itertools, "product", one_extra)
-    code, out, err = run_cli(capsys, "oracle-check", "--p", "3", "--e", "1", "--vbar", "1")
+    # A tally cached by an earlier test would hide the patch, and the one
+    # made here must not outlive it.
+    oracle._vectors_by_leading_position.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "oracle-check", "--p", "3", "--e", "1", "--vbar", "1")
+    finally:
+        oracle._vectors_by_leading_position.cache_clear()
     assert code == 2 and out == ""
     assert "do not split into lines for CharClass(valuation=1" in err
     assert "over LocalField(p=3, f=1, e=1" in err

@@ -26,7 +26,12 @@ from localmass.model import (
     omega_is_trivial,
     trivial_char,
 )
-from localmass.oracle import eigenspace_blocks, enumerate_lines, oracle_mass
+from localmass.oracle import (
+    _vectors_by_leading_position,
+    eigenspace_blocks,
+    enumerate_lines,
+    oracle_mass,
+)
 
 Q3 = LocalField(3, 1, 1)
 F3_SERIES = LocalField(3, 1, INFINITE_E)
@@ -91,6 +96,18 @@ def _lines_by_vector_loop(field, chi, max_level):
             vectors_per_level[top] = vectors_per_level.get(top, 0) + 1
     assert all(n % (field.p - 1) == 0 for n in vectors_per_level.values())
     return {lvl: n // (field.p - 1) for lvl, n in sorted(vectors_per_level.items())}
+
+
+@pytest.mark.parametrize("p,dim", [(2, 1), (3, 4), (5, 3), (3, 11)])
+def test_vectors_by_leading_position_matches_a_per_vector_loop(p, dim):
+    # 3**11 = 177 147 vectors span three 64 kB chunks, the last one partial.
+    expected = [0] * dim
+    for vec in itertools.product(range(p), repeat=dim):
+        first = next((i for i, coord in enumerate(vec) if coord), None)
+        if first is not None:
+            expected[first] += 1
+    assert _vectors_by_leading_position(p, dim) == tuple(expected)
+    assert expected == [(p - 1) * p ** (dim - 1 - i) for i in range(dim)]
 
 
 @st.composite
@@ -186,5 +203,13 @@ def test_single_block_eigenspace():
 
 
 def test_dimension_guard():
-    with pytest.raises(ValueError, match="oracle scale exceeded"):
+    with pytest.raises(ValueError, match="oracle scale exceeded: dimension >= 13"):
         enumerate_lines(F3_SERIES, trivial_char(), 40)
+
+
+def test_vector_guard():
+    # Dimension 11 is within DIM_LIMIT, but 5**11 vectors are not.
+    field = LocalField(5, 1, INFINITE_E)
+    assert sum(b.dim for b in eigenspace_blocks(field, trivial_char(), 48)) == 11
+    with pytest.raises(ValueError, match=r"vectors >= 5\*\*11 > VECTOR_LIMIT = 10000000"):
+        enumerate_lines(field, trivial_char(), 48)
