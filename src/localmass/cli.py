@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 
 from .model import (
+    GENERIC,
     INFINITE_E,
     LocalField,
     MassInvariantError,
@@ -217,21 +219,29 @@ _CHAR_JSON = (
 
 
 def _cmd_structure(args):
+    """The block layout, one output row per block.  The level walk counts
+    a level's generic blocks, whose rows are identical, so that row is
+    formatted once and repeated ``generic`` times with the format's row
+    separator between the copies."""
     field = _field(args)
     bound = truncation_bound(field, args.max_level)
-    total_dim = sum(dim * len(markers) for _, _, dim, markers in level_walk(field, bound))
-    blocks = (
-        (level, vbar, dim, marker)
-        for level, vbar, dim, markers in level_walk(field, bound)
-        for marker in markers
-    )
+    total_dim = sum(dim * (len(special) + n) for _, _, dim, special, n in level_walk(field, bound))
+
+    def blocks(render, sep):
+        for level, vbar, dim, special, generic in level_walk(field, bound):
+            for marker in special:
+                yield render(level, vbar, dim, marker)
+            if generic:
+                yield sep.join(repeat(render(level, vbar, dim, GENERIC), generic))
+
     if args.format == "json":
         head = {"field": _field_json(field), "max_level": bound, "total_dim": total_dim}
-        return _json_streamed(head, "blocks", "[]", (_BLOCK_JSON.format(*b) for b in blocks))
+        return _json_streamed(head, "blocks", "[]", blocks(_BLOCK_JSON.format, ",\n"))
     if args.format == "tsv":
-        return _tsv(chain([("level", "vbar", "dim", "distinguished")], blocks))
+        rows = ((line,) for line in blocks("{}\t{}\t{}\t{}".format, "\n"))
+        return _tsv(chain([("level", "vbar", "dim", "distinguished")], rows))
     header = f"filtered module of {_describe(field)}, levels 0..{bound}, total dimension {total_dim}"
-    return _text(chain([header], ("  level {:>5}  vbar {}  dim {}  {}".format(*b) for b in blocks)))
+    return _text(chain([header], blocks("  level {:>5}  vbar {}  dim {}  {}".format, "\n")))
 
 
 def _cmd_mass(args):
@@ -298,8 +308,9 @@ def _cmd_count(args):
 
 
 def _cmd_tame(args):
-    report = mass.tame_mass(LocalField(args.p, args.f, INFINITE_E), args.pprime)
-    q = str(report.q)  # the one conversion that can fail, before any output
+    field = LocalField(args.p, args.f, INFINITE_E)
+    q = _q_decimal(field)  # the one conversion that can fail, before any output
+    report = mass.tame_mass(field, args.pprime)
     value = rationals.format_rational(report.mass)
     if args.format == "json":
         grand_total = rationals.format_rational(report.grand_total)
@@ -382,6 +393,7 @@ def _cmd_oracle_check(args):
 
 def _cmd_checksum(args):
     field = LocalField(args.p, args.f, INFINITE_E)
+    _q_decimal(field)
     q = field.q
     lhs, rhs = mass.contribution_checksum(field)
     # The checksum has returned, so the sides are equal: one decimal string.
@@ -393,8 +405,26 @@ def _cmd_checksum(args):
     return _text([f"checksum identity at p={args.p}, q={q}: both sides {side}"])
 
 
+def _q_decimal(field: LocalField) -> str:
+    """``str(field.q)``, or the int-to-str limit's ValueError.
+
+    q = p**f has floor(f * log10(p)) + 1 digits, so a q more than one digit
+    past the limit is rejected from that count before anything computes
+    p**f, which takes seconds at f = 10**7; the digit of slack covers the
+    float's rounding, and nearer the limit ``str`` decides.
+    """
+    limit = sys.get_int_max_str_digits()
+    digits = field.f * math.log10(field.p)
+    if limit and digits > limit + 1:
+        raise ValueError(
+            f"Exceeds the limit ({limit} digits) for integer string conversion:"
+            f" q = {field.p}**{field.f} has {math.floor(digits) + 1} digits"
+        )
+    return str(field.q)
+
+
 def _field_json(field: LocalField) -> dict:
-    str(field.q)  # a q past the int-to-str limit fails here, before any output
+    _q_decimal(field)  # a q past the int-to-str limit fails here, before any output
     return {"p": field.p, "f": field.f, "e": "inf" if field.equal_char else field.e, "q": field.q}
 
 

@@ -49,16 +49,18 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .model import (
+    OMEGA,
+    TRIVIAL,
     CharClass,
     LocalField,
     MassInvariantError,
-    char_is_omega,
     char_is_trivial,
     cyclotomic_valuation,
     enumerate_characters,
     is_prime,
     level_walk,
     omega_char,
+    omega_is_trivial,
     truncation_bound,
     validate_char,
 )
@@ -141,7 +143,7 @@ def char_contribution(field: LocalField, chi: CharClass) -> Fraction:
     ``1 / (1 - q**-(p-1)**2)``.
     """
     validate_char(field, chi)
-    return _characters_mass(field, [chi])
+    return _characters_mass(field, {chi.valuation % (field.p - 1): 1}, char_is_trivial(field, chi))
 
 
 def char_contribution_closed(field: LocalField, chi: CharClass) -> Fraction:
@@ -189,7 +191,8 @@ def char_contribution_truncated(
     closed form's geometric series.
     """
     validate_char(field, chi)
-    return _characters_mass(field, [chi], max_level)
+    trivial = char_is_trivial(field, chi)
+    return _characters_mass(field, {chi.valuation % (field.p - 1): 1}, trivial, max_level)
 
 
 def _valuation_sums(field: LocalField, max_level: int | None, valuations):
@@ -236,14 +239,16 @@ def per_character_contributions(field: LocalField) -> list[tuple[CharClass, Frac
     return [(chi, report.contribution(chi)) for chi in enumerate_characters(field)]
 
 
-def _characters_mass(field: LocalField, chars, max_level: int | None = None) -> Fraction:
-    """Summed contribution of the distinct characters ``chars`` at levels <=
-    ``max_level`` (all if None): one integer sum of their valuations'
-    numerators, plus the top-level mass if the trivial one is among them."""
-    m = field.p - 1
-    nums, tres, den = _valuation_sums(field, max_level, {chi.valuation % m for chi in chars})
-    value = Fraction(sum(nums[chi.valuation % m] for chi in chars), den)
-    return value + tres if any(char_is_trivial(field, chi) for chi in chars) else value
+def _characters_mass(
+    field: LocalField, counts: dict[int, int], trivial: bool, max_level: int | None = None
+) -> Fraction:
+    """Summed contribution, at levels <= ``max_level`` (all if None), of
+    ``counts[w]`` distinct characters of each valuation ``w`` in [0, p-1):
+    one integer sum of their valuations' numerators, plus the top-level mass
+    if ``trivial`` says the trivial character is among them."""
+    nums, tres, den = _valuation_sums(field, max_level, counts)
+    value = Fraction(sum(n * nums[w] for w, n in counts.items()), den)
+    return value + tres if trivial else value
 
 
 def total_mass(field: LocalField) -> MassReport:
@@ -274,23 +279,38 @@ def count_table(
     :func:`localmass.model.truncation_bound` says, so it is required in
     equal characteristic.  With ``vbar`` only the rows of that valuation
     (mod p-1) are made, from the level walk of that valuation alone.
+
+    Each row is the direct per-level formula over the walk's counted blocks:
+    a block of dimension ``dim`` at a level of stratum ``i`` adds the
+    ``p**below * (p**dim - 1) / (p - 1)`` lines not already in the
+    ``below``-dimensional space under it, ``below = i*f`` plus, above level
+    0, one for a cyclotomic character, which owns the level-0 line.  Its
+    lines give one extension each when the character is cyclotomic and p
+    otherwise.
+    The generic blocks of a row are one class, weighted by their number;
+    ``p**(i*f)`` is kept as a running product over the strata.
     Whether the cyclotomic character is the trivial one is read off the
     field: when it is (the field contains the p-th roots of unity), every
     top-level extension is cyclic and its own class.
     """
-    p, f = field.p, field.f
+    p = field.p
+    cyclotomic = (OMEGA, TRIVIAL) if omega_is_trivial(field) else (OMEGA,)
+    step, stratum, power = p**field.f, 0, 1
+    span = {1: 1, field.f: (step - 1) // (p - 1)}  # (p**dim - 1) // (p - 1) for each dim
     table = {}
-    for level, w, dim, markers in level_walk(field, truncation_bound(field, max_level), vbar):
-        lines = extensions = 0
-        for marker, blocks in Counter(markers).items():
-            bonus = 1 if char_is_omega(field, CharClass(w, marker)) else 0
-            # Below the level each of its characters has one f-dimensional
-            # block per lower stratum, plus the level-0 line if cyclotomic;
-            # the block adds the lines not already in that space.
-            below = (level // p) * f + (bonus if level else 0)
-            n = blocks * ((p ** (below + dim) - p**below) // (p - 1))
-            lines += n
-            extensions += n if bonus else n * p
+    for level, w, dim, special, generic in level_walk(
+        field, truncation_bound(field, max_level), vbar
+    ):
+        while stratum < level // p:
+            stratum, power = stratum + 1, power * step
+        block = power * span[dim]
+        lines, extensions = generic * block, generic * block * p
+        for marker in special:
+            if marker not in cyclotomic:
+                lines, extensions = lines + block, extensions + block * p
+            else:
+                n = block * p if level else block
+                lines, extensions = lines + n, extensions + n
         table[level] = LevelCount(level, w, lines, extensions, lines)
     return table
 
@@ -356,27 +376,32 @@ def unramified_closure_contribution(field: LocalField) -> Fraction:
     valuation is 0.
     """
     w0 = cyclotomic_valuation(field)
-    return _characters_mass(
-        field, [chi for chi in enumerate_characters(field) if chi.valuation == w0]
-    )
+    return _characters_mass(field, {w0: field.p - 1}, w0 == 0)
 
 
-def _xi_filter_mass(field: LocalField, keep) -> Fraction:
-    """Mass of the characters chi whose class xi = omega*chi^-1 passes ``keep``."""
-    om = field.omega
-    if om is None:
+def _omega_coords(field: LocalField) -> tuple[int, int]:
+    """The field's cyclotomic coordinates, which the closure filters on xi need."""
+    if field.omega is None:
         raise ValueError(
             f"omega class required for p={field.p} f={field.f} e={field.e}: pass the cyclotomic"
             " coordinates as LocalField(..., omega=(a, b)), or --omega-a and --omega-b"
             " on the command line"
         )
+    return field.omega
+
+
+def _xi_filter_mass(field: LocalField, keep) -> Fraction:
+    """Mass of the characters chi whose class xi = omega*chi^-1 passes ``keep``,
+    listed one by one: (p-1)^2 tests of ``keep``."""
+    om = _omega_coords(field)
     m = field.p - 1
     kept = [
         chi
         for chi in enumerate_characters(field)
         if keep(((om[0] - chi.coords[0]) % m, (om[1] - chi.coords[1]) % m))
     ]
-    return _characters_mass(field, kept)
+    trivial = any(char_is_trivial(field, chi) for chi in kept)
+    return _characters_mass(field, Counter(chi.valuation for chi in kept), trivial)
 
 
 def group_order_contribution(field: LocalField, n: int) -> Fraction:
@@ -385,11 +410,21 @@ def group_order_contribution(field: LocalField, n: int) -> Fraction:
     ``n`` must divide p - 1; n = 1 gives the cyclic extensions, n = 2 those
     with dihedral closure of order 2p.  Every extension is captured by
     exactly one n, so these contributions partition the total mass p.
+
+    The characters are counted, not listed.  The order of xi = (x, y) is the
+    lcm of its coordinates' orders, so only the n classes x whose order
+    divides n can pass; x fixes the valuation ``omega_a - x`` of chi, and of
+    the coordinates y, phi(d) have order d for each d | n.
     """
     m = field.p - 1
     if n < 1 or m % n != 0:
         raise ValueError("order must divide p - 1")
-    return _xi_filter_mass(field, lambda xi: math.lcm(*(m // math.gcd(c, m) for c in xi)) == n)
+    om = _omega_coords(field)
+    orders = {x: m // math.gcd(x, m) for x in range(0, m, m // n)}  # the x of order dividing n
+    phi = Counter(orders.values())  # d -> phi(d), how many of them have order d
+    passing = {d: sum(k for d2, k in phi.items() if math.lcm(d, d2) == n) for d in phi}
+    counts = {(om[0] - x) % m: passing[d] for x, d in orders.items()}
+    return _characters_mass(field, counts, math.lcm(*(m // math.gcd(c, m) for c in om)) == n)
 
 
 def subfield_contribution(field: LocalField, subgroup_gens: list[tuple[int, int]]) -> Fraction:

@@ -365,13 +365,15 @@ def truncation_bound(field: LocalField, max_level: int | None) -> int:
 
 
 def level_walk(field: LocalField, bound: int, vbar: int | None = None):
-    """Yield ``(level, vbar, dim, markers)`` for each occupied level <= bound.
+    """Yield ``(level, vbar, dim, special, generic)`` for each occupied level <= bound.
 
     Levels come in increasing order: the level-0 line of the cyclotomic
     character, then every level prime to p below the top, which holds one
     block of dimension f per character of valuation ``vbar``, and in mixed
-    characteristic the top-level line p*e of the trivial character.
-    ``markers`` lists the distinguished marker of each block at the level.
+    characteristic the top-level line p*e of the trivial character.  The
+    blocks at a level are counted, not listed: ``special`` holds the markers
+    of the omega and trivial blocks among them (at most two valuations have
+    any), and ``generic`` is the number of the others.
     Given ``vbar`` (mod p-1), only its rows come: its levels step by p - 1
     from the ``r`` in [1, p-1] congruent to cyclotomic valuation - ``vbar``.
     """
@@ -379,37 +381,34 @@ def level_walk(field: LocalField, bound: int, vbar: int | None = None):
     w_omega = cyclotomic_valuation(field)
     walked = range(m) if vbar is None else [vbar % m]
     if w_omega in walked:
-        yield 0, w_omega, 1, (OMEGA,)
-    markers = {}
-    for w in walked:
-        special = [OMEGA] if w == w_omega else []
-        if w == 0 and not omega_is_trivial(field):
-            special.append(TRIVIAL)
-        markers[w] = tuple(special) + (GENERIC,) * (m - len(special))
+        yield 0, w_omega, 1, (OMEGA,), 0
+    special = {0: () if omega_is_trivial(field) else (TRIVIAL,)}
+    special[w_omega] = (OMEGA,) + special.get(w_omega, ())
     last = bound if field.equal_char else min(bound, p * field.e - 1)
     start, step = (1, 1) if vbar is None else ((w_omega - walked[0] - 1) % m + 1, m)
     for level in range(start, last + 1, step):
         if level % p:
             w = (w_omega - level) % m
-            yield level, w, field.f, markers[w]
+            markers = special.get(w, ())
+            yield level, w, field.f, markers, m - len(markers)
     if not field.equal_char and p * field.e <= bound and 0 in walked:
-        yield p * field.e, 0, 1, (TRIVIAL,)
+        yield p * field.e, 0, 1, (TRIVIAL,), 0
 
 
 def layout(field: LocalField, max_level: int | None = None) -> FilteredLayout:
     """Block layout up to ``max_level`` (see :func:`truncation_bound`).
 
-    One block is emitted per character class per stratum (dimension f
-    each), plus the level-0 line of the cyclotomic character and, in mixed
-    characteristic, the top-level line of the trivial character.  At full
-    truncation in mixed characteristic the dimensions sum to
-    2 + (p-1)^2 * e * f.
+    The level walk's counted rows, expanded: one block per character class
+    per stratum (dimension f each), plus the level-0 line of the cyclotomic
+    character and, in mixed characteristic, the top-level line of the
+    trivial character.  At full truncation in mixed characteristic the
+    dimensions sum to 2 + (p-1)^2 * e * f.
     """
     bound = truncation_bound(field, max_level)
     blocks = tuple(
         EigenBlock(level, vbar, dim, marker)
-        for level, vbar, dim, markers in level_walk(field, bound)
-        for marker in markers
+        for level, vbar, dim, special, generic in level_walk(field, bound)
+        for marker in special + (GENERIC,) * generic
     )
     return FilteredLayout(field, bound, blocks)
 

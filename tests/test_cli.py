@@ -211,6 +211,52 @@ def test_tame_over_a_huge_residue_field_is_immediate(capsys):
 
 
 @pytest.mark.parametrize(
+    "command", [("tame", "--pprime", "2"), ("checksum",)], ids=["tame", "checksum"]
+)
+def test_q_far_past_the_int_str_limit_exits_1_at_once(capsys, command):
+    # q = 3**30000000 would take seconds to compute; its digit count does not.
+    with _deadline(1):
+        code, out, err = run_cli(capsys, *command, "--p", "3", "--f", "30000000")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: Exceeds the limit (4300 digits) for integer string conversion:"
+        " q = 3**30000000 has 14313638 digits\n"
+    )
+
+
+def test_count_at_a_ten_digit_prime_is_immediate(capsys):
+    # Five rows of p - 1 blocks each; the walk counts the blocks, so no
+    # tuple of p - 1 markers is built.
+    with _deadline(1):
+        code, out, _ = run_cli(capsys, "count", "--p", "1000000007", "--e", "1", "--max-level", "4")
+    assert code == 0
+    assert out.splitlines()[2].split() == [
+        "level", "1", "vbar", "0", "lines", "1000000006",
+        "extensions", "1000000013000000042", "classes", "1000000006",
+    ]
+
+
+def test_count_over_ten_thousand_levels_is_quick(capsys):
+    with _deadline(0.3):
+        code, out, _ = run_cli(capsys, "count", "--p", "10007", "--e", "1", "--format", "tsv")
+    # A header, then level 0, the 10 006 levels below the top, and the top.
+    assert code == 0 and len(out.splitlines()) == 1 + 1 + 10006 + 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--filter", "unramified-closure"),
+     ("--filter", "group-order=2", "--omega-a", "1", "--omega-b", "0")],
+    ids=["unramified-closure", "group-order"],
+)
+def test_closure_filters_at_p_1009_are_quick(capsys, flags):
+    # The filters count the characters they keep instead of listing 1008**2.
+    with _deadline(0.1):
+        code, out, _ = run_cli(capsys, "mass", "--p", "1009", "--e", "1", *flags, "--format", "tsv")
+    assert code == 0 and out.startswith("filter\tcontribution\n")
+
+
+@pytest.mark.parametrize(
     "field", [("--e", "inf", "--max-level", "30000000"), ("--e", "10000000")], ids=["inf", "e"]
 )
 def test_oracle_check_beyond_its_scale_exits_1_at_once(capsys, field):

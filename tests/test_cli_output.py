@@ -155,6 +155,22 @@ def test_streamed_json_equals_json_dumps_on_the_sweep_grid(capsys):
     assert empty_tables > 0
 
 
+def test_structure_prints_one_line_per_layout_block(capsys):
+    # The cli repeats one formatted row for a level's generic blocks; the
+    # layout lists every block.
+    for p, f, e in workloads._sweep_fields():
+        field = LocalField(p, f, INFINITE_E if e == "inf" else int(e))
+        for max_level in (7, 20 if e == "inf" else None):
+            bound = () if max_level is None else ("--max-level", max_level)
+            argv = ("structure", "--p", p, "--f", f, "--e", e, *bound)
+            blocks = layout(field, max_level).blocks
+            _, out, _ = run_cli(capsys, *argv, "--format", "tsv")
+            assert out.splitlines()[1:] == ["\t".join(map(str, b)) for b in blocks], (p, f, e)
+            _, out, _ = run_cli(capsys, *argv)
+            text = ["  level {:>5}  vbar {}  dim {}  {}".format(*b) for b in blocks]
+            assert out.splitlines()[1:] == text, (p, f, e)
+
+
 QUERIES = [
     ("structure", "--p", 3, "--e", 2),
     ("mass", "--p", 5, "--e", "inf"),

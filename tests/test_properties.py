@@ -2,11 +2,15 @@
 against the independent paths they must agree with."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from localmass.mass import (
+    LevelCount,
+    _xi_filter_mass,
     char_contribution,
     char_contribution_closed,
     char_contribution_truncated,
@@ -15,11 +19,17 @@ from localmass.mass import (
     mass_from_counts,
     per_character_contributions,
     subfield_contribution,
+    unramified_closure_contribution,
 )
 from localmass.model import (
+    GENERIC,
     INFINITE_E,
+    OMEGA,
+    TRIVIAL,
+    CharClass,
     LocalField,
     char_classes,
+    char_is_omega,
     char_is_trivial,
     cyclotomic_valuation,
     enumerate_characters,
@@ -84,6 +94,92 @@ def test_one_valuation_walk_is_the_full_walk_filtered(case):
         assert list(level_walk(field, bound, w)) == [row for row in walk if row[1] == w % m]
         rows = [(level, rec) for level, rec in table.items() if rec.vbar == w % m]
         assert list(count_table(field, max_level, vbar=w).items()) == rows
+
+
+def listed_walk(field, bound, vbar=None):
+    """The level walk with every block's marker listed: each row holds a
+    tuple of p - 1 markers, built for every valuation before the first row.
+    The reference the counted walk expands to."""
+    p, m = field.p, field.p - 1
+    w_omega = cyclotomic_valuation(field)
+    walked = range(m) if vbar is None else [vbar % m]
+    if w_omega in walked:
+        yield 0, w_omega, 1, (OMEGA,)
+    markers = {}
+    for w in walked:
+        special = [OMEGA] if w == w_omega else []
+        if w == 0 and not omega_is_trivial(field):
+            special.append(TRIVIAL)
+        markers[w] = tuple(special) + (GENERIC,) * (m - len(special))
+    last = bound if field.equal_char else min(bound, p * field.e - 1)
+    start, step = (1, 1) if vbar is None else ((w_omega - walked[0] - 1) % m + 1, m)
+    for level in range(start, last + 1, step):
+        if level % p:
+            w = (w_omega - level) % m
+            yield level, w, field.f, markers[w]
+    if not field.equal_char and p * field.e <= bound and 0 in walked:
+        yield p * field.e, 0, 1, (TRIVIAL,)
+
+
+def listed_count_table(field, max_level=None, vbar=None):
+    """The count table over the listed walk: one ``Counter`` of each row's
+    markers, a ``CharClass`` per marker class, and ``p**below`` taken afresh."""
+    p, f = field.p, field.f
+    table = {}
+    for level, w, dim, markers in listed_walk(field, truncation_bound(field, max_level), vbar):
+        lines = extensions = 0
+        for marker, blocks in Counter(markers).items():
+            bonus = 1 if char_is_omega(field, CharClass(w, marker)) else 0
+            below = (level // p) * f + (bonus if level else 0)
+            n = blocks * ((p ** (below + dim) - p**below) // (p - 1))
+            lines += n
+            extensions += n if bonus else n * p
+        table[level] = LevelCount(level, w, lines, extensions, lines)
+    return table
+
+
+@SETTINGS
+@given(cases())
+def test_counted_walk_expands_to_the_listed_walk(case):
+    field, max_level = case
+    bound = truncation_bound(field, max_level)
+    for vbar in [None, *range(field.p - 1)]:
+        expanded = [
+            (level, w, dim, special + (GENERIC,) * generic)
+            for level, w, dim, special, generic in level_walk(field, bound, vbar)
+        ]
+        assert expanded == list(listed_walk(field, bound, vbar)), vbar
+
+
+@SETTINGS
+@given(cases())
+def test_count_table_matches_the_listed_count_table(case):
+    field, max_level = case
+    for vbar in [None, *range(field.p - 1)]:
+        table = count_table(field, max_level, vbar)
+        assert list(table.items()) == list(listed_count_table(field, max_level, vbar).items()), vbar
+
+
+@SETTINGS
+@given(cases())
+@example((LocalField(3, 1, 2, (0, 0)), None))
+@example((LocalField(7, 1, 6, (0, 0)), None))
+@example((LocalField(13, 2, INFINITE_E), 0))
+def test_counted_filters_match_the_listing(case):
+    # The mixed-characteristic fields with omega (0, 0) contain the p-th roots of unity.
+    field, _ = case
+    m = field.p - 1
+
+    def order(xi):
+        return math.lcm(*(m // math.gcd(c, m) for c in xi))
+
+    for n in [n for n in range(1, field.p) if m % n == 0]:
+        listed = _xi_filter_mass(field, lambda xi: order(xi) == n)
+        assert group_order_contribution(field, n) == listed, n
+    w0 = cyclotomic_valuation(field)
+    chars = [chi for chi in enumerate_characters(field) if chi.valuation == w0]
+    listed = sum((char_contribution(field, chi) for chi in chars), Fraction(0))
+    assert unramified_closure_contribution(field) == listed
 
 
 @SETTINGS
