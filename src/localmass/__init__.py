@@ -27,6 +27,7 @@ _HOME = {
             "char_contribution_closed",
             "char_contribution_truncated",
             "contribution_checksum",
+            "count_rows",
             "count_table",
             "cyclic_contribution",
             "galois_closure_contribution",

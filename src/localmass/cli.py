@@ -18,7 +18,13 @@ success, 1 on invalid parameters, and 2 if an internal exact identity fails
 
 Only this module renders: the other modules return plain values, and each
 handler makes every conversion that can fail (a decimal string past the
-int-to-str limit) before its renderer writes the first byte.
+int-to-str limit) before its renderer writes the first byte.  The long
+tables are not held: the rows of ``count`` (from :func:`localmass.mass.count_rows`),
+of ``mass`` (one per character of :func:`localmass.model.enumerate_characters`)
+and of ``structure`` go from the kernel's generators to stdout as they are
+made.  ``count`` walks its levels twice for that, first for the largest
+count it must convert; its json form alone holds the rows, after that
+check, since json orders the level keys as strings.
 
 A query loads only what its subcommand runs.  ``structure`` needs the level
 walk of :mod:`localmass.model` alone; ``mass``, ``count``, ``tame`` and
@@ -47,6 +53,7 @@ from .model import (
     char_is_trivial,
     enumerate_characters,
     level_walk,
+    trivial_char,
     truncation_bound,
 )
 
@@ -256,54 +263,57 @@ def _cmd_mass(args):
     report = mass.total_mass(field)
     # A contribution depends only on the character's valuation and on whether
     # it is trivial, so the (p-1)^2 rows hold at most p distinct values.  Each
-    # is converted to decimal once, whatever the format, so every format
-    # fails or passes alike.
+    # is converted to decimal once, whatever the format, and before the rows
+    # are rendered, so every format fails or passes alike and with no output.
     fmt = rationals.format_rational
     decimal = {(w, False): fmt(c) for w, c in sorted(report.per_vbar.items())}
+    decimal[0, True] = fmt(report.contribution(trivial_char()))
     obj = {
         "field": _field_json(field),
-        "per_vbar": {str(w): value for (w, _), value in decimal.items()},
+        "per_vbar": {str(w): value for (w, trivial), value in decimal.items() if not trivial},
         "tres_extra": fmt(report.tres_extra),
         "total_ramified": fmt(report.total),
         "grand_total": fmt(report.grand_total),
     }
     m = field.p - 1
-    rows = []
-    for chi in enumerate_characters(field):
-        key = (chi.valuation % m, char_is_trivial(field, chi))
-        if key not in decimal:
-            decimal[key] = fmt(report.contribution(chi))
-        rows.append((*chi.coords, chi.valuation, chi.distinguished, decimal[key]))
-    header = ("a", "b", "vbar", "distinguished", "contribution")
+    rows = (
+        (*chi.coords, chi.valuation, chi.distinguished,
+         decimal[chi.valuation % m, char_is_trivial(field, chi)])
+        for chi in enumerate_characters(field)
+    )
     if args.format == "json":
         return _json_streamed(obj, "per_character", "[]", (_CHAR_JSON.format(*row) for row in rows))
     if args.format == "tsv":
-        return _tsv([header, *rows])
-    return _text([
-        f"degree-{field.p} mass over {_describe(field)}",
-        *("  char ({}, {})  vbar {}  {:<7}  {}".format(*row) for row in rows),
-        f"  ramified total:  {obj['total_ramified']}",
-        f"  with unramified: {obj['grand_total']}",
-    ])
+        return _tsv(chain([("a", "b", "vbar", "distinguished", "contribution")], rows))
+    return _text(chain(
+        [f"degree-{field.p} mass over {_describe(field)}"],
+        ("  char ({}, {})  vbar {}  {:<7}  {}".format(*row) for row in rows),
+        [f"  ramified total:  {obj['total_ramified']}", f"  with unramified: {obj['grand_total']}"],
+    ))
 
 
 def _cmd_count(args):
     field = _field(args)
-    entries = list(mass.count_table(field, args.max_level, args.vbar).values())
-    # No count in a row exceeds its extensions: converting the largest of
-    # them now raises the int-to-str limit's ValueError before any output.
-    str(max((rec.extensions for rec in entries), default=0))
+
+    def rows():
+        return mass.count_rows(field, args.max_level, args.vbar)
+
+    # No count in a row exceeds its extensions: a first walk converts the
+    # largest of them, so the int-to-str limit's ValueError is raised before
+    # any output; the second walk renders the rows as they come.
+    str(max((rec.extensions for rec in rows()), default=0))
     if args.format == "json":
-        levels = sorted(entries, key=lambda rec: str(rec.level))  # json sorts keys as strings
+        # json sorts the level keys as strings, so this format holds the rows.
+        levels = sorted(rows(), key=lambda rec: str(rec.level))
         head = {"field": _field_json(field)}
         return _json_streamed(head, "levels", "{}", map(_LEVEL_JSON.format, levels))
     if args.format == "tsv":
         columns = ("level", "vbar", "lines", "extensions", "conjugacy_classes")
-        return _tsv(chain([columns], map(attrgetter(*columns), entries)))
+        return _tsv(chain([columns], map(attrgetter(*columns), rows())))
     return _text(chain([f"extension counts over {_describe(field)}"], (
         f"  level {rec.level:>5}  vbar {rec.vbar}  lines {rec.lines:>8}"
         f"  extensions {rec.extensions:>8}  classes {rec.conjugacy_classes:>8}"
-        for rec in entries
+        for rec in rows()
     )))
 
 

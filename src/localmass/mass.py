@@ -15,8 +15,9 @@ each weighted ``q**-d``.  Summing level by level gives every quantity here:
 * :func:`char_contribution_closed` — the same value through an independent
   closed-form expression, kept as a permanent cross-check;
 * :func:`total_mass` — the full report, asserting the total is exactly p;
-* :func:`count_table` — how many extensions and conjugacy classes live at
-  each level, read off the level walk of :mod:`localmass.model`;
+* :func:`count_rows` — how many extensions and conjugacy classes live at
+  each level, read off the level walk of :mod:`localmass.model` one level at
+  a time, and :func:`count_table`, the same rows held in a dict by level;
 * the Galois-closure filters — masses of the extensions whose closure group
   is constrained (cyclic, split by an unramified extension, of given order);
 * :func:`tame_mass` — the two-dimensional degree-p' analogue, p' != p.
@@ -269,10 +270,12 @@ def peu_tres_split(field: LocalField) -> tuple[Fraction, Fraction]:
     return field.p - tres, tres
 
 
-def count_table(
-    field: LocalField, max_level: int | None = None, vbar: int | None = None
-) -> dict[int, LevelCount]:
-    """Aggregate counts per level, over all character classes.
+def count_rows(field: LocalField, max_level: int | None = None, vbar: int | None = None):
+    """Yield the aggregate counts of each level, over all character classes.
+
+    One ``LevelCount`` per level, in increasing level order, each made when
+    it is asked for: a caller that writes rows as they come holds one row,
+    not the table, whose counts reach thousands of digits.
 
     Includes the level-0 row for the unramified extension and, in mixed
     characteristic, the top-level row; ``max_level`` truncates as
@@ -297,7 +300,6 @@ def count_table(
     cyclotomic = (OMEGA, TRIVIAL) if omega_is_trivial(field) else (OMEGA,)
     step, stratum, power = p**field.f, 0, 1
     span = {1: 1, field.f: (step - 1) // (p - 1)}  # (p**dim - 1) // (p - 1) for each dim
-    table = {}
     for level, w, dim, special, generic in level_walk(
         field, truncation_bound(field, max_level), vbar
     ):
@@ -311,8 +313,15 @@ def count_table(
             else:
                 n = block * p if level else block
                 lines, extensions = lines + n, extensions + n
-        table[level] = LevelCount(level, w, lines, extensions, lines)
-    return table
+        yield LevelCount(level, w, lines, extensions, lines)
+
+
+def count_table(
+    field: LocalField, max_level: int | None = None, vbar: int | None = None
+) -> dict[int, LevelCount]:
+    """The rows of :func:`count_rows`, held in a dict keyed by level, for
+    callers that index levels or need them all at once."""
+    return {rec.level: rec for rec in count_rows(field, max_level, vbar)}
 
 
 def mass_from_counts(field: LocalField, table: dict[int, LevelCount]) -> Fraction:

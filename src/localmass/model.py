@@ -284,17 +284,17 @@ def eigenspace_dim(field: LocalField, chi: CharClass, t: int) -> int:
     return dim
 
 
-def enumerate_characters(field: LocalField) -> list[CharClass]:
-    """All (p-1)^2 character classes as coordinate pairs, in (a, b) order.
+def enumerate_characters(field: LocalField):
+    """Yield all (p-1)^2 character classes as coordinate pairs, in (a, b) order.
 
     The valuation of ``(a, b)`` is ``a``, so each valuation class carries
     exactly p-1 characters.  The trivial character is (0, 0).  When the
     cyclotomic character is trivial, (0, 0) is also the cyclotomic one;
     otherwise the cyclotomic class is marked only when the field carries its
-    coordinates.
+    coordinates.  The characters are made as they are asked for, so a caller
+    that renders them one by one holds one at a time.
     """
     m = field.p - 1
-    chars = []
     for a in range(m):
         for b in range(m):
             if (a, b) == (0, 0):
@@ -303,8 +303,7 @@ def enumerate_characters(field: LocalField) -> list[CharClass]:
                 marker = OMEGA
             else:
                 marker = GENERIC
-            chars.append(CharClass(a, marker, (a, b)))
-    return chars
+            yield CharClass(a, marker, (a, b))
 
 
 def char_classes(field: LocalField) -> list[CharClass]:

@@ -1,8 +1,11 @@
 """CLI dispatch, formats, determinism, and exit codes."""
 
 import contextlib
+import io
 import json
 import signal
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -519,3 +522,104 @@ def test_mass_formats_print_the_same_contributions(capsys, field):
     p = int(field[1])
     assert len(from_json) == (p - 1) ** 2
     assert from_json == from_tsv == from_text
+
+
+INT_STR_LIMIT_ERROR = "error: Exceeds the limit (4300 digits) for integer string conversion"
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+@pytest.mark.parametrize(
+    "query",
+    [("count", "--p", "7", "--f", "3", "--e", "2000"), ("mass", "--p", "31", "--e", "100")],
+    ids=["count", "mass"],
+)
+def test_streamed_tables_past_the_int_str_limit_write_nothing(capsys, query, fmt):
+    # Both tables are rendered as their rows are made, so the conversion that
+    # fails must come before the first row: a clean exit 1 with empty stdout.
+    code, out, err = run_cli(capsys, *query, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith(INT_STR_LIMIT_ERROR)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_count_checks_its_largest_count_before_any_output(capsys, fmt):
+    # At (3, 1, 1341) the most lines a level has is a 640-digit number and
+    # the most extensions a 641-digit one: under a 640-digit limit only the
+    # extensions fail, so the check must read them, not the lines.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "count", "--p", "3", "--e", "1341", "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and out == ""
+    assert err.startswith("error: Exceeds the limit (640 digits) for integer string conversion")
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_mass_converts_the_trivial_contribution_before_any_output(capsys, monkeypatch, fmt):
+    # Only the trivial character's value, per_vbar[0] + tres_extra, is past
+    # the limit: its denominator is 2**7200 * 3**4600, of 4 363 digits, while
+    # every value the report holds is under 2 200 digits.
+    real = mass.total_mass(LocalField(3, 1, 1))
+    fake = real._replace(
+        per_vbar={**real.per_vbar, 0: Fraction(1, 2**7200)}, tres_extra=Fraction(1, 3**4600)
+    )
+    for value in (*fake.per_vbar.values(), fake.tres_extra, fake.total, fake.grand_total):
+        format_rational(value)
+    monkeypatch.setattr(cli.mass, "total_mass", lambda field: fake)
+    code, out, err = run_cli(capsys, "mass", "--p", "3", "--e", "1", "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith(INT_STR_LIMIT_ERROR)
+
+
+class _Discard(io.TextIOBase):
+    """A stdout that counts the lines written to it and keeps nothing."""
+
+    lines = 0
+
+    def write(self, s):
+        self.lines += s.count("\n")
+        return len(s)
+
+
+def _traced_peak(argv, warm_up):
+    """Peak traced allocation of ``cli.main(argv)`` in MB, and its stdout lines.
+
+    ``warm_up``, a small query of the same subcommand and format, runs first,
+    so the imports and caches it fills are not charged to ``argv``."""
+    sink = _Discard()
+    with contextlib.redirect_stdout(sink):
+        cli.main(list(warm_up))
+        sink.lines = 0
+        tracemalloc.start()
+        try:
+            code = cli.main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, peak / 1e6, sink.lines
+
+
+@pytest.mark.parametrize("e, code", [("2000", 1), ("600", 0)], ids=["past-the-limit", "printed"])
+def test_count_holds_no_table(capsys, e, code):
+    # Held whole, the (7, 3, 2000) table of 12 002 rows peaked at 29.8 MB and
+    # the (7, 3, 600) one at 3.3 MB; streamed, each peaks near 0.1 to 0.2 MB,
+    # whether the first walk fails or the rows are written.
+    query = ("count", "--p", "7", "--f", "3", "--e", e, "--format", "tsv")
+    warm_up = ("count", "--p", "7", "--f", "3", "--e", "2", "--format", "tsv")
+    result, peak, lines = _traced_peak(query, warm_up)
+    assert result == code and peak < 1, peak
+    assert lines == (0 if code else 1 + 6 * int(e) + 2)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_mass_holds_no_table(capsys, fmt):
+    # 44 100 characters at p = 211: held, the text table peaked at 19.2 MB
+    # and the tsv and json ones at 10.0 MB; streamed, each peaks near 0.3 MB.
+    warm_up = ("mass", "--p", "3", "--e", "1", "--format", fmt)
+    code, peak, lines = _traced_peak(("mass", "--p", "211", "--e", "1", "--format", fmt), warm_up)
+    assert code == 0 and peak < 2, peak
+    if fmt == "text":
+        assert lines == 210**2 + 3

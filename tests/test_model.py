@@ -248,13 +248,13 @@ def test_truncation_bound():
 
 
 def test_enumerate_characters():
-    chars = enumerate_characters(Q3)
+    chars = list(enumerate_characters(Q3))
     assert len(chars) == 4
     assert [c.coords for c in chars] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert chars[0].distinguished == TRIVIAL
     for w in (0, 1):
         assert sum(1 for c in chars if c.valuation == w) == 2
-    assert len(enumerate_characters(LocalField(5, 1, 1))) == 16
+    assert len(list(enumerate_characters(LocalField(5, 1, 1)))) == 16
     # Order-2 classes at p = 3 in equal characteristic: the three nontrivial ones.
     order2 = [c for c in enumerate_characters(F3_SERIES) if c.coords != (0, 0)]
     assert [c.coords for c in order2] == [(0, 1), (1, 0), (1, 1)]
