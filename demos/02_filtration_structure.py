@@ -7,18 +7,9 @@ level-0 line of the cyclotomic class and, in mixed characteristic, the
 top-level line of the trivial class).
 """
 
-from localmass import (
-    INFINITE_E,
-    LocalField,
-    eigenspace_dim,
-    generic_char,
-    layout,
-    nth_prime_to_p,
-    omega_char,
-    stratum_level,
-    stratum_slot,
-    trivial_char,
-)
+from collections import Counter
+
+from localmass import INFINITE_E, LocalField, layout, nth_prime_to_p, omega_char, stratum_slot
 
 # Full layout over the 3-adics: six basis dimensions, 2 + (p-1)^2 * e * f.
 q3 = LocalField(3, 1, 1)
@@ -39,13 +30,15 @@ print("\ncyclotomic levels vs the prime-to-p sequence (p = 5, e = 5):")
 k55 = LocalField(5, 1, 5)
 om = omega_char(k55)
 for i in range(5):
-    level = stratum_level(k55, om, i)
-    print(f"  stratum {i}: slot {stratum_slot(k55, om, i)}, level {level}"
-          f" = 4 * {nth_prime_to_p(5, i + 1)}")
+    slot = stratum_slot(k55, om, i)
+    print(f"  stratum {i}: slot {slot}, level {5 * i + slot} = 4 * {nth_prime_to_p(5, i + 1)}")
 
-# Eigenspace dimensions grow by f per stratum; the distinguished classes get
-# their extra lines.
-print("\ndimension growth over the 3-adics:")
-for chi, name in [(omega_char(q3), "cyclotomic"), (trivial_char(), "trivial"), (generic_char(0), "generic")]:
-    dims = [eigenspace_dim(q3, chi, t) for t in range(q3.e + 1)]
-    print(f"  {name:<10} {dims}")
+# Each stratum gives every character class f dimensions; the cyclotomic class
+# also owns the level-0 line and the trivial class the top-level one.
+# Over the 3-adics each (marker, valuation) pair is one character.
+print("\neigenspace dimensions over the 3-adics:")
+dims = Counter()
+for block in layout(q3).blocks:
+    dims[block.distinguished, block.valuation] += block.dim
+for (marker, vbar), dim in sorted(dims.items()):
+    print(f"  {marker:<8} vbar {vbar}  dim {dim}")

@@ -62,7 +62,6 @@ _HOME = {
             "cyclotomic_valuation",
             "discriminant_valuation",
             "enumerate_characters",
-            "eigenspace_dim",
             "generic_char",
             "is_prime",
             "layout",
@@ -70,7 +69,6 @@ _HOME = {
             "nth_prime_to_p",
             "omega_char",
             "omega_is_trivial",
-            "stratum_level",
             "stratum_slot",
             "trivial_char",
             "truncation_bound",

@@ -19,7 +19,8 @@ each weighted ``q**-d``.  Summing level by level gives every quantity here:
   each level, read off the level walk of :mod:`localmass.model` one level at
   a time, and :func:`count_table`, the same rows held in a dict by level;
 * the Galois-closure filters — masses of the extensions whose closure group
-  is constrained (cyclic, split by an unramified extension, of given order);
+  is constrained (cyclic, split by an unramified extension or by a given
+  subfield, of given order), each counting the characters it keeps;
 * :func:`tame_mass` — the two-dimensional degree-p' analogue, p' != p.
 
 A contribution depends only on the character's valuation and on whether the
@@ -399,20 +400,6 @@ def _omega_coords(field: LocalField) -> tuple[int, int]:
     return field.omega
 
 
-def _xi_filter_mass(field: LocalField, keep) -> Fraction:
-    """Mass of the characters chi whose class xi = omega*chi^-1 passes ``keep``,
-    listed one by one: (p-1)^2 tests of ``keep``."""
-    om = _omega_coords(field)
-    m = field.p - 1
-    kept = [
-        chi
-        for chi in enumerate_characters(field)
-        if keep(((om[0] - chi.coords[0]) % m, (om[1] - chi.coords[1]) % m))
-    ]
-    trivial = any(char_is_trivial(field, chi) for chi in kept)
-    return _characters_mass(field, Counter(chi.valuation for chi in kept), trivial)
-
-
 def group_order_contribution(field: LocalField, n: int) -> Fraction:
     """Mass of the extensions whose closure group has tame part of order n.
 
@@ -439,8 +426,13 @@ def group_order_contribution(field: LocalField, n: int) -> Fraction:
 def subfield_contribution(field: LocalField, subgroup_gens: list[tuple[int, int]]) -> Fraction:
     """Mass of the extensions split by the degree-(p-1)-type subfield of K
     dual to the subgroup generated by ``subgroup_gens`` in (Z/(p-1))^2.
+
+    These are the characters whose class xi = omega*chi^-1 lies in the
+    subgroup, counted, not listed: an element (x, y) is one chi, of valuation
+    ``omega_a - x``, and the trivial chi exactly when it is omega itself.
     """
     m = field.p - 1
+    om = _omega_coords(field)
     subgroup = {(0, 0)}
     frontier = [(a % m, b % m) for a, b in subgroup_gens]
     while frontier:
@@ -450,7 +442,7 @@ def subfield_contribution(field: LocalField, subgroup_gens: list[tuple[int, int]
             if t not in subgroup:
                 subgroup.add(t)
                 frontier.append(t)
-    return _xi_filter_mass(field, subgroup.__contains__)
+    return _characters_mass(field, Counter((om[0] - x) % m for x, _ in subgroup), om in subgroup)
 
 
 def galois_closure_contribution(field: LocalField, filter_spec: str) -> Fraction:

@@ -252,38 +252,6 @@ def stratum_slot(field: LocalField, chi: CharClass, i: int) -> int:
     return (cyclotomic_valuation(field) - chi.valuation - i - 1) % (field.p - 1) + 1
 
 
-def stratum_level(field: LocalField, chi: CharClass, i: int) -> int:
-    """Filtration level p*i + j of chi's eigen-block in stratum i.
-
-    Always prime to p.  In mixed characteristic only strata i < e exist; the
-    top level p*e belongs to the separate stratum of the trivial character.
-    """
-    if not field.equal_char and i >= field.e:
-        raise ValueError("stratum beyond ramification bound")
-    return field.p * i + stratum_slot(field, chi, i)
-
-
-def eigenspace_dim(field: LocalField, chi: CharClass, t: int) -> int:
-    """Dimension over F_p of chi's eigenspace after t filtration strata.
-
-    Each stratum contributes f dimensions to every character class; the
-    cyclotomic character owns the extra level-0 line.  In mixed
-    characteristic ``t = e`` means the full space, where the trivial
-    character gains one more dimension from the top-level line.
-    """
-    if t < 0:
-        raise ValueError("step must be >= 0")
-    if not field.equal_char and t > field.e:
-        raise ValueError("step beyond ramification bound")
-    validate_char(field, chi)
-    dim = t * field.f
-    if char_is_omega(field, chi):
-        dim += 1
-    if not field.equal_char and t == field.e and char_is_trivial(field, chi):
-        dim += 1
-    return dim
-
-
 def enumerate_characters(field: LocalField):
     """Yield all (p-1)^2 character classes as coordinate pairs, in (a, b) order.
 

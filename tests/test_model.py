@@ -16,7 +16,6 @@ from localmass.model import (
     LocalField,
     cyclotomic_valuation,
     discriminant_valuation,
-    eigenspace_dim,
     enumerate_characters,
     generic_char,
     is_prime,
@@ -24,11 +23,11 @@ from localmass.model import (
     nth_prime_to_p,
     omega_char,
     omega_is_trivial,
-    stratum_level,
     stratum_slot,
     trivial_char,
     truncation_bound,
 )
+from localmass.oracle import eigenspace_blocks
 
 Q3 = LocalField(3, 1, 1)
 F3_SERIES = LocalField(3, 1, INFINITE_E)
@@ -77,8 +76,13 @@ def test_roots_of_unity_field():
     mu3 = LocalField(3, 1, 2, (0, 0))
     assert omega_is_trivial(mu3) and not omega_is_trivial(LocalField(3, 1, 2, (0, 1)))
     assert omega_char(mu3) == trivial_char()
-    assert eigenspace_dim(mu3, trivial_char(), 2) == 4
-    assert eigenspace_dim(LocalField(3, 1, 2, (0, 1)), trivial_char(), 2) == 3
+    # The full eigenspace of the trivial character, by the oracle's congruence
+    # scan; every p = 2 field contains the square roots of unity.
+    dims = [
+        sum(b.dim for b in eigenspace_blocks(field, trivial_char(), 6))
+        for field in (mu3, LocalField(3, 1, 2, (0, 1)), LocalField(2, 1, 3))
+    ]
+    assert dims == [4, 3, 5]
 
 
 def test_char_class_validation():
@@ -159,22 +163,12 @@ def test_stratum_slot_periodicity(field):
             assert stratum_slot(field, chi, i) == stratum_slot(field, chi, i + m)
 
 
-def test_stratum_level_examples():
-    assert stratum_level(F3_SERIES, generic_char(0), 0) == 2
-    assert stratum_level(Q3, generic_char(1), 0) == 2
-    k55 = LocalField(5, 1, 5)
-    omega = omega_char(k55)
-    assert [stratum_level(k55, omega, i) for i in range(5)] == [4, 8, 12, 16, 24]
-    with pytest.raises(ValueError, match="ramification bound"):
-        stratum_level(Q3, generic_char(0), 1)
-
-
 @pytest.mark.parametrize("field", [Q3, F3_SERIES, LocalField(5, 1, 4), LocalField(7, 2, INFINITE_E)])
 def test_levels_prime_to_p(field):
     strata = range(8) if field.equal_char else range(field.e)
     for w in range(field.p - 1):
         for i in strata:
-            assert stratum_level(field, generic_char(w), i) % field.p != 0
+            assert 1 <= stratum_slot(field, generic_char(w), i) <= field.p - 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -189,25 +183,15 @@ def test_cycle_level_matches_prime_to_p_sequence(p):
             assert level == (p - 1) * nth_prime_to_p(p, i + 1)
 
 
-def test_eigenspace_dim_examples():
-    assert eigenspace_dim(Q3, omega_char(Q3), 0) == 1
-    assert eigenspace_dim(Q3, trivial_char(), 1) == 2  # full space, trivial != omega
-    assert eigenspace_dim(F3_SERIES, generic_char(1), 2) == 2
-    assert eigenspace_dim(Q3, omega_char(Q3), 1) == 2
-    assert eigenspace_dim(Q3, generic_char(0), 1) == 1
-    # Trivial = omega for p = 2: both bonuses at the full space.
-    k2 = LocalField(2, 1, 3)
-    assert eigenspace_dim(k2, trivial_char(), 3) == 5
-    with pytest.raises(ValueError):
-        eigenspace_dim(Q3, trivial_char(), 2)
-
-
 def test_layout_examples():
     assert layout(Q3).total_dim == 6
     assert layout(LocalField(5, 1, 1)).total_dim == 18
     lay = layout(F3_SERIES, 5)
     assert sorted({b.level for b in lay.blocks}) == [0, 1, 2, 4, 5]
     assert all(b.level == 0 or b.level % 3 != 0 for b in lay.blocks)
+    k55 = LocalField(5, 1, 5)
+    omega_levels = [b.level for b in layout(k55).blocks if b.distinguished == OMEGA]
+    assert omega_levels == [0, 4, 8, 12, 16, 24]
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -8,17 +8,21 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+import localmass.mass
 from localmass.mass import (
     LevelCount,
-    _xi_filter_mass,
+    _characters_mass,
     char_contribution,
     char_contribution_closed,
     char_contribution_truncated,
+    count_rows,
     count_table,
+    cyclic_contribution,
     group_order_contribution,
     mass_from_counts,
     per_character_contributions,
     subfield_contribution,
+    total_mass,
     unramified_closure_contribution,
 )
 from localmass.model import (
@@ -160,6 +164,21 @@ def test_count_table_matches_the_listed_count_table(case):
         assert list(table.items()) == list(listed_count_table(field, max_level, vbar).items()), vbar
 
 
+def listed_xi_filter_mass(field, keep):
+    """Mass of the characters chi whose class xi = omega*chi^-1 passes ``keep``,
+    listed one by one: (p-1)^2 tests of ``keep``.  The reference the counted
+    closure filters must agree with."""
+    om = field.omega
+    m = field.p - 1
+    kept = [
+        chi
+        for chi in enumerate_characters(field)
+        if keep(((om[0] - chi.coords[0]) % m, (om[1] - chi.coords[1]) % m))
+    ]
+    trivial = any(char_is_trivial(field, chi) for chi in kept)
+    return _characters_mass(field, Counter(chi.valuation for chi in kept), trivial)
+
+
 @SETTINGS
 @given(cases())
 @example((LocalField(3, 1, 2, (0, 0)), None))
@@ -174,7 +193,7 @@ def test_counted_filters_match_the_listing(case):
         return math.lcm(*(m // math.gcd(c, m) for c in xi))
 
     for n in [n for n in range(1, field.p) if m % n == 0]:
-        listed = _xi_filter_mass(field, lambda xi: order(xi) == n)
+        listed = listed_xi_filter_mass(field, lambda xi: order(xi) == n)
         assert group_order_contribution(field, n) == listed, n
     w0 = cyclotomic_valuation(field)
     chars = [chi for chi in enumerate_characters(field) if chi.valuation == w0]
@@ -198,12 +217,41 @@ def test_group_order_slices_partition_mass(case):
     assert sum(group_order_contribution(field, n) for n in divisors) == field.p
 
 
+def test_no_kernel_value_lists_characters(monkeypatch):
+    def refuse(field):
+        raise AssertionError(f"characters of {field} listed")
+
+    monkeypatch.setattr(localmass.mass, "enumerate_characters", refuse)
+    fields = [
+        LocalField(3, 1, 2, (0, 0)),
+        LocalField(7, 1, 3, (3, 1)),
+        LocalField(5, 2, INFINITE_E),
+        LocalField(2, 1, 3),
+    ]
+    for field in fields:
+        m = field.p - 1
+        assert total_mass(field).total == field.p
+        cyclic_contribution(field)
+        unramified_closure_contribution(field)
+        divisors = [n for n in range(1, m + 1) if m % n == 0]
+        assert sum(group_order_contribution(field, n) for n in divisors) == field.p
+        assert subfield_contribution(field, [(1, 0), (0, 1)]) == field.p
+        subfield_contribution(field, [(m // 2, 0)])
+        list(count_rows(field, 20))
+
+
 @SETTINGS
-@given(cases(), st.data())
-def test_subfield_slices_match_per_character_sums(case, data):
+@given(cases(), st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=3))
+# Omega trivial: every subgroup keeps the trivial character and its top-level mass.
+@example((LocalField(3, 1, 2, (0, 0)), None), [])
+@example((LocalField(3, 1, 2, (0, 0)), None), [(1, 1)])
+@example((LocalField(7, 1, 6, (0, 0)), None), [(2, 0)])
+# Omega (3, 1) is not in <(2, 0)>, whose first coordinates fix valuations 3, 1 and 5.
+@example((LocalField(7, 1, 3, (3, 1)), None), [(2, 0)])
+@example((LocalField(2, 1, 3), None), [])
+def test_subfield_slices_match_per_character_sums(case, gens):
     field, _ = case
     m = field.p - 1
-    gens = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=3))
     # The subgroup by a scan of every coefficient vector, not a closure.
     subgroup = {(0, 0)}
     for k in itertools.product(range(m), repeat=len(gens)):
@@ -217,7 +265,8 @@ def test_subfield_slices_match_per_character_sums(case, data):
         ),
         Fraction(0),
     )
-    assert subfield_contribution(field, gens) == expected
+    listed = listed_xi_filter_mass(field, subgroup.__contains__)
+    assert subfield_contribution(field, gens) == listed == expected
 
 
 def per_stratum_sum(field, chi, max_level):
