@@ -274,23 +274,23 @@ def enumerate_characters(field: LocalField):
             yield CharClass(a, marker, (a, b))
 
 
-def char_classes(field: LocalField) -> list[CharClass]:
-    """One character of each class whose contribution and line counts differ.
+def char_classes(field: LocalField):
+    """Yield one character of each class whose contribution and line counts differ.
 
     Those depend only on the valuation, on being trivial and on being
-    cyclotomic, so for each valuation w this lists the trivial character
+    cyclotomic, so for each valuation w this yields the trivial character
     (w = 0), the cyclotomic character (w its valuation, unless it is the
-    trivial one) and ``generic_char(w)``, in that order.
+    trivial one) and ``generic_char(w)``, in that order.  The up to p + 1
+    classes come one at a time, so a caller that stops early builds only
+    what it read.
     """
     w_omega = cyclotomic_valuation(field)
-    classes = []
     for w in range(field.p - 1):
         if w == 0:
-            classes.append(trivial_char())
+            yield trivial_char()
         if w == w_omega and not omega_is_trivial(field):
-            classes.append(omega_char(field))
-        classes.append(generic_char(w))
-    return classes
+            yield omega_char(field)
+        yield generic_char(w)
 
 
 class EigenBlock(namedtuple("EigenBlock", "level valuation dim distinguished")):

@@ -8,9 +8,10 @@ convention), and adds up ``multiplicity * q**-level`` line by line.  The walk
 is exhaustive, p**dim vectors, and its per-vector work runs in C: one
 ``bisect_right`` tags each vector with its first nonzero coordinate, and the
 tags are packed into ``bytes`` and counted.  The tally depends only on
-``(p, dim)``, so each such space is walked once per process and shared by
-every character whose eigenspace has that shape; nothing is counted by a
-closed form or by splitting the space into halves.
+``(p, dim)``, and the tally of a smaller space is the tail of a larger one's,
+so the vectors are walked once per p, at the largest dimension asked, and
+that walk is shared by every character whose eigenspace lives over p;
+nothing is counted by a closed form or by splitting the space into halves.
 
 Independence is the point.  Block levels are found by scanning the integers
 and keeping those that are prime to p and whose valuation congruence matches
@@ -26,7 +27,6 @@ import itertools
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .model import (
     CharClass,
@@ -75,23 +75,33 @@ def eigenspace_blocks(field: LocalField, chi: CharClass, max_level: int):
         yield OracleBlock(p * field.e, 1)
 
 
-@lru_cache(maxsize=64)
+#: Per p, the tally of the largest space walked so far.
+_TALLIES: dict[int, tuple[int, ...]] = {}
+
+
 def _vectors_by_leading_position(p: int, dim: int) -> tuple[int, ...]:
     """Vectors of F_p**dim per position of their first nonzero coordinate.
 
     Entry i counts the vectors whose first nonzero coordinate is i; the zero
-    vector is not counted.  Every vector of ``product(range(p), repeat=dim)``
-    is read: ``bisect_right`` over the unit vectors e_{dim-1} < ... < e_0 (in
-    tuple order) returns dim - i for such a vector and 0 for the zero vector.
+    vector is not counted.  The vectors of F_p**dim are those of F_p**D,
+    D >= dim, whose first D - dim coordinates are 0, so their tally is the
+    last dim entries of the larger space's.  Per p, the largest space asked
+    so far is walked and kept, and a larger request walks its own space and
+    replaces it.  Every vector of ``product(range(p), repeat=D)`` is read:
+    ``bisect_right`` over the unit vectors e_{D-1} < ... < e_0 (in tuple
+    order) returns D - i for such a vector and 0 for the zero vector.
     """
-    units = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in reversed(range(dim))]
-    vectors = itertools.product(range(p), repeat=dim)
-    tags = map(bisect_right, itertools.repeat(units), vectors)
-    tally = [0] * dim
-    while chunk := bytes(itertools.islice(tags, _CHUNK)):
-        for i in range(dim):
-            tally[i] += chunk.count(dim - i)
-    return tuple(tally)
+    tally = _TALLIES.get(p, ())
+    if len(tally) < dim:
+        units = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in reversed(range(dim))]
+        vectors = itertools.product(range(p), repeat=dim)
+        tags = map(bisect_right, itertools.repeat(units), vectors)
+        counts = [0] * dim
+        while chunk := bytes(itertools.islice(tags, _CHUNK)):
+            for i in range(dim):
+                counts[i] += chunk.count(dim - i)
+        tally = _TALLIES[p] = tuple(counts)
+    return tally[len(tally) - dim :]
 
 
 def enumerate_lines(
@@ -103,11 +113,11 @@ def enumerate_lines(
     level is the level of its first nonzero coordinate.  Every vector of
     ``product(range(p), repeat=dim)`` is tagged with that position by one
     ``bisect_right`` into ``bytes`` (see ``_vectors_by_leading_position``),
-    once per ``(p, dim)``; the positions are then read as levels.  Scalar
-    multiples of a vector share its support, hence its level, so the p - 1
-    nonzero multiples of each line land in the same bucket; dividing the
-    vector tally by p - 1 yields the line count, and the division is checked
-    to be exact.
+    once per p, at the largest dimension asked; the positions are then read
+    as levels.  Scalar multiples of a vector share its support, hence its
+    level, so the p - 1 nonzero multiples of each line land in the same
+    bucket; dividing the vector tally by p - 1 yields the line count, and the
+    division is checked to be exact.
     """
     # Each block has dimension >= 1, so reading stops within DIM_LIMIT + 1
     # blocks, however far the bound reaches.

@@ -6,8 +6,9 @@ every claim at a scale where exhaustive computation settles it:
 * the normalizer of an order-p subgroup of the symmetric group has order
   p(p-1), its quotient by that subgroup is cyclic via the conjugation
   action, and an affine complement realizes the splitting: one scan of the
-  symmetric group, ``normalizer_of_cycle``, gives the normalizer, its
-  conjugation character and, as the stabilizer of 0, the complement;
+  symmetric group, ``normalizer_of_cycle``, one product per permutation,
+  gives the normalizer, its conjugation character and, as the stabilizer of
+  0, the complement;
 * Galois's solvability criterion: a transitive subgroup of the degree-p
   symmetric group is solvable iff it contains a unique Sylow p-subgroup;
 * a solvable transitive subgroup other than the p-cycle group has exactly p
@@ -16,13 +17,16 @@ every claim at a scale where exhaustive computation settles it:
 
 Every group here is grown by one step, ``extend``: Dimino's coset extension
 of a known group by one permutation, and every subgroup is found by one
-exhaustive search, ``_subgroups``.  It gives each group's index-p subgroups
-and, for p <= 5, the transitive family: the subgroups of the symmetric group
-containing the p-cycle, and their conjugates.  A group's record is built
-from the generators that found it.  For p = 7 a seeded family is
-used instead: the chain between the p-cycle group and its normalizer, the
-full symmetric and alternating groups, and the simple group of order 168 in
-its degree-7 action; results for p = 7 are labelled with that scope.
+exhaustive search, ``_subgroups``, which skips each double coset it has
+tried by closing it under the group's generators.  It gives each group's
+index-p subgroups and, for p <= 5, the transitive family: the subgroups of
+the symmetric group containing the p-cycle, and their conjugates, found as
+an orbit under conjugation by generators of the symmetric group.  A group's
+record is built from the generators that found it.  For p = 7 a seeded
+family is used instead: the chain between the p-cycle group and its
+normalizer, the full symmetric and alternating groups, and the simple group
+of order 168 in its degree-7 action; results for p = 7 are labelled with
+that scope.
 """
 
 from __future__ import annotations
@@ -68,19 +72,21 @@ def affine_perm(p: int, mult: int) -> Perm:
     return tuple(mult * x % p for x in range(p))
 
 
-def extend(
-    group: frozenset[Perm], gens: list[Perm], new: Perm, limit: int | None = None
+def _coset_closure(
+    group: frozenset[Perm],
+    gens: list[Perm],
+    elems: set[Perm],
+    reps: list[Perm],
+    limit: int | None = None,
 ) -> frozenset[Perm]:
-    """``<group, new>`` for ``group = <gens>``, as a union of right cosets ``group∘r``.
+    """``elems``, the right cosets ``group∘r`` for r in ``reps``, closed under
+    right multiplication by ``gens``.
 
     Each representative times each generator lies in a known coset or starts
-    a new one, which is added whole.  With ``limit`` it stops once it knows
-    more than ``limit`` elements and returns those cosets, whose size alone
-    tells the caller that the group is larger than ``limit``.
+    a new one, which is added whole: ``group∘r∘g`` lies in ``elems`` as soon
+    as ``r∘g`` does.  With ``limit`` it stops once it knows more than
+    ``limit`` elements and returns those cosets.
     """
-    gens = [*gens, new]
-    elems = set(group)
-    reps = [pidentity(len(new))]
     for rep in reps:  # grows while it is walked
         for g in gens:
             if limit is not None and len(elems) > limit:
@@ -90,6 +96,19 @@ def extend(
                 elems.update(pmul(h, prod) for h in group)
                 reps.append(prod)
     return frozenset(elems)
+
+
+def extend(
+    group: frozenset[Perm], gens: list[Perm], new: Perm, limit: int | None = None
+) -> frozenset[Perm]:
+    """``<group, new>`` for ``group = <gens>``, as a union of right cosets ``group∘r``.
+
+    It is ``group`` closed under right multiplication by ``gens`` and
+    ``new``.  With ``limit`` it stops once it knows more than ``limit``
+    elements and returns those cosets, whose size alone tells the caller that
+    the group is larger than ``limit``.
+    """
+    return _coset_closure(group, [*gens, new], set(group), [pidentity(len(new))], limit)
 
 
 def closure(gens, degree: int) -> frozenset[Perm]:
@@ -170,6 +189,17 @@ class SubgroupRecord(
         return frozenset(self.elements)
 
 
+def _double_coset(group: frozenset[Perm], gens: list[Perm], b: Perm) -> frozenset[Perm]:
+    """The double coset ``group∘b∘group`` of ``group = <gens>``.
+
+    The right coset ``group∘b`` closed under right multiplication by
+    ``gens``: a finite group is the monoid its generators make, so the
+    closure is ``group∘b∘group``.  It is found one right coset at a time, in
+    |group∘b∘group| products and |gens| more per coset.
+    """
+    return _coset_closure(group, gens, {pmul(g, b) for g in group}, [b])
+
+
 def _subgroups(
     ambient: list[Perm], gens: list[Perm], order: int
 ) -> dict[frozenset[Perm], list[Perm]]:
@@ -177,11 +207,12 @@ def _subgroups(
     whose order divides ``order``, with generators.
 
     Starting at ``<gens>``, each group G found is extended by one element of
-    each double coset GbG in ``ambient`` but G until nothing new appears; an
-    extension is stopped once past ``order`` elements, and kept only if its
-    order divides ``order``.  A subgroup H is reached by adding the elements
-    of H one at a time, each group on the way a subgroup of H, so the search
-    is exhaustive without any bound on the number of generators H needs.
+    each double coset GbG in ``ambient`` but G until nothing new appears
+    (``_double_coset`` marks the rest of GbG as tried); an extension is
+    stopped once past ``order`` elements, and kept only if its order divides
+    ``order``.  A subgroup H is reached by adding the elements of H one at a
+    time, each group on the way a subgroup of H, so the search is exhaustive
+    without any bound on the number of generators H needs.
     """
     start = closure(gens, _degree(ambient))
     found = {start: list(gens)}
@@ -193,7 +224,7 @@ def _subgroups(
         for b in ambient:
             if b in tried:
                 continue
-            tried.update(pmul(pmul(g, b), h) for g in group for h in group)  # <G, gbh> = <G, b>
+            tried.update(_double_coset(group, group_gens, b))  # <G, gbh> = <G, b>
             bigger = extend(group, group_gens, b, limit=order)
             if order % len(bigger) == 0 and bigger not in found:
                 found[bigger] = group_gens + [b]
@@ -265,23 +296,37 @@ def _require_degree(p: int) -> None:
 
 def normalizer_of_cycle(p: int) -> dict[Perm, int]:
     """Normalizer in the symmetric group of ``<σ>``, σ the p-cycle, with its
-    conjugation character: ``{g: a}`` with ``g σ g⁻¹ = σ^a``, in one pass."""
-    sigma = pcycle(p)
-    power_of = {tuple((x + a) % p for x in range(p)): a for a in range(1, p)}  # σ^a: x -> x + a
+    conjugation character: ``{g: a}`` with ``g σ g⁻¹ = σ^a``, in one pass.
+
+    ``g σ g⁻¹ = σ^a`` says ``g∘σ = σ^a∘g``, which at 0 reads
+    ``g(1) = g(0) + a``.  So a = g(1) - g(0) mod p is the only candidate, never
+    0 since g is one-to-one, and one product checks it.
+    """
+    powers = [tuple((x + a) % p for x in range(p)) for a in range(p)]  # σ^a: x -> x + a
     out = {}
     for g in itertools.permutations(range(p)):
-        a = power_of.get(pmul(pmul(g, sigma), pinv(g)))
-        if a is not None:
+        a = (g[1] - g[0]) % p
+        if g[1:] + g[:1] == pmul(powers[a], g):  # g∘σ == σ^a∘g
             out[g] = a
     return out
 
 
 def _conjugates(elems: frozenset[Perm]) -> set[frozenset[Perm]]:
-    """The distinct conjugates of a subgroup under the symmetric group."""
-    conjugates = set()
-    for g in itertools.permutations(range(_degree(elems))):
-        g_inv = pinv(g)
-        conjugates.add(frozenset(pmul(pmul(g, h), g_inv) for h in elems))
+    """The distinct conjugates of a subgroup under the symmetric group.
+
+    They are its orbit under conjugation by the n-cycle and the
+    transposition (0 1), which generate the symmetric group of degree n.
+    """
+    n = _degree(elems)
+    movers = [(g, pinv(g)) for g in (pcycle(n), (1, 0, *range(2, n)))]
+    conjugates = {frozenset(elems)}
+    todo = list(conjugates)
+    for group in todo:  # grows while it is walked
+        for g, g_inv in movers:
+            conj = frozenset(pmul(pmul(g, h), g_inv) for h in group)
+            if conj not in conjugates:
+                conjugates.add(conj)
+                todo.append(conj)
     return conjugates
 
 

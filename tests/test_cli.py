@@ -277,16 +277,42 @@ def test_oracle_check_past_the_vector_cap_exits_1_at_once(capsys):
     assert err == "error: oracle scale exceeded: vectors >= 13**7 > VECTOR_LIMIT = 10000000\n"
 
 
-def test_oracle_check_walks_each_space_once(capsys):
-    # At (5, 1, inf) to level 40 the five classes have dimensions 9, 8, 8,
-    # 8, 8: two spaces to walk, and the other three classes reuse a tally.
-    tally = oracle._vectors_by_leading_position
-    tally.cache_clear()
-    code, _, _ = run_cli(capsys, "oracle-check", "--p", "5", "--e", "inf", "--max-level", "40")
+def _oracle_walks(capsys, monkeypatch, *argv):
+    """The ``(p, dim)`` of each vector walk an ``oracle-check`` query makes."""
+    real = oracle.itertools.product
+    walks = []
+
+    def recorded(*args, **kwargs):
+        walks.append((len(args[0]), kwargs["repeat"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle.itertools, "product", recorded)
+    oracle._TALLIES.clear()
+    code, _, _ = run_cli(capsys, "oracle-check", *argv)
     assert code == 0
-    assert tally.cache_info().misses == 2
-    tally(5, 9), tally(5, 8)
-    assert tally.cache_info().misses == 2
+    return walks
+
+
+def test_oracle_check_walks_each_space_once(capsys, monkeypatch):
+    # At (5, 1, inf) to level 40 the five classes have dimensions 9, 8, 8,
+    # 8, 8: F_5**8 is the tail of F_5**9, so one walk serves all five.
+    argv = ("--p", "5", "--e", "inf", "--max-level", "40")
+    assert _oracle_walks(capsys, monkeypatch, *argv) == [(5, 9)]
+
+
+def test_oracle_check_walks_one_space_per_p(capsys, monkeypatch):
+    # At (3, 1, inf) to level 33 the three classes have dimensions 12, 11, 11.
+    argv = ("--p", "3", "--e", "inf", "--max-level", "33")
+    assert _oracle_walks(capsys, monkeypatch, *argv) == [(3, 12)]
+
+
+def test_oracle_check_at_a_seven_digit_prime_rejects_after_one_class(capsys):
+    # The first class is already past the vector cap; the classes come one
+    # at a time, so the other p of them are never built.
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "oracle-check", "--p", "1000003", "--e", "1")
+    assert code == 1 and out == ""
+    assert err == "error: oracle scale exceeded: vectors >= 1000003**2 > VECTOR_LIMIT = 10000000\n"
 
 
 def test_oracle_check_bound_far_above_the_top_level_is_immediate(capsys):
@@ -378,13 +404,13 @@ def test_oracle_line_split_failure_names_its_inputs(capsys, monkeypatch):
         return vectors + vectors[-1:]
 
     monkeypatch.setattr(oracle.itertools, "product", one_extra)
-    # A tally cached by an earlier test would hide the patch, and the one
+    # A tally kept from an earlier test would hide the patch, and the one
     # made here must not outlive it.
-    oracle._vectors_by_leading_position.cache_clear()
+    oracle._TALLIES.clear()
     try:
         code, out, err = run_cli(capsys, "oracle-check", "--p", "3", "--e", "1", "--vbar", "1")
     finally:
-        oracle._vectors_by_leading_position.cache_clear()
+        oracle._TALLIES.clear()
     assert code == 2 and out == ""
     assert "do not split into lines for CharClass(valuation=1" in err
     assert "over LocalField(p=3, f=1, e=1" in err

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from localmass.model import (
     trivial_char,
 )
 from localmass.oracle import (
+    _TALLIES,
     _vectors_by_leading_position,
     eigenspace_blocks,
     enumerate_lines,
@@ -98,16 +100,35 @@ def _lines_by_vector_loop(field, chi, max_level):
     return {lvl: n // (field.p - 1) for lvl, n in sorted(vectors_per_level.items())}
 
 
-@pytest.mark.parametrize("p,dim", [(2, 1), (3, 4), (5, 3), (3, 11)])
-def test_vectors_by_leading_position_matches_a_per_vector_loop(p, dim):
-    # 3**11 = 177 147 vectors span three 64 kB chunks, the last one partial.
+@cache
+def _leading_positions_by_loop(p, dim):
+    """Vectors of F_p**dim per position of their first nonzero coordinate,
+    found by a Python loop over each vector's coordinates."""
     expected = [0] * dim
     for vec in itertools.product(range(p), repeat=dim):
         first = next((i for i, coord in enumerate(vec) if coord), None)
         if first is not None:
             expected[first] += 1
-    assert _vectors_by_leading_position(p, dim) == tuple(expected)
-    assert expected == [(p - 1) * p ** (dim - 1 - i) for i in range(dim)]
+    return tuple(expected)
+
+
+@pytest.mark.parametrize("p,dim", [(2, 1), (3, 4), (5, 3), (3, 11)])
+def test_vectors_by_leading_position_matches_a_per_vector_loop(p, dim):
+    # 3**11 = 177 147 vectors span three 64 kB chunks, the last one partial.
+    _TALLIES.clear()
+    expected = _leading_positions_by_loop(p, dim)
+    assert _vectors_by_leading_position(p, dim) == expected
+    assert expected == tuple((p - 1) * p ** (dim - 1 - i) for i in range(dim))
+
+
+@pytest.mark.parametrize("dims", [(11, 4), (4, 6)], ids=["larger-first", "smaller-first"])
+def test_vectors_by_leading_position_in_either_order(dims):
+    # A smaller space reads the tail of the larger one's tally; a larger one
+    # walks its own space and replaces the smaller one's.
+    _TALLIES.clear()
+    for dim in (*dims, *dims):
+        assert _vectors_by_leading_position(3, dim) == _leading_positions_by_loop(3, dim)
+    assert _TALLIES == {3: _leading_positions_by_loop(3, max(dims))}
 
 
 @st.composite
@@ -120,7 +141,7 @@ def small_eigenspaces(draw):
     field = LocalField(p, f, e)
     if not omega_is_trivial(field):
         field = LocalField(p, f, e, (cyclotomic_valuation(field), draw(st.integers(0, p - 2))))
-    chi = draw(st.sampled_from(char_classes(field)))
+    chi = draw(st.sampled_from(list(char_classes(field))))
 
     def dim(bound):
         return sum(b.dim for b in eigenspace_blocks(field, chi, bound))

@@ -8,7 +8,10 @@ from functools import cache
 import pytest
 
 from localmass.permgroup import (
+    _conjugates,
+    _double_coset,
     _is_p_cycle,
+    _subgroups,
     affine_perm,
     closure,
     derived_subgroup,
@@ -83,6 +86,20 @@ def test_normalizer_of_cycle_is_the_affine_group_with_its_multipliers(p):
     # x -> a*x + b conjugates the p-cycle x -> x + 1 to x -> x + a.
     affine = {tuple((a * x + b) % p for x in range(p)): a for a in range(1, p) for b in range(p)}
     assert normalizer_of_cycle(p) == affine
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_normalizer_of_cycle_equals_the_conjugation_lookup(p):
+    # The reference conjugates σ by every permutation and looks the result
+    # up among the powers of σ.
+    sigma = pcycle(p)
+    power_of = {tuple((x + a) % p for x in range(p)): a for a in range(1, p)}
+    expected = []
+    for g in itertools.permutations(range(p)):
+        a = power_of.get(pmul(pmul(g, sigma), pinv(g)))
+        if a is not None:
+            expected.append((g, a))
+    assert list(normalizer_of_cycle(p).items()) == expected
 
 
 @pytest.mark.parametrize("p,order", [(2, 2), (3, 6), (5, 20), (7, 42)])
@@ -280,3 +297,47 @@ def test_is_solvable_agrees_with_the_derived_series_of_every_subgroup_of_s5():
         solvable[group] = len(series[-1]) == 1
         assert is_solvable(_gens(group, 5)) == solvable[group]
     assert sorted(len(g) for g, ok in solvable.items() if not ok) == [60, 120]
+
+
+def test_double_coset_equals_every_product_g_b_h():
+    # Every subgroup of S_4, with the generators the search found it by,
+    # against every permutation b.
+    s4 = sorted(_symmetric(4))
+    found = _subgroups(s4, [], 24)
+    assert len(found) == 30
+    for group, gens in found.items():
+        for b in s4:
+            expected = {tuple(g[b[h[x]]] for x in range(4)) for g in group for h in group}
+            assert _double_coset(group, gens, b) == expected
+
+
+def _conjugates_by_scan(group, n):
+    """Test-local conjugates: g h g⁻¹, which sends g(x) to g(h(x)), for every
+    permutation g of degree n."""
+    out = set()
+    for g in itertools.permutations(range(n)):
+        conj = set()
+        for h in group:
+            image = [0] * n
+            for x in range(n):
+                image[g[x]] = g[h[x]]
+            conj.add(tuple(image))
+        out.add(frozenset(conj))
+    return out
+
+
+def _conjugates_cases():
+    cases = []
+    for p in (2, 3, 5):
+        s_p = sorted(_symmetric(p))
+        cases += [(group, p) for group in _subgroups(s_p, [pcycle(p)], len(s_p))]
+    # The p = 7 overgroups of the cycle inside its normalizer: orders 7, 14, 21, 42.
+    cases += [(_generated([pcycle(7), affine_perm(7, a)], 7), 7) for a in (1, 6, 2, 3)]
+    return cases
+
+
+def test_conjugates_equal_a_scan_of_the_symmetric_group():
+    cases = _conjugates_cases()
+    assert sorted(len(g) for g, n in cases if n == 7) == [7, 14, 21, 42]
+    for group, n in cases:
+        assert _conjugates(group) == _conjugates_by_scan(group, n), (n, len(group))
