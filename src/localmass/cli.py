@@ -161,6 +161,17 @@ def _field(args) -> LocalField:
     return LocalField(args.p, args.f, e, _omega_coords(args))
 
 
+def _printed_field(args) -> LocalField:
+    """``_field(args)``, with q converted to decimal first in the formats
+    that print it, json and text: a q past the int-to-str limit then exits 1
+    before the kernel runs, not after.  tsv prints no q, so it is not checked
+    there."""
+    field = _field(args)
+    if args.format != "tsv":
+        _q_decimal(field)
+    return field
+
+
 def _omega_coords(args) -> tuple[int, int] | None:
     a, b = args.omega_a, args.omega_b
     if a is None and b is None:
@@ -230,7 +241,7 @@ def _cmd_structure(args):
     a level's generic blocks, whose rows are identical, so that row is
     formatted once and repeated ``generic`` times with the format's row
     separator between the copies."""
-    field = _field(args)
+    field = _printed_field(args)
     bound = truncation_bound(field, args.max_level)
     total_dim = sum(dim * (len(special) + n) for _, _, dim, special, n in level_walk(field, bound))
 
@@ -252,7 +263,7 @@ def _cmd_structure(args):
 
 
 def _cmd_mass(args):
-    field = _field(args)
+    field = _printed_field(args)
     if args.filter is not None:
         value = rationals.format_rational(mass.galois_closure_contribution(field, args.filter))
         if args.format == "json":
@@ -293,7 +304,7 @@ def _cmd_mass(args):
 
 
 def _cmd_count(args):
-    field = _field(args)
+    field = _printed_field(args)
 
     def rows():
         return mass.count_rows(field, args.max_level, args.vbar)
@@ -369,7 +380,7 @@ def _cmd_galois_verify(args):
 
 
 def _cmd_oracle_check(args):
-    field = _field(args)
+    field = _printed_field(args)
     # The bound is checked and clamped to the top level p*e, where the
     # truncated sum is the full contribution, but printed as given.
     clamped = truncation_bound(field, args.max_level)

@@ -5,13 +5,17 @@ materialises one character's eigenspace as a list of blocks, walks every
 coordinate vector, reads each nonzero vector's level off its support (the
 highest block level where it is nonzero, the increasing-filtration
 convention), and adds up ``multiplicity * q**-level`` line by line.  The walk
-is exhaustive, p**dim vectors, and its per-vector work runs in C: one
-``bisect_right`` tags each vector with its first nonzero coordinate, and the
-tags are packed into ``bytes`` and counted.  The tally depends only on
-``(p, dim)``, and the tally of a smaller space is the tail of a larger one's,
-so the vectors are walked once per p, at the largest dimension asked, and
-that walk is shared by every character whose eigenspace lives over p;
-nothing is counted by a closed form or by splitting the space into halves.
+is exhaustive, p**dim vectors, and its work runs in C, column by column: the
+vectors are laid out in ``itertools.product`` order as byte columns, one per
+coordinate, a block of at most 1 << 16 vectors (or p, past that) at a time;
+each column is read once into a bit mask of its nonzero rows, and the rows
+whose first nonzero coordinate is column i are counted as the bits that
+column i adds to the mask of rows seen nonzero so far.  The tally depends
+only on ``(p, dim)``, and the tally of a smaller space is the tail of a
+larger one's, so the vectors are walked once per p, at the largest dimension
+asked, and that walk is shared by every character whose eigenspace lives
+over p; nothing is counted by a closed form or by splitting the space into
+halves.
 
 Independence is the point.  Block levels are found by scanning the integers
 and keeping those that are prime to p and whose valuation congruence matches
@@ -24,7 +28,6 @@ two-path check, not a tautology.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
@@ -43,8 +46,10 @@ from .rationals import rat_pow
 DIM_LIMIT = 12
 #: Hard cap on the number of vectors walked, p**dim.
 VECTOR_LIMIT = 10**7
-#: Vectors tagged per ``bytes`` chunk, so the walk's memory stays flat.
-_CHUNK = 1 << 16
+#: Vectors per block of the walk, so its memory stays flat.
+_BLOCK_ROWS = 1 << 16
+#: ``bytes.translate`` table reading a coordinate byte as 1 if nonzero, else 0.
+_NONZERO = bytes([0]) + bytes([1]) * 255
 
 
 class OracleBlock(namedtuple("OracleBlock", "level dim")):
@@ -79,6 +84,46 @@ def eigenspace_blocks(field: LocalField, chi: CharClass, max_level: int):
 _TALLIES: dict[int, tuple[int, ...]] = {}
 
 
+def _column_mask(column: bytes) -> int:
+    """The rows of a byte column whose coordinate is nonzero, as a bit mask."""
+    return int.from_bytes(column.translate(_NONZERO), "little")
+
+
+def _coordinates(p: int) -> bytes:
+    """The coordinates 0, ..., p - 1 as one byte each.  A coordinate c is the
+    byte min(c, 255), which is zero exactly when c is."""
+    return bytes(range(min(p, 256))).ljust(p, b"\xff")
+
+
+def _suffix_columns(p: int, k: int) -> list[bytes]:
+    """The vectors of F_p**k in ``product`` order, one byte column per
+    coordinate: column j holds each coordinate p**(k-1-j) times in a row,
+    and that run of p values repeats p**j times."""
+    values = _coordinates(p)
+    columns = []
+    for j in range(k):
+        run = p ** (k - 1 - j)
+        column = values if run == 1 else b"".join(values[c : c + 1] * run for c in range(p))
+        columns.append(column * p**j)
+    return columns
+
+
+def _blocks(p: int, dim: int):
+    """The vectors of F_p**dim in ``product`` order, as blocks of dim byte
+    columns.  The last k coordinates, the most whose p**k rows fit in
+    ``_BLOCK_ROWS`` (and at least one), are laid out once; each block is one
+    value of the first dim - k coordinates, read as constant columns, beside
+    them."""
+    k = 1
+    while k < dim and p ** (k + 1) <= _BLOCK_ROWS:
+        k += 1
+    suffix = _suffix_columns(p, k)
+    rows = len(suffix[0])
+    values = _coordinates(p)
+    for prefix in itertools.product(range(p), repeat=dim - k):
+        yield [values[c : c + 1] * rows for c in prefix] + suffix
+
+
 def _vectors_by_leading_position(p: int, dim: int) -> tuple[int, ...]:
     """Vectors of F_p**dim per position of their first nonzero coordinate.
 
@@ -87,19 +132,29 @@ def _vectors_by_leading_position(p: int, dim: int) -> tuple[int, ...]:
     D >= dim, whose first D - dim coordinates are 0, so their tally is the
     last dim entries of the larger space's.  Per p, the largest space asked
     so far is walked and kept, and a larger request walks its own space and
-    replaces it.  Every vector of ``product(range(p), repeat=D)`` is read:
-    ``bisect_right`` over the unit vectors e_{D-1} < ... < e_0 (in tuple
-    order) returns D - i for such a vector and 0 for the zero vector.
+    replaces it.
+
+    The walk reads every coordinate of every vector of
+    ``product(range(p), repeat=D)`` exactly once, a column of a block of
+    ``_blocks`` at a time: ``_column_mask`` turns the column into the bit
+    mask of its nonzero rows, the mask is ORed into the rows seen nonzero so
+    far, and the bits it adds are the rows whose first nonzero coordinate is
+    that column; a column that adds no row leaves its count unchanged
+    without one.  Each count is a ``bit_count`` of masks read from the
+    vectors, never a block's size or a power of p; the zero vector sets no
+    bit in any column, so it is never counted.
     """
     tally = _TALLIES.get(p, ())
     if len(tally) < dim:
-        units = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in reversed(range(dim))]
-        vectors = itertools.product(range(p), repeat=dim)
-        tags = map(bisect_right, itertools.repeat(units), vectors)
         counts = [0] * dim
-        while chunk := bytes(itertools.islice(tags, _CHUNK)):
-            for i in range(dim):
-                counts[i] += chunk.count(dim - i)
+        for columns in _blocks(p, dim):
+            seen = before = 0
+            for i, column in enumerate(columns):
+                mask = seen | _column_mask(column)
+                if mask != seen:
+                    seen, after = mask, mask.bit_count()
+                    counts[i] += after - before
+                    before = after
         tally = _TALLIES[p] = tuple(counts)
     return tally[len(tally) - dim :]
 
@@ -111,13 +166,13 @@ def enumerate_lines(
 
     The coordinates are ordered by descending block level, so a vector's
     level is the level of its first nonzero coordinate.  Every vector of
-    ``product(range(p), repeat=dim)`` is tagged with that position by one
-    ``bisect_right`` into ``bytes`` (see ``_vectors_by_leading_position``),
-    once per p, at the largest dimension asked; the positions are then read
-    as levels.  Scalar multiples of a vector share its support, hence its
-    level, so the p - 1 nonzero multiples of each line land in the same
-    bucket; dividing the vector tally by p - 1 yields the line count, and the
-    division is checked to be exact.
+    ``product(range(p), repeat=dim)`` is counted at that position by a
+    column walk (see ``_vectors_by_leading_position``), once per p, at the
+    largest dimension asked; the positions are then read as levels.  Scalar
+    multiples of a vector share its support, hence its level, so the p - 1
+    nonzero multiples of each line land in the same bucket; dividing the
+    vector tally by p - 1 yields the line count, and the division is checked
+    to be exact.
     """
     # Each block has dimension >= 1, so reading stops within DIM_LIMIT + 1
     # blocks, however far the bound reaches.

@@ -279,14 +279,14 @@ def test_oracle_check_past_the_vector_cap_exits_1_at_once(capsys):
 
 def _oracle_walks(capsys, monkeypatch, *argv):
     """The ``(p, dim)`` of each vector walk an ``oracle-check`` query makes."""
-    real = oracle.itertools.product
+    real = oracle._blocks
     walks = []
 
-    def recorded(*args, **kwargs):
-        walks.append((len(args[0]), kwargs["repeat"]))
-        return real(*args, **kwargs)
+    def recorded(p, dim):
+        walks.append((p, dim))
+        return real(p, dim)
 
-    monkeypatch.setattr(oracle.itertools, "product", recorded)
+    monkeypatch.setattr(oracle, "_blocks", recorded)
     oracle._TALLIES.clear()
     code, _, _ = run_cli(capsys, "oracle-check", *argv)
     assert code == 0
@@ -304,6 +304,16 @@ def test_oracle_check_walks_one_space_per_p(capsys, monkeypatch):
     # At (3, 1, inf) to level 33 the three classes have dimensions 12, 11, 11.
     argv = ("--p", "3", "--e", "inf", "--max-level", "33")
     assert _oracle_walks(capsys, monkeypatch, *argv) == [(3, 12)]
+
+
+def test_oracle_check_near_the_dimension_cap_is_quick(capsys):
+    # F_5**9 holds 1 953 125 vectors, each read in full by the column walk;
+    # tagged one vector at a time by bisect_right, this query took about
+    # 0.37 s on a 2-vCPU host, and column by column about 0.08 s.
+    oracle._TALLIES.clear()
+    with _deadline(0.3):
+        code, _, _ = run_cli(capsys, "oracle-check", "--p", "5", "--e", "inf", "--max-level", "40")
+    assert code == 0
 
 
 def test_oracle_check_at_a_seven_digit_prime_rejects_after_one_class(capsys):
@@ -397,13 +407,14 @@ def test_oracle_mismatch_names_its_inputs(capsys, monkeypatch):
 
 def test_oracle_line_split_failure_names_its_inputs(capsys, monkeypatch):
     # One vector too many leaves a level count that p - 1 = 2 does not divide.
-    real = oracle.itertools.product
+    real = oracle._blocks
 
-    def one_extra(*args, **kwargs):
-        vectors = list(real(*args, **kwargs))
-        return vectors + vectors[-1:]
+    def one_extra(p, dim):
+        for columns in real(p, dim):
+            yield columns
+        yield [column[-1:] for column in columns]  # the last vector again
 
-    monkeypatch.setattr(oracle.itertools, "product", one_extra)
+    monkeypatch.setattr(oracle, "_blocks", one_extra)
     # A tally kept from an earlier test would hide the patch, and the one
     # made here must not outlive it.
     oracle._TALLIES.clear()
@@ -566,6 +577,34 @@ def test_streamed_tables_past_the_int_str_limit_write_nothing(capsys, query, fmt
     assert code == 1 and out == ""
     assert err.startswith(INT_STR_LIMIT_ERROR)
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "query",
+    [
+        ("mass", "--p", "7", "--f", "10000", "--e", "100"),
+        ("count", "--p", "101", "--f", "10000", "--e", "100"),
+        ("structure", "--p", "1000000007", "--f", "10000", "--e", "100"),
+    ],
+    ids=["mass", "count", "structure"],
+)
+def test_q_past_the_int_str_limit_exits_1_before_the_kernel(capsys, query, fmt):
+    # json and text print q, so it is converted first; each of these ran for
+    # more than 4 s, in the kernel, before the conversion failed.
+    with _deadline(1):
+        code, out, err = run_cli(capsys, *query, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith(INT_STR_LIMIT_ERROR)
+    assert err.count("\n") == 1
+
+
+def test_q_past_the_int_str_limit_is_not_read_by_tsv(capsys):
+    # tsv prints no q, so a q no decimal string can hold is no error there.
+    argv = ("structure", "--p", "7", "--f", "10000", "--e", "1", "--format", "tsv")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("level\tvbar\tdim\tdistinguished\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])

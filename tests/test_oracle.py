@@ -1,12 +1,14 @@
 """Brute-force enumeration against the formula path."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localmass import oracle
 from localmass.mass import (
     char_contribution,
     char_contribution_closed,
@@ -29,6 +31,7 @@ from localmass.model import (
 )
 from localmass.oracle import (
     _TALLIES,
+    _suffix_columns,
     _vectors_by_leading_position,
     eigenspace_blocks,
     enumerate_lines,
@@ -112,13 +115,62 @@ def _leading_positions_by_loop(p, dim):
     return tuple(expected)
 
 
-@pytest.mark.parametrize("p,dim", [(2, 1), (3, 4), (5, 3), (3, 11)])
+@pytest.mark.parametrize(
+    "p,dim",
+    [(2, 1), (3, 4), (5, 3), (3, 10), (3, 11), (2, 16), (2, 17), (13, 5)],
+)
 def test_vectors_by_leading_position_matches_a_per_vector_loop(p, dim):
-    # 3**11 = 177 147 vectors span three 64 kB chunks, the last one partial.
+    # A block holds at most 1 << 16 vectors: 3**10 and 2**16 are one block
+    # with no prefix, 3**11 and 2**17 are that block beside one prefix
+    # coordinate, and 13**5 is 13 blocks of 13**4.
     _TALLIES.clear()
     expected = _leading_positions_by_loop(p, dim)
     assert _vectors_by_leading_position(p, dim) == expected
     assert expected == tuple((p - 1) * p ** (dim - 1 - i) for i in range(dim))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 16), (3, 10), (5, 6), (13, 4), (257, 1)])
+def test_suffix_columns_are_the_vectors_in_product_order(p, k):
+    columns = _suffix_columns(p, k)
+    assert len(columns) == k
+    expected = itertools.product(range(p), repeat=k)
+    if p > 256:  # a coordinate past 255 is stored as the nonzero byte 255
+        expected = (tuple(min(c, 255) for c in vec) for vec in expected)
+    assert list(zip(*columns)) == list(expected)
+
+
+@pytest.mark.parametrize("p,dim", [(2, 17), (3, 12), (5, 9), (13, 5), (3001, 2)])
+def test_a_walk_reads_every_coordinate_once(p, dim, monkeypatch):
+    # Every count comes from reading columns: dim bytes per vector, no block
+    # counted by its size.
+    real = oracle._column_mask
+    read = []
+
+    def counted(column):
+        read.append(len(column))
+        return real(column)
+
+    monkeypatch.setattr(oracle, "_column_mask", counted)
+    _TALLIES.clear()
+    tally = _vectors_by_leading_position(p, dim)
+    _TALLIES.clear()
+    assert sum(read) == dim * p**dim
+    assert max(read) <= max(1 << 16, p)
+    assert sum(tally) == p**dim - 1
+
+
+def test_a_walk_holds_one_block():
+    # The suffix columns of F_3**10 are 10 x 59 049 bytes; the walk holds
+    # them, one block's prefix columns and one mask at a time.
+    _TALLIES.clear()
+    tracemalloc.start()
+    try:
+        _vectors_by_leading_position(3, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _TALLIES.clear()
+    assert peak < 2e6, peak
 
 
 @pytest.mark.parametrize("dims", [(11, 4), (4, 6)], ids=["larger-first", "smaller-first"])
