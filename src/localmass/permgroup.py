@@ -16,17 +16,22 @@ every claim at a scale where exhaustive computation settles it:
   generate the whole group.
 
 Every group here is grown by one step, ``extend``: Dimino's coset extension
-of a known group by one permutation, and every subgroup is found by one
+of a known group by one permutation, each right coset composed by one
+C-level gather (``_right_coset``).  Every subgroup is found by one
 exhaustive search, ``_subgroups``, which skips each double coset it has
-tried by closing it under the group's generators.  It gives each group's
-index-p subgroups and, for p <= 5, the transitive family: the subgroups of
-the symmetric group containing the p-cycle, and their conjugates, found as
-an orbit under conjugation by generators of the symmetric group.  A group's
-record is built from the generators that found it.  For p = 7 a seeded
-family is used instead: the chain between the p-cycle group and its
-normalizer, the full symmetric and alternating groups, and the simple group
-of order 168 in its degree-7 action; results for p = 7 are labelled with
-that scope.
+tried by closing it under the group's generators.  It gives, for p <= 5,
+the transitive family: the subgroups of the symmetric group containing the
+p-cycle, and their conjugates, found as an orbit under conjugation by
+generators of the symmetric group.  A group's record is built from the
+generators that found it.  It also gives each group's index-p subgroups,
+searched from above each Sylow q-subgroup for a prime q whose part in the
+index-p order is its part in the group's: such a subgroup contains a whole
+Sylow q-subgroup, and those are one orbit under conjugation by the group's
+generators, so the search stays exhaustive while it skips the subgroups
+below.  For p = 7 a seeded family is used instead: the chain between the
+p-cycle group and its normalizer, the full symmetric and alternating
+groups, and the simple group of order 168 in its degree-7 action; results
+for p = 7 are labelled with that scope.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 
 from .model import is_prime
 
@@ -72,6 +78,14 @@ def affine_perm(p: int, mult: int) -> Perm:
     return tuple(mult * x % p for x in range(p))
 
 
+def _right_coset(group: frozenset[Perm], r: Perm):
+    """The right coset ``group∘r``, each product ``h∘r`` one C-level gather
+    ``itemgetter(*r)(h)``.  In degree 1, where ``itemgetter`` with one index
+    would give a scalar, the only permutation is the identity and the coset
+    is ``group``."""
+    return map(itemgetter(*r), group) if len(r) > 1 else group
+
+
 def _coset_closure(
     group: frozenset[Perm],
     gens: list[Perm],
@@ -93,7 +107,7 @@ def _coset_closure(
                 return frozenset(elems)
             prod = pmul(rep, g)
             if prod not in elems:
-                elems.update(pmul(h, prod) for h in group)
+                elems.update(_right_coset(group, prod))
                 reps.append(prod)
     return frozenset(elems)
 
@@ -197,7 +211,7 @@ def _double_coset(group: frozenset[Perm], gens: list[Perm], b: Perm) -> frozense
     closure is ``group∘b∘group``.  It is found one right coset at a time, in
     |group∘b∘group| products and |gens| more per coset.
     """
-    return _coset_closure(group, gens, {pmul(g, b) for g in group}, [b])
+    return _coset_closure(group, gens, set(_right_coset(group, b)), [b])
 
 
 def _subgroups(
@@ -232,14 +246,90 @@ def _subgroups(
     return found
 
 
+def _prime_parts(n: int) -> dict[int, int]:
+    """``{q: the largest power of q dividing n}`` for each prime q dividing n."""
+    parts: dict[int, int] = {}
+    q = 2
+    while n > 1:
+        while n % q == 0:
+            n //= q
+            parts[q] = parts.get(q, 1) * q
+        q += 1
+    return parts
+
+
+def _grown_subgroup(elems: frozenset[Perm], order: int) -> tuple[frozenset[Perm], list[Perm]]:
+    """A subgroup of the group ``elems`` whose order divides ``order``, with
+    the generators that grew it.
+
+    ``elems`` is scanned in sorted order, and each x outside the group so far
+    is kept if ``<group, x>`` (an extension stopped past ``order`` elements)
+    has order dividing ``order``.  An x once rejected would stay rejected,
+    since the group only grows.  With ``order = |elems|`` every x outside is
+    kept (Lagrange), which gives ``elems`` itself with a generating set.
+    """
+    group, gens = frozenset([pidentity(_degree(elems))]), []
+    for x in sorted(elems):
+        if len(group) == order:
+            break
+        if x not in group:
+            bigger = extend(group, gens, x, limit=order)
+            if order % len(bigger) == 0:
+                group, gens = bigger, [*gens, x]
+    return group, gens
+
+
+def _sylow_subgroup(elems: frozenset[Perm], q: int) -> tuple[frozenset[Perm], list[Perm]]:
+    """A Sylow q-subgroup of the group ``elems``, with its generators.
+
+    ``_grown_subgroup`` to the q-part of |elems| ends at a Sylow subgroup: a
+    q-subgroup P that is not Sylow has an element x of q-power order in its
+    normalizer and outside it, so ``<P, x>`` is a q-group, and x, scanned
+    when the group was a subgroup of P, would have been kept.
+    """
+    q_part = _prime_parts(len(elems)).get(q, 1)
+    group, gens = _grown_subgroup(elems, q_part)
+    if len(group) != q_part:
+        raise AssertionError(
+            f"greedy Sylow {q}-subgroup of a group of order {len(elems)} stopped at"
+            f" order {len(group)}, expected {q_part}"
+        )
+    return group, gens
+
+
 @lru_cache(maxsize=None)
 def subgroups_of_order(elems: frozenset[Perm], order: int) -> frozenset[frozenset[Perm]]:
-    """All subgroups of the given order, by the exhaustive search ``_subgroups``.
+    """All subgroups of the given order, by the exhaustive search ``_subgroups``
+    started from each Sylow q-subgroup of the group for one prime q.
+
+    Take a prime q whose part in ``order`` is its part in |G|.  A subgroup H
+    of that order has a Sylow q-subgroup of that part, which is Sylow in G,
+    so H contains one of G's Sylow q-subgroups.  Those are all conjugate
+    (Sylow), so they are the orbit of one of them under conjugation by
+    generators of G, and the union of the searches from each misses no H.
+    Of several such primes the one with the largest part is taken, to start
+    highest in the subgroup lattice.  With none (order 4 in the elementary
+    abelian group of order 8, or order 1) the search starts from the trivial
+    group.
 
     Memoized per (group, order): a group's record and
     ``verify_index_p_subgroups`` ask for the same search.
     """
-    return frozenset(sub for sub in _subgroups(sorted(elems), [], order) if len(sub) == order)
+    ambient = sorted(elems)
+    whole = _prime_parts(len(elems))
+    full = [(part, q) for q, part in _prime_parts(order).items() if whole.get(q) == part]
+    if not full:
+        starts = [[]]
+    else:
+        sylow, gens = _sylow_subgroup(elems, max(full)[1])
+        movers = _grown_subgroup(elems, len(elems))[1]
+        starts = [
+            gens if conj == sylow else _grown_subgroup(conj, len(conj))[1]
+            for conj in _conjugates(sylow, movers)
+        ]
+    return frozenset(
+        sub for start in starts for sub in _subgroups(ambient, start, order) if len(sub) == order
+    )
 
 
 def is_transitive(elems: frozenset[Perm]) -> bool:
@@ -311,18 +401,22 @@ def normalizer_of_cycle(p: int) -> dict[Perm, int]:
     return out
 
 
-def _conjugates(elems: frozenset[Perm]) -> set[frozenset[Perm]]:
-    """The distinct conjugates of a subgroup under the symmetric group.
+def _conjugates(elems: frozenset[Perm], movers: list[Perm] | None = None) -> set[frozenset[Perm]]:
+    """The distinct conjugates of a subgroup under the group ``movers``
+    generate, by default the symmetric group.
 
-    They are its orbit under conjugation by the n-cycle and the
-    transposition (0 1), which generate the symmetric group of degree n.
+    They are its orbit under conjugation by ``movers``.  The default movers,
+    the n-cycle and the transposition (0 1), generate the symmetric group of
+    degree n.
     """
-    n = _degree(elems)
-    movers = [(g, pinv(g)) for g in (pcycle(n), (1, 0, *range(2, n)))]
+    if movers is None:
+        n = _degree(elems)
+        movers = [pcycle(n), (1, 0, *range(2, n))]
+    pairs = [(g, pinv(g)) for g in movers]
     conjugates = {frozenset(elems)}
     todo = list(conjugates)
     for group in todo:  # grows while it is walked
-        for g, g_inv in movers:
+        for g, g_inv in pairs:
             conj = frozenset(pmul(pmul(g, h), g_inv) for h in group)
             if conj not in conjugates:
                 conjugates.add(conj)

@@ -1,17 +1,21 @@
 """Permutation verifications: normalizer, solvability criterion, index-p counts."""
 
 import itertools
+import math
 import random
 import re
 from functools import cache
 
 import pytest
 
+from localmass import permgroup
 from localmass.permgroup import (
+    INDEX_SEARCH_LIMIT,
     _conjugates,
     _double_coset,
     _is_p_cycle,
     _subgroups,
+    _sylow_subgroup,
     affine_perm,
     closure,
     derived_subgroup,
@@ -226,10 +230,14 @@ def test_subgroups_of_order_equal_the_pair_closures_of_that_order(group, n, orde
     assert subgroups_of_order(group, order) == expected
 
 
+def _elementary_abelian_8():
+    return closure([(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)], 6)
+
+
 def test_subgroups_of_order_needs_no_two_element_generating_set():
     # <(0 1), (2 3), (4 5)> is elementary abelian of order 8: no pair of its
     # elements generates it, and it has 7 subgroups of order 4.
-    group = closure([(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)], 6)
+    group = _elementary_abelian_8()
     assert subgroups_of_order(group, 8) == {group}
     assert len(subgroups_of_order(group, 4)) == 7
 
@@ -311,11 +319,11 @@ def test_double_coset_equals_every_product_g_b_h():
             assert _double_coset(group, gens, b) == expected
 
 
-def _conjugates_by_scan(group, n):
+def _conjugates_by_scan(group, n, conjugators=None):
     """Test-local conjugates: g h g⁻¹, which sends g(x) to g(h(x)), for every
-    permutation g of degree n."""
+    g in ``conjugators``, by default every permutation of degree n."""
     out = set()
-    for g in itertools.permutations(range(n)):
+    for g in conjugators or itertools.permutations(range(n)):
         conj = set()
         for h in group:
             image = [0] * n
@@ -341,3 +349,111 @@ def test_conjugates_equal_a_scan_of_the_symmetric_group():
     assert sorted(len(g) for g, n in cases if n == 7) == [7, 14, 21, 42]
     for group, n in cases:
         assert _conjugates(group) == _conjugates_by_scan(group, n), (n, len(group))
+
+
+def _subgroups_from_trivial(group, order):
+    """Test-local reference: the exhaustive search started from the trivial
+    group."""
+    return frozenset(sub for sub in _subgroups(sorted(group), [], order) if len(sub) == order)
+
+
+def test_sylow_start_finds_every_index_p_subgroup_of_the_transitive_records():
+    cases = []
+    for p in (2, 3, 5, 7):
+        records, _ = transitive_family(p)
+        cases += [(rec.element_set(), rec.order // p) for rec in records if rec.order <= INDEX_SEARCH_LIMIT]
+    assert len(cases) == 27  # 1 + 2 + 20 at p = 2, 3, 5, and 4 at p = 7
+    for group, order in cases:
+        assert subgroups_of_order(group, order) == _subgroups_from_trivial(group, order), (len(group), order)
+
+
+@pytest.mark.parametrize(
+    "group,order,count",
+    [
+        (_symmetric(4), 8, 3),
+        (_symmetric(4), 12, 1),
+        (_alternating(5), 12, 5),
+        (_alternating(5), 20, 0),
+        (_symmetric(5), 8, 15),
+        (_symmetric(5), 12, 15),
+        (_symmetric(5), 24, 5),
+        (_elementary_abelian_8(), 4, 7),  # no prime's part in 4 is its part in 8
+    ],
+    ids=["S4-8", "S4-12", "A5-12", "A5-20", "S5-8", "S5-12", "S5-24", "C2^3-4"],
+)
+def test_sylow_start_equals_the_trivial_start(group, order, count):
+    expected = _subgroups_from_trivial(group, order)
+    assert len(expected) == count
+    assert subgroups_of_order(group, order) == expected
+
+
+def test_subgroups_of_order_in_s5_makes_few_extensions(monkeypatch):
+    # Started from the trivial group the search makes 1 614 extensions here,
+    # with the same answer; only this count can tell the two starts apart.
+    calls = []
+    real = permgroup.extend
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "extend", counted)
+    subgroups_of_order.cache_clear()
+    assert len(subgroups_of_order(_symmetric(5), 24)) == 5
+    assert 0 < len(calls) <= 300
+
+
+def _order_42():
+    return _generated([pcycle(7), affine_perm(7, 3)], 7)
+
+
+_SYLOW_CASES = [(_symmetric(4), 4), (_alternating(5), 5), (_symmetric(5), 5), (_order_42(), 7)]
+_SYLOW_IDS = ["S4", "A5", "S5", "order-42"]
+
+
+@pytest.mark.parametrize("group,n", _SYLOW_CASES, ids=_SYLOW_IDS)
+def test_sylow_subgroups_are_one_orbit_under_the_generators(group, n):
+    # Sylow's conjugacy theorem, checked here: the orbit of the grown
+    # subgroup is every subgroup of its order.
+    movers = _gens(group, n)
+    for q in (2, 3, 5, 7):
+        q_part = math.gcd(len(group), q**6)
+        if q_part == 1:
+            continue
+        sylow, gens = _sylow_subgroup(group, q)
+        assert len(sylow) == q_part and sylow <= group
+        assert closure(gens, n) == sylow
+        assert _conjugates(sylow, movers) == _subgroups_from_trivial(group, q_part), q
+
+
+def test_sylow_subgroup_of_a_set_that_is_no_group_raises():
+    # Three elements of S_3 that are no group: the scan ends without a
+    # subgroup of order 3 and says so instead of searching on.
+    with pytest.raises(AssertionError, match="group of order 3 stopped at order 1, expected 3"):
+        _sylow_subgroup(frozenset([(0, 1, 2), (1, 0, 2), (0, 2, 1)]), 3)
+
+
+@pytest.mark.parametrize("group,n", _SYLOW_CASES, ids=_SYLOW_IDS)
+def test_conjugates_under_movers_equal_a_scan_of_the_group(group, n):
+    # The orbit under a group's generators is the conjugates by its elements,
+    # not by all of S_n: a normal subgroup of the group is its own orbit.
+    movers = _gens(group, n)
+    for sub in _subgroups(sorted(group), [], len(group)):
+        assert _conjugates(sub, movers) == _conjugates_by_scan(sub, n, sorted(group)), len(sub)
+
+
+def test_the_trivial_group_of_degree_1():
+    one = frozenset([(0,)])
+    assert closure([(0,)], 1) == one
+    rec = subgroup_closure([(0,)])
+    assert rec.elements == ((0,),) and rec.order == 1 and rec.index_p_subgroup_count == 1
+    assert _double_coset(one, [], (0,)) == one
+
+
+def test_cosets_of_degree_2_equal_the_products():
+    swap, ident = (1, 0), (0, 1)
+    trivial, whole = frozenset([ident]), frozenset([ident, swap])
+    assert extend(trivial, [], swap) == whole == {pmul(swap, swap), swap}
+    for group, gens in ((trivial, []), (whole, [swap])):
+        for b in whole:
+            assert _double_coset(group, gens, b) == {pmul(pmul(g, b), h) for g in group for h in group}
