@@ -22,16 +22,19 @@ int-to-str limit) before its renderer writes the first byte.  The long
 tables are not held: the rows of ``count`` (from :func:`localmass.mass.count_rows`),
 of ``mass`` (one per character of :func:`localmass.model.enumerate_characters`)
 and of ``structure`` go from the kernel's generators to stdout as they are
-made.  ``count`` walks its levels twice for that, first for the largest
-count it must convert; its json form alone holds the rows, after that
-check, since json orders the level keys as strings.
+made.  ``count`` walks its levels twice for that: the first walk stops at
+the first count that no decimal string can hold, and the second renders.
+Its json form orders the level keys as strings, which within one digit
+count is their numeric order, so it merges one walk per digit count and
+holds one row per walk.  Each run of equal counts is converted once.
 
 A query loads only what its subcommand runs.  ``structure`` needs the level
 walk of :mod:`localmass.model` alone; ``mass``, ``count``, ``tame`` and
 ``checksum`` also load :mod:`localmass.mass` and :mod:`localmass.rationals`
 (and with it :mod:`fractions`), ``oracle-check`` loads those and
 :mod:`localmass.oracle`, and ``galois-verify`` loads only
-:mod:`localmass.permgroup`.  :mod:`json` is imported by the json renderers.
+:mod:`localmass.permgroup`.  :mod:`json` is imported by the json renderers,
+and :mod:`heapq` by ``count``'s.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ import argparse
 import importlib.util
 import math
 import sys
-from itertools import chain, repeat
-from operator import attrgetter
+from itertools import chain, repeat, starmap
+from operator import itemgetter
 
 from .model import (
     GENERIC,
@@ -226,9 +229,8 @@ _BLOCK_JSON = (
     '      "level": {0},\n      "vbar": {1}\n    }}'
 )
 _LEVEL_JSON = (
-    '    "{0.level}": {{\n      "conjugacy_classes": {0.conjugacy_classes},\n'
-    '      "extensions": {0.extensions},\n      "level": {0.level},\n'
-    '      "lines": {0.lines},\n      "vbar": {0.vbar}\n    }}'
+    '    "{0}": {{\n      "conjugacy_classes": {4},\n      "extensions": {3},\n'
+    '      "level": {0},\n      "lines": {2},\n      "vbar": {1}\n    }}'
 )
 _CHAR_JSON = (
     '    {{\n      "a": {0},\n      "b": {1},\n      "contribution": "{4}",\n'
@@ -303,29 +305,56 @@ def _cmd_mass(args):
     ))
 
 
+def _count_decimals(rows):
+    """Each :class:`~localmass.mass.LevelCount` of ``rows``, in level order,
+    as the decimal strings ``(level, vbar, lines, extensions, conjugacy_classes)``.
+
+    Within a stratum the levels' counts repeat, and a row's classes are its
+    lines, so a count equal to the one above it in its column, or to its
+    row's lines, is not converted again: the 201 602 rows at (1009, 1, 200)
+    hold 202 distinct extensions."""
+    lines = extensions = None
+    for level, vbar, n_lines, n_extensions, n_classes in rows:
+        if n_lines != lines:
+            lines, lines_text = n_lines, str(n_lines)
+        if n_extensions != extensions:
+            extensions, extensions_text = n_extensions, str(n_extensions)
+        classes_text = lines_text if n_classes == n_lines else str(n_classes)
+        yield str(level), str(vbar), lines_text, extensions_text, classes_text
+
+
 def _cmd_count(args):
     field = _printed_field(args)
 
-    def rows():
-        return mass.count_rows(field, args.max_level, args.vbar)
+    def rows(max_level=args.max_level, min_level=0):
+        return _count_decimals(mass.count_rows(field, max_level, args.vbar, min_level))
 
-    # No count in a row exceeds its extensions: a first walk converts the
-    # largest of them, so the int-to-str limit's ValueError is raised before
-    # any output; the second walk renders the rows as they come.
-    str(max((rec.extensions for rec in rows()), default=0))
+    # No count in a row exceeds its extensions.  A first walk stops at the
+    # first row whose extensions no decimal string can hold, the ones from
+    # 10**limit up, and raises the int-to-str limit's ValueError there, before
+    # any output; the rows are then rendered as they come.
+    limit = sys.get_int_max_str_digits()
+    ceiling = 10**limit if limit else math.inf
+    for rec in mass.count_rows(field, args.max_level, args.vbar):
+        if rec.extensions >= ceiling:
+            str(rec.extensions)
     if args.format == "json":
-        # json sorts the level keys as strings, so this format holds the rows.
-        levels = sorted(rows(), key=lambda rec: str(rec.level))
+        # json orders the level keys as strings, which within one digit count
+        # is their numeric order: one walk per digit count, over the levels
+        # [0, 9], [10, 99], ..., merged, holds one row per walk.
+        import heapq
+
+        bound = truncation_bound(field, args.max_level)
+        walks = [
+            rows(min(10 ** (d + 1) - 1, bound), 10**d if d else 0) for d in range(len(str(bound)))
+        ]
+        levels = heapq.merge(*walks, key=itemgetter(0))
         head = {"field": _field_json(field)}
-        return _json_streamed(head, "levels", "{}", map(_LEVEL_JSON.format, levels))
+        return _json_streamed(head, "levels", "{}", starmap(_LEVEL_JSON.format, levels))
     if args.format == "tsv":
-        columns = ("level", "vbar", "lines", "extensions", "conjugacy_classes")
-        return _tsv(chain([columns], map(attrgetter(*columns), rows())))
-    return _text(chain([f"extension counts over {_describe(field)}"], (
-        f"  level {rec.level:>5}  vbar {rec.vbar}  lines {rec.lines:>8}"
-        f"  extensions {rec.extensions:>8}  classes {rec.conjugacy_classes:>8}"
-        for rec in rows()
-    )))
+        return _tsv(chain([("level", "vbar", "lines", "extensions", "conjugacy_classes")], rows()))
+    line = "  level {:>5}  vbar {}  lines {:>8}  extensions {:>8}  classes {:>8}"
+    return _text(chain([f"extension counts over {_describe(field)}"], starmap(line.format, rows())))
 
 
 def _cmd_tame(args):

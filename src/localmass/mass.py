@@ -271,7 +271,9 @@ def peu_tres_split(field: LocalField) -> tuple[Fraction, Fraction]:
     return field.p - tres, tres
 
 
-def count_rows(field: LocalField, max_level: int | None = None, vbar: int | None = None):
+def count_rows(
+    field: LocalField, max_level: int | None = None, vbar: int | None = None, min_level: int = 0
+):
     """Yield the aggregate counts of each level, over all character classes.
 
     One ``LevelCount`` per level, in increasing level order, each made when
@@ -282,7 +284,9 @@ def count_rows(field: LocalField, max_level: int | None = None, vbar: int | None
     characteristic, the top-level row; ``max_level`` truncates as
     :func:`localmass.model.truncation_bound` says, so it is required in
     equal characteristic.  With ``vbar`` only the rows of that valuation
-    (mod p-1) are made, from the level walk of that valuation alone.
+    (mod p-1) are made, from the level walk of that valuation alone.  Rows
+    below ``min_level`` are not made, so walks over adjacent level windows
+    make each row once between them.
 
     Each row is the direct per-level formula over the walk's counted blocks:
     a block of dimension ``dim`` at a level of stratum ``i`` adds the
@@ -292,17 +296,19 @@ def count_rows(field: LocalField, max_level: int | None = None, vbar: int | None
     lines give one extension each when the character is cyclotomic and p
     otherwise.
     The generic blocks of a row are one class, weighted by their number;
-    ``p**(i*f)`` is kept as a running product over the strata.
+    ``p**(i*f)`` is kept as a running product over the strata, from the
+    stratum of ``min_level``.
     Whether the cyclotomic character is the trivial one is read off the
     field: when it is (the field contains the p-th roots of unity), every
     top-level extension is cyclic and its own class.
     """
     p = field.p
     cyclotomic = (OMEGA, TRIVIAL) if omega_is_trivial(field) else (OMEGA,)
-    step, stratum, power = p**field.f, 0, 1
+    step, stratum = p**field.f, min_level // p
+    power = step**stratum
     span = {1: 1, field.f: (step - 1) // (p - 1)}  # (p**dim - 1) // (p - 1) for each dim
     for level, w, dim, special, generic in level_walk(
-        field, truncation_bound(field, max_level), vbar
+        field, truncation_bound(field, max_level), vbar, min_level
     ):
         while stratum < level // p:
             stratum, power = stratum + 1, power * step

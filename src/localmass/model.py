@@ -331,8 +331,9 @@ def truncation_bound(field: LocalField, max_level: int | None) -> int:
     return top if max_level is None else min(max_level, top)
 
 
-def level_walk(field: LocalField, bound: int, vbar: int | None = None):
-    """Yield ``(level, vbar, dim, special, generic)`` for each occupied level <= bound.
+def level_walk(field: LocalField, bound: int, vbar: int | None = None, low: int = 0):
+    """Yield ``(level, vbar, dim, special, generic)`` for each occupied level
+    in [low, bound].
 
     Levels come in increasing order: the level-0 line of the cyclotomic
     character, then every level prime to p below the top, which holds one
@@ -343,22 +344,26 @@ def level_walk(field: LocalField, bound: int, vbar: int | None = None):
     any), and ``generic`` is the number of the others.
     Given ``vbar`` (mod p-1), only its rows come: its levels step by p - 1
     from the ``r`` in [1, p-1] congruent to cyclotomic valuation - ``vbar``.
+    The walk starts at its first level >= ``low``, so walks over adjacent
+    windows [low, bound] make each row once between them.
     """
     p, m = field.p, field.p - 1
     w_omega = cyclotomic_valuation(field)
     walked = range(m) if vbar is None else [vbar % m]
-    if w_omega in walked:
+    if w_omega in walked and low <= 0:
         yield 0, w_omega, 1, (OMEGA,), 0
     special = {0: () if omega_is_trivial(field) else (TRIVIAL,)}
     special[w_omega] = (OMEGA,) + special.get(w_omega, ())
     last = bound if field.equal_char else min(bound, p * field.e - 1)
     start, step = (1, 1) if vbar is None else ((w_omega - walked[0] - 1) % m + 1, m)
+    if low > start:
+        start -= (start - low) // step * step  # the progression's first level >= low
     for level in range(start, last + 1, step):
         if level % p:
             w = (w_omega - level) % m
             markers = special.get(w, ())
             yield level, w, field.f, markers, m - len(markers)
-    if not field.equal_char and p * field.e <= bound and 0 in walked:
+    if not field.equal_char and low <= p * field.e <= bound and 0 in walked:
         yield p * field.e, 0, 1, (TRIVIAL,), 0
 
 

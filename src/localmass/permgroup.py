@@ -215,12 +215,12 @@ def _double_coset(group: frozenset[Perm], gens: list[Perm], b: Perm) -> frozense
 
 
 def _subgroups(
-    ambient: list[Perm], gens: list[Perm], order: int
+    ambient: list[Perm], start: frozenset[Perm], gens: list[Perm], order: int
 ) -> dict[frozenset[Perm], list[Perm]]:
-    """Every subgroup of ``ambient`` (its sorted elements) containing ``<gens>``
-    whose order divides ``order``, with generators.
+    """Every subgroup of ``ambient`` (its sorted elements) containing the
+    group ``start = <gens>`` whose order divides ``order``, with generators.
 
-    Starting at ``<gens>``, each group G found is extended by one element of
+    Starting at ``start``, each group G found is extended by one element of
     each double coset GbG in ``ambient`` but G until nothing new appears
     (``_double_coset`` marks the rest of GbG as tried); an extension is
     stopped once past ``order`` elements, and kept only if its order divides
@@ -228,7 +228,6 @@ def _subgroups(
     time, each group on the way a subgroup of H, so the search is exhaustive
     without any bound on the number of generators H needs.
     """
-    start = closure(gens, _degree(ambient))
     found = {start: list(gens)}
     todo = [start]
     while todo:
@@ -319,16 +318,19 @@ def subgroups_of_order(elems: frozenset[Perm], order: int) -> frozenset[frozense
     whole = _prime_parts(len(elems))
     full = [(part, q) for q, part in _prime_parts(order).items() if whole.get(q) == part]
     if not full:
-        starts = [[]]
+        starts = [(frozenset([pidentity(_degree(elems))]), [])]
     else:
         sylow, gens = _sylow_subgroup(elems, max(full)[1])
         movers = _grown_subgroup(elems, len(elems))[1]
         starts = [
-            gens if conj == sylow else _grown_subgroup(conj, len(conj))[1]
+            (sylow, gens) if conj == sylow else _grown_subgroup(conj, len(conj))
             for conj in _conjugates(sylow, movers)
         ]
     return frozenset(
-        sub for start in starts for sub in _subgroups(ambient, start, order) if len(sub) == order
+        sub
+        for start, gens in starts
+        for sub in _subgroups(ambient, start, gens, order)
+        if len(sub) == order
     )
 
 
@@ -441,7 +443,7 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
     if p <= 5:
         records = {}
         s_p = list(itertools.permutations(range(p)))  # in sorted order
-        for group, gens in _subgroups(s_p, [sigma], len(s_p)).items():
+        for group, gens in _subgroups(s_p, closure([sigma], p), [sigma], len(s_p)).items():
             rec = _record(group, gens)
             for conj in _conjugates(group):
                 records.setdefault(conj, rec._replace(elements=tuple(sorted(conj))))

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import signal
 import sys
@@ -149,6 +150,54 @@ def test_count_vbar_filter(capsys):
     assert code == 0
     levels = [line.split("\t")[0] for line in out.splitlines()[1:]]
     assert levels == ["0", "2", "4", "8"]
+
+
+def _held_count_json(field, max_level=None, vbar=None):
+    """Test-local reference: the count rendered from the whole held table,
+    its level keys sorted as strings by ``json.dumps``."""
+    levels = {str(level): rec._asdict() for level, rec in mass.count_table(field, max_level, vbar).items()}
+    e = "inf" if field.equal_char else field.e
+    head = {"p": field.p, "f": field.f, "e": e, "q": field.q}
+    return json.dumps({"field": head, "levels": levels}, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "field, max_level, vbar",
+    [
+        (LocalField(3, 1, 3), None, None),  # top level 9
+        (LocalField(2, 1, 5), None, None),  # top level 10
+        (LocalField(3, 1, 4), None, None),  # 12
+        (LocalField(5, 1, 20), None, None),  # 100
+        (LocalField(7, 1, 143), None, None),  # 1001
+        (LocalField(5, 1, 20), None, 1),
+        (LocalField(7, 1, 143), None, 0),
+        (LocalField(7, 1, 143), None, 4),
+        (LocalField(3, 1, 34, (0, 0)), None, None),  # a cyclotomic level-0 row, top 102
+        (LocalField(3, 1, 34, (0, 0)), None, 0),
+        (LocalField(3, 2, 34), None, None),
+        (LocalField(5, 1, INFINITE_E), 0, None),
+        (LocalField(5, 1, INFINITE_E), 9, None),
+        (LocalField(5, 1, INFINITE_E), 10, None),
+        (LocalField(5, 1, INFINITE_E), 99, 2),
+        (LocalField(5, 1, INFINITE_E), 100, None),
+        (LocalField(3, 1, INFINITE_E), 1000, None),
+        (LocalField(7, 1, 200), 999, None),  # below the top level 1400
+        (LocalField(7, 1, 200), 1000, None),
+        (LocalField(11, 1, 1), 3, 5),  # no row at all
+    ],
+)
+def test_count_json_orders_the_level_keys_as_the_held_table_did(capsys, field, max_level, vbar):
+    argv = ["count", "--p", str(field.p), "--f", str(field.f), "--format", "json"]
+    argv += ["--e", "inf" if field.equal_char else str(field.e)]
+    if field.omega is not None and not field.equal_char:
+        argv += ["--omega-a", str(field.omega[0]), "--omega-b", str(field.omega[1])]
+    if max_level is not None:
+        argv += ["--max-level", str(max_level)]
+    if vbar is not None:
+        argv += ["--vbar", str(vbar)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == _held_count_json(field, max_level, vbar)
 
 
 def test_tame(capsys):
@@ -599,6 +648,19 @@ def test_q_past_the_int_str_limit_exits_1_before_the_kernel(capsys, query, fmt):
     assert err.count("\n") == 1
 
 
+def test_count_past_the_int_str_limit_stops_at_the_first_such_row(capsys):
+    # tsv prints no q, so nothing checks it before the walk; the first row
+    # whose extensions pass the limit, level 1's, ends the walk.  The walk
+    # to the end ran for more than 10 s.
+    with _deadline(1):
+        code, out, err = run_cli(
+            capsys, "count", "--p", "101", "--f", "10000", "--e", "100", "--format", "tsv"
+        )
+    assert code == 1 and out == ""
+    assert err.startswith(INT_STR_LIMIT_ERROR)
+    assert err.count("\n") == 1
+
+
 def test_q_past_the_int_str_limit_is_not_read_by_tsv(capsys):
     # tsv prints no q, so a q no decimal string can hold is no error there.
     argv = ("structure", "--p", "7", "--f", "10000", "--e", "1", "--format", "tsv")
@@ -667,16 +729,96 @@ def _traced_peak(argv, warm_up):
     return code, peak / 1e6, sink.lines
 
 
-@pytest.mark.parametrize("e, code", [("2000", 1), ("600", 0)], ids=["past-the-limit", "printed"])
-def test_count_holds_no_table(capsys, e, code):
+@pytest.mark.parametrize(
+    "e, code, fmt",
+    [
+        pytest.param(e, code, fmt, id=name if fmt == "tsv" else f"{name}-{fmt}")
+        for fmt in ("tsv", "json", "text")
+        for e, code, name in (("2000", 1, "past-the-limit"), ("600", 0, "printed"))
+    ],
+)
+def test_count_holds_no_table(capsys, e, code, fmt):
     # Held whole, the (7, 3, 2000) table of 12 002 rows peaked at 29.8 MB and
     # the (7, 3, 600) one at 3.3 MB; streamed, each peaks near 0.1 to 0.2 MB,
     # whether the first walk fails or the rows are written.
-    query = ("count", "--p", "7", "--f", "3", "--e", e, "--format", "tsv")
-    warm_up = ("count", "--p", "7", "--f", "3", "--e", "2", "--format", "tsv")
+    query = ("count", "--p", "7", "--f", "3", "--e", e, "--format", fmt)
+    warm_up = ("count", "--p", "7", "--f", "3", "--e", "2", "--format", fmt)
     result, peak, lines = _traced_peak(query, warm_up)
     assert result == code and peak < 1, peak
-    assert lines == (0 if code else 1 + 6 * int(e) + 2)
+    rows = 6 * int(e) + 2
+    assert lines == (0 if code else {"json": 10 + 7 * rows, "tsv": 1 + rows, "text": 1 + rows}[fmt])
+
+
+def test_count_json_holds_one_row_per_digit_count(capsys):
+    # 19 803 rows, whose key order as strings is merged from one level walk
+    # per digit count; sorted whole, they peaked at 8.6 MB.
+    query = ("count", "--p", "101", "--e", "inf", "--max-level", "20000", "--format", "json")
+    warm_up = ("count", "--p", "3", "--e", "inf", "--max-level", "20", "--format", "json")
+    code, peak, lines = _traced_peak(query, warm_up)
+    assert code == 0 and peak < 1, peak
+    assert lines == 10 + 7 * (1 + 20000 - 20000 // 101)
+
+
+class _Counted(int):
+    """An int that records each decimal conversion of itself."""
+
+    conversions: list = []
+
+    def __str__(self):
+        self.conversions.append(int(self))
+        return int.__repr__(self)
+
+    __repr__ = __str__
+
+
+def _runs(values):
+    return sum(1 for _ in itertools.groupby(values))
+
+
+def test_count_prints_classes_that_differ_from_lines(capsys, monkeypatch):
+    # Each class is one line today; the renderer still prints the classes it
+    # is given, not the lines' decimal.
+    real = mass.count_rows
+
+    def shifted(*args):
+        for rec in real(*args):
+            yield rec._replace(conjugacy_classes=rec.lines + 1)
+
+    monkeypatch.setattr(cli.mass, "count_rows", shifted)
+    code, out, _ = run_cli(capsys, "count", "--p", "3", "--e", "1", "--format", "tsv")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert rows and all(int(row[4]) == int(row[2]) + 1 for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_count_converts_each_run_of_equal_counts_once(capsys, monkeypatch, fmt):
+    # Within a stratum the generic levels have equal counts, and a row's
+    # classes are its lines: at most one conversion per run of equal values
+    # in each column of each walk.  Formatting every count took 3 per row.
+    field = LocalField(5, 2, 30, (2, 1))
+    real = mass.count_rows
+    conversions = _Counted.conversions = []
+
+    def counted(*args):
+        for rec in real(*args):
+            yield rec._replace(**{
+                column: _Counted(getattr(rec, column))
+                for column in ("lines", "extensions", "conjugacy_classes")
+            })
+
+    monkeypatch.setattr(cli.mass, "count_rows", counted)
+    argv = ("count", "--p", "5", "--f", "2", "--e", "30", "--omega-a", "2", "--omega-b", "1")
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    windows = [(0, 9), (10, 99), (100, 150)] if fmt == "json" else [(0, 150)]
+    allowed = 0
+    for low, high in windows:
+        rows = [rec for rec in real(field, high) if rec.level >= low]
+        allowed += _runs(rec.lines for rec in rows) + _runs(rec.extensions for rec in rows)
+    rows = list(real(field))
+    assert len(conversions) <= allowed < len(rows)
+    assert set(conversions) == {rec.lines for rec in rows} | {rec.extensions for rec in rows}
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])

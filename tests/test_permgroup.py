@@ -201,6 +201,10 @@ def _symmetric(n):
     return frozenset(itertools.permutations(range(n)))
 
 
+def _trivial(n):
+    return frozenset([pidentity(n)])
+
+
 def _alternating(n):
     def even(g):
         return sum(g[i] > g[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
@@ -311,7 +315,7 @@ def test_double_coset_equals_every_product_g_b_h():
     # Every subgroup of S_4, with the generators the search found it by,
     # against every permutation b.
     s4 = sorted(_symmetric(4))
-    found = _subgroups(s4, [], 24)
+    found = _subgroups(s4, _trivial(4), [], 24)
     assert len(found) == 30
     for group, gens in found.items():
         for b in s4:
@@ -338,7 +342,8 @@ def _conjugates_cases():
     cases = []
     for p in (2, 3, 5):
         s_p = sorted(_symmetric(p))
-        cases += [(group, p) for group in _subgroups(s_p, [pcycle(p)], len(s_p))]
+        cycle = closure([pcycle(p)], p)
+        cases += [(group, p) for group in _subgroups(s_p, cycle, [pcycle(p)], len(s_p))]
     # The p = 7 overgroups of the cycle inside its normalizer: orders 7, 14, 21, 42.
     cases += [(_generated([pcycle(7), affine_perm(7, a)], 7), 7) for a in (1, 6, 2, 3)]
     return cases
@@ -354,7 +359,10 @@ def test_conjugates_equal_a_scan_of_the_symmetric_group():
 def _subgroups_from_trivial(group, order):
     """Test-local reference: the exhaustive search started from the trivial
     group."""
-    return frozenset(sub for sub in _subgroups(sorted(group), [], order) if len(sub) == order)
+    trivial = _trivial(len(next(iter(group))))
+    return frozenset(
+        sub for sub in _subgroups(sorted(group), trivial, [], order) if len(sub) == order
+    )
 
 
 def test_sylow_start_finds_every_index_p_subgroup_of_the_transitive_records():
@@ -403,6 +411,26 @@ def test_subgroups_of_order_in_s5_makes_few_extensions(monkeypatch):
     assert 0 < len(calls) <= 300
 
 
+def test_galois_verify_closes_each_start_group_once(monkeypatch):
+    # subgroups_of_order hands _subgroups each Sylow start it has grown, with
+    # its generators; closing each again from them made 338 closures here.
+    calls = []
+    real = permgroup.closure
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(permgroup, "closure", counted)
+    subgroups_of_order.cache_clear()
+    transitive_family.cache_clear()
+    for p in (3, 5, 7):  # what galois-verify --p 3, 5 and 7 run
+        verify_normalizer(p)
+        verify_galois_criterion(p)
+        verify_index_p_subgroups(p)
+    assert len(calls) == 231
+
+
 def _order_42():
     return _generated([pcycle(7), affine_perm(7, 3)], 7)
 
@@ -438,7 +466,7 @@ def test_conjugates_under_movers_equal_a_scan_of_the_group(group, n):
     # The orbit under a group's generators is the conjugates by its elements,
     # not by all of S_n: a normal subgroup of the group is its own orbit.
     movers = _gens(group, n)
-    for sub in _subgroups(sorted(group), [], len(group)):
+    for sub in _subgroups(sorted(group), _trivial(n), [], len(group)):
         assert _conjugates(sub, movers) == _conjugates_by_scan(sub, n, sorted(group)), len(sub)
 
 

@@ -100,6 +100,18 @@ def test_one_valuation_walk_is_the_full_walk_filtered(case):
         assert list(count_table(field, max_level, vbar=w).items()) == rows
 
 
+@SETTINGS
+@given(cases(), st.integers(0, 400))
+def test_a_walk_from_a_low_level_is_the_full_walk_cut(case, low):
+    field, max_level = case
+    bound = truncation_bound(field, max_level)
+    for vbar in [None, *range(field.p - 1)]:
+        walk = list(level_walk(field, bound, vbar))
+        assert list(level_walk(field, bound, vbar, low)) == [row for row in walk if row[0] >= low]
+        rows = [rec for rec in count_rows(field, max_level, vbar) if rec.level >= low]
+        assert list(count_rows(field, max_level, vbar, low)) == rows, vbar
+
+
 def listed_walk(field, bound, vbar=None):
     """The level walk with every block's marker listed: each row holds a
     tuple of p - 1 markers, built for every valuation before the first row.
