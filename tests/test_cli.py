@@ -4,19 +4,25 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import signal
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import localmass.cli as cli
 import localmass.mass as mass
+import localmass.model as model
 import localmass.oracle as oracle
 import localmass.permgroup as permgroup
 from localmass.model import INFINITE_E, PRIME_TEST_BOUND, LocalField, trivial_char
 from localmass.rationals import format_rational
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -597,17 +603,73 @@ def test_mass_formats_each_distinct_contribution_once(capsys, monkeypatch, fmt):
     assert len(calls) <= 31 + 3
 
 
-@pytest.mark.parametrize("field", [P31_F2[1:], ("--p", "7", "--f", "1", "--e", "3")])
+# Fields whose cyclotomic coordinates are known: Q_3(sqrt(-3)) contains mu_3,
+# so (0, 0) is both trivial and cyclotomic; the other two mark one more pair.
+OMEGA_FIELDS = [
+    ("--p", "3", "--f", "1", "--e", "2", "--omega-a", "0", "--omega-b", "0"),
+    ("--p", "5", "--f", "1", "--e", "2", "--omega-a", "2", "--omega-b", "1"),
+    ("--p", "7", "--f", "1", "--e", "3", "--omega-a", "3", "--omega-b", "5"),
+]
+
+
+@pytest.mark.parametrize("field", [P31_F2[1:], ("--p", "7", "--f", "1", "--e", "3"), *OMEGA_FIELDS])
 def test_mass_formats_print_the_same_contributions(capsys, field):
+    # Each row's marker and contribution, as the three formats print them.
     _, out, _ = run_cli(capsys, "mass", *field, "--format", "json")
-    from_json = [entry["contribution"] for entry in json.loads(out)["per_character"]]
+    rows = json.loads(out)["per_character"]
+    from_json = [(row["distinguished"], row["contribution"]) for row in rows]
     _, out, _ = run_cli(capsys, "mass", *field, "--format", "tsv")
-    from_tsv = [row.split("\t")[-1] for row in out.splitlines()[1:]]
+    from_tsv = [tuple(row.split("\t")[-2:]) for row in out.splitlines()[1:]]
     _, out, _ = run_cli(capsys, "mass", *field, "--format", "text")
-    from_text = [line.split()[-1] for line in out.splitlines() if line.startswith("  char")]
+    from_text = [tuple(line.split()[-2:]) for line in out.splitlines() if line.startswith("  char")]
     p = int(field[1])
     assert len(from_json) == (p - 1) ** 2
     assert from_json == from_tsv == from_text
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_mass_builds_no_record_per_character(capsys, monkeypatch, fmt):
+    # A row is its coordinates, their marker and a value; at p = 31 a record
+    # per character would be 900 of them.  The report's trivial contribution
+    # is read through one trivial_char().
+    made = []
+    new = model.CharClass.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(model.CharClass, "__new__", counting)
+    counts = []
+    for field in [("--p", "3", "--e", "1"), P31_F2[1:], OMEGA_FIELDS[2]]:
+        made.clear()
+        code, _, _ = run_cli(capsys, "mass", *field, "--format", fmt)
+        assert code == 0
+        counts.append(len(made))
+    assert len(set(counts)) == 1 and counts[0] <= 2, counts
+
+
+@pytest.mark.parametrize(
+    "query",
+    [("count", "--p", "3", "--e", "2000"), ("mass", "--p", "211", "--e", "1")],
+    ids=["count", "mass"],
+)
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback(tmp_path, query):
+    # Both tables are megabytes, far past what the pipe holds, so the cli is
+    # still writing when the reader (as ``| head -1`` does) closes its end.
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "localmass.cli", *query, "--format", "tsv"],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.PIPE,
+            stderr=err,
+        )
+        assert proc.stdout.readline().startswith(b"a\tb\t" if query[0] == "mass" else b"level\t")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        err.seek(0)
+        assert err.read() == ""
 
 
 INT_STR_LIMIT_ERROR = "error: Exceeds the limit (4300 digits) for integer string conversion"

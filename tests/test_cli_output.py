@@ -136,6 +136,9 @@ def _old_mass_json(field):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+OMEGA_FIELDS = [LocalField(3, 1, 2, (0, 0)), LocalField(5, 1, 2, (2, 1)), LocalField(7, 1, 3, (3, 5))]
+
+
 def test_streamed_json_equals_json_dumps_on_the_sweep_grid(capsys):
     empty_tables = 0
     for p, f, e in workloads._sweep_fields():
@@ -153,6 +156,13 @@ def test_streamed_json_equals_json_dumps_on_the_sweep_grid(capsys):
                 assert out == _old_count_json(field, max_level, vbar), (argv, vbar)
                 empty_tables += '"levels": {}' in out
     assert empty_tables > 0
+    # Known cyclotomic coordinates: (0, 0) stays trivial on Q_3(sqrt(-3)),
+    # which contains mu_3, and the other two fields mark their pair omega.
+    for field in OMEGA_FIELDS:
+        argv = ("--p", field.p, "--f", field.f, "--e", field.e, "--format", "json")
+        omega = ("--omega-a", field.omega[0], "--omega-b", field.omega[1])
+        _, out, _ = run_cli(capsys, "mass", *argv, *omega)
+        assert out == _old_mass_json(field), field
 
 
 def test_structure_prints_one_line_per_layout_block(capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from localmass.model import (
+    GENERIC,
     INFINITE_E,
     OMEGA,
     PRIME_TEST_BOUND,
@@ -14,6 +15,7 @@ from localmass.model import (
     CharClass,
     EigenBlock,
     LocalField,
+    coords_marker,
     cyclotomic_valuation,
     discriminant_valuation,
     enumerate_characters,
@@ -242,6 +244,18 @@ def test_enumerate_characters():
     # Order-2 classes at p = 3 in equal characteristic: the three nontrivial ones.
     order2 = [c for c in enumerate_characters(F3_SERIES) if c.coords != (0, 0)]
     assert [c.coords for c in order2] == [(0, 1), (1, 0), (1, 1)]
+
+
+def test_coords_marker_census():
+    # (0, 0) is trivial even where it is also the cyclotomic pair; only the
+    # coordinates a field carries are omega.
+    assert coords_marker(LocalField(3, 1, 2, (0, 0)), 0, 0) == TRIVIAL
+    assert coords_marker(F3_SERIES, 0, 0) == TRIVIAL
+    q5 = LocalField(5, 1, 2, (2, 1))
+    marked = {(a, b): coords_marker(q5, a, b) for a in range(4) for b in range(4)}
+    assert marked.pop((0, 0)) == TRIVIAL and marked.pop((2, 1)) == OMEGA
+    assert set(marked.values()) == {GENERIC}
+    assert {coords_marker(LocalField(5, 1, 2), a, 1) for a in range(4)} == {GENERIC}
 
 
 def test_enumerate_characters_omega_coords():
