@@ -232,21 +232,39 @@ _CHAR_JSON = (
 )
 
 
+#: Most rows ``structure`` writes, one per block: 10 million rows are 0.2 to
+#: 1 GB of output, by format.
+ROW_LIMIT = 10**7
+#: Most copies of one row ``structure`` joins into one chunk.
+_REPEAT_ROWS = 1 << 10
+
+
 def _cmd_structure(args):
     """The block layout, one output row per block.  The level walk counts
     a level's generic blocks, whose rows are identical, so that row is
-    formatted once and repeated ``generic`` times with the format's row
-    separator between the copies."""
+    formatted once and repeated ``generic`` times, in chunks of at most
+    ``_REPEAT_ROWS`` copies joined by the format's row separator, which the
+    renderer also writes between chunks.
+
+    A first walk sums the dimension and counts the rows; it stops, and the
+    query exits 1 before any output, once the rows pass ``ROW_LIMIT``."""
     field = _field(args)
     bound = truncation_bound(field, args.max_level)
-    total_dim = sum(dim * (len(special) + n) for _, _, dim, special, n in level_walk(field, bound))
+    total_dim = rows = 0
+    for _, _, dim, special, generic in level_walk(field, bound):
+        n = len(special) + generic
+        rows, total_dim = rows + n, total_dim + dim * n
+        if rows > ROW_LIMIT:
+            raise ValueError(f"structure scale exceeded: rows >= {rows} > ROW_LIMIT = {ROW_LIMIT}")
 
     def blocks(render, sep):
         for level, vbar, dim, special, generic in level_walk(field, bound):
             for marker in special:
                 yield render(level, vbar, dim, marker)
             if generic:
-                yield sep.join(repeat(render(level, vbar, dim, GENERIC), generic))
+                row = render(level, vbar, dim, GENERIC)
+                for left in range(generic, 0, -_REPEAT_ROWS):
+                    yield sep.join(repeat(row, min(left, _REPEAT_ROWS)))
 
     if args.format == "json":
         head = {"field": _field_json(field), "max_level": bound, "total_dim": total_dim}

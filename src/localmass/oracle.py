@@ -7,10 +7,11 @@ highest block level where it is nonzero, the increasing-filtration
 convention), and adds up ``multiplicity * q**-level`` line by line.  The walk
 is exhaustive, p**dim vectors, and its work runs in C, column by column: the
 vectors are laid out in ``itertools.product`` order as byte columns, one per
-coordinate, a block of at most 1 << 16 vectors (or p, past that) at a time;
-each column is read once into a bit mask of its nonzero rows, and the rows
-whose first nonzero coordinate is column i are counted as the bits that
-column i adds to the mask of rows seen nonzero so far.  The tally depends
+coordinate, a block at a time, the suffix columns every block shares holding
+at most ``_BLOCK_BYTES`` bytes (or one column of p, past that); each column
+is read once into a bit mask of its nonzero rows, and the rows whose first
+nonzero coordinate is column i are counted as the bits that column i adds
+to the mask of rows seen nonzero so far.  The tally depends
 only on ``(p, dim)``, and the tally of a smaller space is the tail of a
 larger one's, so the vectors are walked once per p, at the largest dimension
 asked, and that walk is shared by every character whose eigenspace lives
@@ -46,8 +47,9 @@ from .rationals import rat_pow
 DIM_LIMIT = 12
 #: Hard cap on the number of vectors walked, p**dim.
 VECTOR_LIMIT = 10**7
-#: Vectors per block of the walk, so its memory stays flat.
-_BLOCK_ROWS = 1 << 16
+#: Bytes of the suffix columns every block of the walk shares, so its memory
+#: stays flat: 8 columns of 3**8 rows at p = 3, 13 of 2**13 at p = 2.
+_BLOCK_BYTES = 1 << 17
 #: ``bytes.translate`` table reading a coordinate byte as 1 if nonzero, else 0.
 _NONZERO = bytes([0]) + bytes([1]) * 255
 
@@ -110,12 +112,12 @@ def _suffix_columns(p: int, k: int) -> list[bytes]:
 
 def _blocks(p: int, dim: int):
     """The vectors of F_p**dim in ``product`` order, as blocks of dim byte
-    columns.  The last k coordinates, the most whose p**k rows fit in
-    ``_BLOCK_ROWS`` (and at least one), are laid out once; each block is one
-    value of the first dim - k coordinates, read as constant columns, beside
-    them."""
+    columns.  The last k coordinates, the most whose k columns of p**k rows
+    fit in ``_BLOCK_BYTES`` (and at least one), are laid out once; each block
+    is one value of the first dim - k coordinates, read as constant columns
+    of as many rows, beside them."""
     k = 1
-    while k < dim and p ** (k + 1) <= _BLOCK_ROWS:
+    while k < dim and (k + 1) * p ** (k + 1) <= _BLOCK_BYTES:
         k += 1
     suffix = _suffix_columns(p, k)
     rows = len(suffix[0])

@@ -23,15 +23,17 @@ tried by closing it under the group's generators.  It gives, for p <= 5,
 the transitive family: the subgroups of the symmetric group containing the
 p-cycle, and their conjugates, found as an orbit under conjugation by
 generators of the symmetric group.  A group's record is built from the
-generators that found it.  It also gives each group's index-p subgroups,
-searched from above each Sylow q-subgroup for a prime q whose part in the
-index-p order is its part in the group's: such a subgroup contains a whole
-Sylow q-subgroup, and those are one orbit under conjugation by the group's
-generators, so the search stays exhaustive while it skips the subgroups
-below.  For p = 7 a seeded family is used instead: the chain between the
-p-cycle group and its normalizer, the full symmetric and alternating
-groups, and the simple group of order 168 in its degree-7 action; results
-for p = 7 are labelled with that scope.
+generators that found it: its solvability is decided from them alone, one
+derived group alive at a time, and for a seeded group (below) before the
+group itself is closed.  The search also gives each group's index-p
+subgroups, searched from above each Sylow q-subgroup for a prime q whose
+part in the index-p order is its part in the group's: such a subgroup
+contains a whole Sylow q-subgroup, and those are one orbit under
+conjugation by the group's generators, so the search stays exhaustive while
+it skips the subgroups below.  For p = 7 a seeded family is used instead:
+the chain between the p-cycle group and its normalizer, the full symmetric
+and alternating groups, and the simple group of order 168 in its degree-7
+action; results for p = 7 are labelled with that scope.
 """
 
 from __future__ import annotations
@@ -164,12 +166,18 @@ def derived_subgroup(gens: list[Perm]) -> tuple[frozenset[Perm], list[Perm]]:
 
 
 def is_solvable(gens: list[Perm]) -> bool:
-    """Derived series of ``<gens>`` reaches the trivial group."""
+    """Derived series of ``<gens>`` reaches the trivial group.
+
+    It needs only the generators: each derived group is built from the
+    previous one's generators and dropped before the next is built, so one
+    derived group is alive at a time and ``<gens>`` itself is never built.
+    """
     while gens:
         derived, dgens = derived_subgroup(gens)
         if len(derived) > 1 and all(g in derived for g in gens):  # nontrivial and perfect
             return False
         gens = dgens
+        del derived  # before the next one is built
     return True
 
 
@@ -339,8 +347,9 @@ def is_transitive(elems: frozenset[Perm]) -> bool:
     return {g[0] for g in elems} == set(range(_degree(elems)))
 
 
-def _record(elems: frozenset[Perm], gens: list[Perm]) -> SubgroupRecord:
-    """The record of ``elems = <gens>`` (``gens`` nonempty)."""
+def _record(elems: frozenset[Perm], solvable: bool) -> SubgroupRecord:
+    """The record of the group ``elems``, whose solvability ``is_solvable``
+    has decided from its generators."""
     degree = _degree(elems)
     order = len(elems)
     n_order_p = sum(map(_is_p_cycle, elems))
@@ -355,7 +364,7 @@ def _record(elems: frozenset[Perm], gens: list[Perm]) -> SubgroupRecord:
         elements=tuple(sorted(elems)),
         order=order,
         transitive=is_transitive(elems),
-        solvable=is_solvable(gens),
+        solvable=solvable,
         sylow_p_count=sylow,
         index_p_subgroup_count=idx_count,
     )
@@ -363,7 +372,11 @@ def _record(elems: frozenset[Perm], gens: list[Perm]) -> SubgroupRecord:
 
 def subgroup_closure(gens) -> SubgroupRecord:
     """Generated subgroup with all derived flags; the trivial group of degree
-    n is ``[pidentity(n)]``."""
+    n is ``[pidentity(n)]``.
+
+    Solvability is decided from the generators before the closure is built,
+    so the derived series never runs beside the whole group (S_7 beside
+    A_7 at p = 7)."""
     gens = [tuple(g) for g in gens]
     if not gens:
         raise ValueError("empty generating set: the trivial group of degree n is [pidentity(n)]")
@@ -372,7 +385,8 @@ def subgroup_closure(gens) -> SubgroupRecord:
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise ValueError(f"generator {g} is not a permutation of range({degree})")
-    return _record(closure(gens, degree), gens)
+    solvable = is_solvable(gens)
+    return _record(closure(gens, degree), solvable)
 
 
 def _require_scale(n: int) -> None:
@@ -444,7 +458,7 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
         records = {}
         s_p = list(itertools.permutations(range(p)))  # in sorted order
         for group, gens in _subgroups(s_p, closure([sigma], p), [sigma], len(s_p)).items():
-            rec = _record(group, gens)
+            rec = _record(group, is_solvable(gens))
             for conj in _conjugates(group):
                 records.setdefault(conj, rec._replace(elements=tuple(sorted(conj))))
         return tuple(sorted(records.values(), key=lambda r: r.elements)), "full"

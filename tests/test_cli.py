@@ -332,6 +332,40 @@ def test_oracle_check_past_the_vector_cap_exits_1_at_once(capsys):
     assert err == "error: oracle scale exceeded: vectors >= 13**7 > VECTOR_LIMIT = 10000000\n"
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (("--p", "1000000007", "--e", "inf", "--max-level", "2", "--format", "tsv"), 1000000007),
+        (("--p", "10007", "--e", "1", "--format", "tsv"), 10006001),
+    ],
+    ids=["ten-digit-p", "p-10007"],
+)
+def test_structure_past_the_row_cap_exits_1_at_once(capsys, argv, rows):
+    # The first walk counts the rows and stops once past ROW_LIMIT.  The
+    # ten-digit p joined a level's 10**9 rows into one string and died of a
+    # MemoryError traceback; p = 10007 wrote 1.68 GB.
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "structure", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: structure scale exceeded: rows >= {rows} > ROW_LIMIT = 10000000\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_structure_chunks_write_the_bytes_of_one_join(capsys, monkeypatch, fmt):
+    # Each level at p = 2003 has 2 001 or 2 002 generic blocks: two chunks by
+    # default, hundreds of 7 rows, or one join of them all.
+    argv = ("structure", "--p", "2003", "--e", "inf", "--max-level", "3", "--format", fmt)
+    outs = set()
+    for rows in (cli._REPEAT_ROWS, 7, 10_000):
+        monkeypatch.setattr(cli, "_REPEAT_ROWS", rows)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outs.add(out)
+    [out] = outs
+    if fmt == "tsv":
+        assert out.count("\n") == 1 + 1 + 3 * 2002
+
+
 def _oracle_walks(capsys, monkeypatch, *argv):
     """The ``(p, dim)`` of each vector walk an ``oracle-check`` query makes."""
     real = oracle._blocks
@@ -892,3 +926,28 @@ def test_mass_holds_no_table(capsys, fmt):
     assert code == 0 and peak < 2, peak
     if fmt == "text":
         assert lines == 210**2 + 3
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_structure_holds_no_level_of_rows(capsys, fmt):
+    # Each level at p = 100 003 has 100 002 blocks.  Joined into one string
+    # per level, the rows peaked at 5.6 MB as tsv, 12.9 as text and 30.6 as
+    # json; in chunks of _REPEAT_ROWS rows each format peaks near 0.2 to 0.4 MB.
+    query = ("structure", "--p", "100003", "--e", "inf", "--max-level", "2", "--format", fmt)
+    warm_up = ("structure", "--p", "3", "--e", "1", "--format", fmt)
+    code, peak, lines = _traced_peak(query, warm_up)
+    assert code == 0 and peak < 1, peak
+    rows = 1 + 2 * 100002
+    assert lines == {"json": 12 + 6 * rows, "tsv": 1 + rows, "text": 1 + rows}[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_galois_verify_at_7_holds_one_derived_group_at_a_time(capsys, fmt):
+    # Solvability is decided from each seed's generators before its closure
+    # is built, so the derived series of S_7 no longer runs beside S_7 and
+    # two copies of A_7: the query peaked at 1.9 to 2.1 MB, now 1.3 to 1.4.
+    permgroup.transitive_family.cache_clear()
+    permgroup.subgroups_of_order.cache_clear()
+    warm_up = ("galois-verify", "--p", "5", "--format", fmt)
+    code, peak, _ = _traced_peak(("galois-verify", "--p", "7", "--format", fmt), warm_up)
+    assert code == 0 and peak < 1.7, peak

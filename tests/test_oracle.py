@@ -117,12 +117,16 @@ def _leading_positions_by_loop(p, dim):
 
 @pytest.mark.parametrize(
     "p,dim",
-    [(2, 1), (3, 4), (5, 3), (3, 10), (3, 11), (2, 16), (2, 17), (13, 5)],
+    [
+        (2, 1), (3, 4), (5, 3), (3, 8), (3, 9), (3, 10), (3, 11),
+        (2, 13), (2, 14), (2, 16), (2, 17), (13, 5),
+    ],
 )
 def test_vectors_by_leading_position_matches_a_per_vector_loop(p, dim):
-    # A block holds at most 1 << 16 vectors: 3**10 and 2**16 are one block
-    # with no prefix, 3**11 and 2**17 are that block beside one prefix
-    # coordinate, and 13**5 is 13 blocks of 13**4.
+    # The suffix columns of a block hold at most 1 << 17 bytes, k columns of
+    # p**k rows: 3**8 and 2**13 are one block with no prefix, 3**9 and 2**14
+    # are that block beside one prefix coordinate, and 3**10, 3**11, 2**16,
+    # 2**17 and 13**5 are many blocks (13**5 is 13 of 13**4).
     _TALLIES.clear()
     expected = _leading_positions_by_loop(p, dim)
     assert _vectors_by_leading_position(p, dim) == expected
@@ -142,35 +146,47 @@ def test_suffix_columns_are_the_vectors_in_product_order(p, k):
 @pytest.mark.parametrize("p,dim", [(2, 17), (3, 12), (5, 9), (13, 5), (3001, 2)])
 def test_a_walk_reads_every_coordinate_once(p, dim, monkeypatch):
     # Every count comes from reading columns: dim bytes per vector, no block
-    # counted by its size.
-    real = oracle._column_mask
-    read = []
+    # counted by its size.  The suffix columns, laid out once, hold at most
+    # _BLOCK_BYTES bytes, or one column of p past that, and every column
+    # read has their rows.
+    real, real_suffix = oracle._column_mask, oracle._suffix_columns
+    read, suffixes = [], []
 
     def counted(column):
         read.append(len(column))
         return real(column)
 
+    def suffix(p, k):
+        suffixes.append(real_suffix(p, k))
+        return suffixes[-1]
+
     monkeypatch.setattr(oracle, "_column_mask", counted)
+    monkeypatch.setattr(oracle, "_suffix_columns", suffix)
     _TALLIES.clear()
     tally = _vectors_by_leading_position(p, dim)
     _TALLIES.clear()
     assert sum(read) == dim * p**dim
-    assert max(read) <= max(1 << 16, p)
+    [columns] = suffixes
+    assert sum(map(len, columns)) <= max(oracle._BLOCK_BYTES, p)
+    assert set(read) == {len(columns[0])}
     assert sum(tally) == p**dim - 1
 
 
 def test_a_walk_holds_one_block():
-    # The suffix columns of F_3**10 are 10 x 59 049 bytes; the walk holds
-    # them, one block's prefix columns and one mask at a time.
-    _TALLIES.clear()
-    tracemalloc.start()
-    try:
-        _vectors_by_leading_position(3, 12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # The suffix columns of F_3**8 are 8 x 6 561 bytes, and those of F_2**13
+    # 13 x 8 192; the walk holds them, one block's prefix columns and one
+    # mask at a time, 0.12 and 0.19 MB traced.  Capped at 1 << 16 rows
+    # (10 columns of 3**10 rows, 16 of 2**16) it peaked at 0.96 and 1.40 MB.
+    for p, dim in (3, 12), (2, 17):
         _TALLIES.clear()
-    assert peak < 2e6, peak
+        tracemalloc.start()
+        try:
+            _vectors_by_leading_position(p, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _TALLIES.clear()
+        assert peak < 3e5, (p, dim, peak)
 
 
 @pytest.mark.parametrize("dims", [(11, 4), (4, 6)], ids=["larger-first", "smaller-first"])

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -429,6 +430,33 @@ def test_galois_verify_closes_each_start_group_once(monkeypatch):
         verify_galois_criterion(p)
         verify_index_p_subgroups(p)
     assert len(calls) == 231
+
+
+def test_is_solvable_holds_one_derived_group_at_a_time():
+    # The derived series of S_7 is A_7, A_7: holding the first A_7 while the
+    # second was built peaked at 1.03 MB traced; dropped first, 0.66 MB.
+    tracemalloc.start()
+    try:
+        assert not is_solvable([pcycle(7), (1, 0, 2, 3, 4, 5, 6)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.85e6, peak
+
+
+def test_the_seeded_family_decides_solvability_before_each_closure():
+    # Solvability is decided from the generators before each closure is
+    # built: the derived series of S_7 ran beside S_7 and held two copies of
+    # A_7, a 2.13 MB peak; now 1.40 MB, of which the records keep 0.91 MB.
+    transitive_family.cache_clear()
+    tracemalloc.start()
+    try:
+        transitive_family(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        transitive_family.cache_clear()
+    assert peak < 1.7e6, peak
 
 
 def _order_42():
