@@ -33,13 +33,14 @@ walk of :mod:`localmass.model` alone; ``mass``, ``count``, ``tame`` and
 ``checksum`` also load :mod:`localmass.mass` and :mod:`localmass.rationals`
 (and with it :mod:`fractions`), ``oracle-check`` loads those and
 :mod:`localmass.oracle`, and ``galois-verify`` loads only
-:mod:`localmass.permgroup`.  :mod:`json` is imported by the json renderers,
-and :mod:`heapq` by ``count``'s.
+:mod:`localmass.permgroup` and its :mod:`localmass.stabchain`.  :mod:`json`
+is imported by the json renderers, and :mod:`heapq` by ``count``'s.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import importlib.util
 import math
 import os
@@ -58,6 +59,7 @@ from .model import (
     level_walk,
     trivial_char,
     truncation_bound,
+    walk_totals,
 )
 
 
@@ -246,16 +248,17 @@ def _cmd_structure(args):
     ``_REPEAT_ROWS`` copies joined by the format's row separator, which the
     renderer also writes between chunks.
 
-    A first walk sums the dimension and counts the rows; it stops, and the
-    query exits 1 before any output, once the rows pass ``ROW_LIMIT``."""
+    The rows and the total dimension are counted in closed form first
+    (``walk_totals``); past ``ROW_LIMIT`` rows the query exits 1 before any
+    output, naming the rows through the first level that passes the cap,
+    which a bisection over the levels finds."""
     field = _field(args)
     bound = truncation_bound(field, args.max_level)
-    total_dim = rows = 0
-    for _, _, dim, special, generic in level_walk(field, bound):
-        n = len(special) + generic
-        rows, total_dim = rows + n, total_dim + dim * n
-        if rows > ROW_LIMIT:
-            raise ValueError(f"structure scale exceeded: rows >= {rows} > ROW_LIMIT = {ROW_LIMIT}")
+    rows, total_dim = walk_totals(field, bound)
+    if rows > ROW_LIMIT:
+        level = bisect.bisect_right(range(bound), ROW_LIMIT, key=lambda lv: walk_totals(field, lv)[0])
+        rows = walk_totals(field, level)[0]
+        raise ValueError(f"structure scale exceeded: rows >= {rows} > ROW_LIMIT = {ROW_LIMIT}")
 
     def blocks(render, sep):
         for level, vbar, dim, special, generic in level_walk(field, bound):

@@ -13,7 +13,8 @@ closure, and each block sits at a well-defined filtration level.  This module
 owns the one walk over those levels (:func:`level_walk`, truncated by
 :func:`truncation_bound`, whole or one valuation at a time), which the block
 layout, the mass kernel, the per-level counts of :mod:`localmass.mass` and
-the ``structure`` command read, the one list of
+the ``structure`` command read, with its block count and dimension in
+closed form (:func:`walk_totals`), the one list of
 character classes that behave differently (:func:`char_classes`), the
 stratum arithmetic, and the break/discriminant arithmetic of the tame
 subextension.
@@ -365,6 +366,18 @@ def level_walk(field: LocalField, bound: int, vbar: int | None = None, low: int 
             yield level, w, field.f, markers, m - len(markers)
     if not field.equal_char and low <= p * field.e <= bound and 0 in walked:
         yield p * field.e, 0, 1, (TRIVIAL,), 0
+
+
+def walk_totals(field: LocalField, bound: int) -> tuple[int, int]:
+    """The number of blocks ``level_walk(field, bound)`` yields, and their
+    total dimension, in closed form: the level-0 line, p - 1 blocks of
+    dimension f at each level prime to p up to the last below the top, and
+    the top-level line if ``bound`` reaches it."""
+    p = field.p
+    last = bound if field.equal_char else min(bound, p * field.e - 1)
+    levels = last - last // p
+    top = int(not field.equal_char and p * field.e <= bound)
+    return 1 + (p - 1) * levels + top, 1 + (p - 1) * field.f * levels + top
 
 
 def layout(field: LocalField, max_level: int | None = None) -> FilteredLayout:

@@ -15,25 +15,29 @@ every claim at a scale where exhaustive computation settles it:
   subgroups of index p, pairwise intersecting trivially, any two of which
   generate the whole group.
 
-Every group here is grown by one step, ``extend``: Dimino's coset extension
-of a known group by one permutation, each right coset composed by one
-C-level gather (``_right_coset``).  Every subgroup is found by one
-exhaustive search, ``_subgroups``, which skips each double coset it has
-tried by closing it under the group's generators.  It gives, for p <= 5,
-the transitive family: the subgroups of the symmetric group containing the
+A group past ``INDEX_SEARCH_LIMIT`` elements is never listed: it is held as
+a stabilizer chain (``stabchain.StabChain``, Schreier–Sims), which gives its
+order, its membership test and, one at a time, its elements.  Solvability is
+decided from a group's generators by its derived series, each derived group
+a normal closure held as a chain, and a record past the limit reads its
+transitivity and Sylow p-count off the chain's stream of elements.  Every
+element set is grown by one step, ``extend``: Dimino's coset extension of a
+known group by one permutation, each right coset composed by one C-level
+gather (``_right_coset``).  Every subgroup is found by one exhaustive
+search, ``_subgroups``, which skips each double coset it has tried by
+closing it under the group's generators.  It gives, for p <= 5, the
+transitive family: the subgroups of the symmetric group containing the
 p-cycle, and their conjugates, found as an orbit under conjugation by
-generators of the symmetric group.  A group's record is built from the
-generators that found it: its solvability is decided from them alone, one
-derived group alive at a time, and for a seeded group (below) before the
-group itself is closed.  The search also gives each group's index-p
-subgroups, searched from above each Sylow q-subgroup for a prime q whose
-part in the index-p order is its part in the group's: such a subgroup
-contains a whole Sylow q-subgroup, and those are one orbit under
-conjugation by the group's generators, so the search stays exhaustive while
-it skips the subgroups below.  For p = 7 a seeded family is used instead:
-the chain between the p-cycle group and its normalizer, the full symmetric
-and alternating groups, and the simple group of order 168 in its degree-7
-action; results for p = 7 are labelled with that scope.
+generators of the symmetric group.  The search also gives each group's
+index-p subgroups, once per conjugacy class, searched from above each Sylow
+q-subgroup for a prime q whose part in the index-p order is its part in the
+group's: such a subgroup contains a whole Sylow q-subgroup, and those are
+one orbit under conjugation by the group's generators, so the search stays
+exhaustive while it skips the subgroups below.  For p = 7 a seeded family is
+used instead (``SEEDS_7``): the chain between the p-cycle group and its
+normalizer, the full symmetric and alternating groups, and the simple group
+of order 168 in its degree-7 action; results for p = 7 are labelled with
+that scope.
 """
 
 from __future__ import annotations
@@ -44,30 +48,13 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .model import is_prime
-
-Perm = tuple[int, ...]
+from .stabchain import Perm, StabChain, pidentity, pinv, pmul
 
 #: Degrees beyond this make exhaustive verification meaningless on a desk.
 MAX_DEGREE = 7
 
 #: Largest group order for which index-p subgroups are enumerated.
 INDEX_SEARCH_LIMIT = 130
-
-
-def pidentity(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def pmul(a: Perm, b: Perm) -> Perm:
-    """Composition a∘b: apply b first."""
-    return tuple(map(a.__getitem__, b))
-
-
-def pinv(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for x, y in enumerate(a):
-        out[y] = x
-    return tuple(out)
 
 
 def pcycle(n: int) -> Perm:
@@ -146,38 +133,38 @@ def _commutator(a: Perm, b: Perm) -> Perm:
     return pmul(pmul(a, b), pmul(pinv(a), pinv(b)))
 
 
-def derived_subgroup(gens: list[Perm]) -> tuple[frozenset[Perm], list[Perm]]:
-    """Commutator subgroup of ``<gens>`` (``gens`` nonempty), with its generators.
+def derived_subgroup(gens: list[Perm]) -> tuple[StabChain, list[Perm]]:
+    """Commutator subgroup of ``<gens>`` (``gens`` nonempty) as a chain, with
+    its generators.
 
     The normal closure of the generator commutators: each commutator or
-    conjugate outside the group so far extends it (at least doubling it),
-    and its conjugates by ``gens`` are queued in turn.
+    conjugate that does not sift through the chain so far extends it, and
+    its conjugates by ``gens`` are queued in turn.
     """
-    group = frozenset([pidentity(_degree(gens))])
+    derived = StabChain(len(gens[0]))
     dgens: list[Perm] = []
     todo = [_commutator(a, b) for a in gens for b in gens]
     while todo:
         x = todo.pop()
-        if x not in group:
-            group = extend(group, dgens, x)
+        if derived.add(x):
             dgens.append(x)
             todo += [pmul(pmul(g, x), pinv(g)) for g in gens]
-    return group, dgens
+    return derived, dgens
 
 
 def is_solvable(gens: list[Perm]) -> bool:
     """Derived series of ``<gens>`` reaches the trivial group.
 
-    It needs only the generators: each derived group is built from the
-    previous one's generators and dropped before the next is built, so one
-    derived group is alive at a time and ``<gens>`` itself is never built.
+    Each derived group is a chain built from the previous one's generators,
+    so no element set is built, of ``<gens>`` or of any derived group.  The
+    series stops at the trivial group, or at a nontrivial perfect group,
+    where every generator sifts through its own derived group.
     """
     while gens:
         derived, dgens = derived_subgroup(gens)
-        if len(derived) > 1 and all(g in derived for g in gens):  # nontrivial and perfect
+        if derived.order > 1 and all(g in derived for g in gens):  # nontrivial and perfect
             return False
         gens = dgens
-        del derived  # before the next one is built
     return True
 
 
@@ -198,11 +185,12 @@ class SubgroupRecord(
 ):
     """A subgroup of the degree-p symmetric group with its derived flags.
 
-    ``elements`` is the sorted tuple of its permutations.
+    ``elements`` is the sorted tuple of its permutations, and
     ``index_p_subgroup_count`` comes from the exhaustive search
-    ``subgroups_of_order``; it is None for a group of more than
-    ``INDEX_SEARCH_LIMIT`` elements (only the 168-element group and the
-    alternating and symmetric groups at p = 7 in practice).
+    ``subgroups_of_order``; for a group of more than ``INDEX_SEARCH_LIMIT``
+    elements (only the 168-element group and the alternating and symmetric
+    groups at p = 7 in practice) both are None, as no element set of it is
+    held.
     """
 
     __slots__ = ()
@@ -342,28 +330,35 @@ def subgroups_of_order(elems: frozenset[Perm], order: int) -> frozenset[frozense
     )
 
 
-def is_transitive(elems: frozenset[Perm]) -> bool:
-    """A subgroup is transitive iff the orbit of 0 is everything."""
-    return {g[0] for g in elems} == set(range(_degree(elems)))
+def _record(elements, order: int, solvable: bool) -> SubgroupRecord:
+    """The record of a group of ``order`` elements, whose solvability
+    ``is_solvable`` has decided from its generators.
 
-
-def _record(elems: frozenset[Perm], solvable: bool) -> SubgroupRecord:
-    """The record of the group ``elems``, whose solvability ``is_solvable``
-    has decided from its generators."""
-    degree = _degree(elems)
-    order = len(elems)
-    n_order_p = sum(map(_is_p_cycle, elems))
+    ``elements`` is read once: it is the group's element set when ``order``
+    is at most ``INDEX_SEARCH_LIMIT``, else a stream of its elements
+    (``StabChain.elements``).  The group is transitive iff the orbit of 0 is
+    every point, and its Sylow p-subgroups are its p-cycles' groups, p - 1
+    p-cycles each.  An element count other than ``order`` is a bug in the
+    chain or the closure, and raises.
+    """
+    count = n_order_p = 0
+    orbit = set()
+    for count, g in enumerate(elements, 1):
+        n_order_p += _is_p_cycle(g)
+        orbit.add(g[0])
+    if count != order:
+        raise AssertionError(f"{count} elements listed for a group of order {order}")
+    degree = len(g)
     sylow = n_order_p // (degree - 1) if degree > 1 and n_order_p else 0
-    if order % degree == 0 and order <= INDEX_SEARCH_LIMIT:
-        idx_count = len(subgroups_of_order(elems, order // degree))
-    elif order % degree != 0:
+    held = order <= INDEX_SEARCH_LIMIT
+    if order % degree != 0:
         idx_count = 0
     else:
-        idx_count = None
+        idx_count = len(subgroups_of_order(elements, order // degree)) if held else None
     return SubgroupRecord(
-        elements=tuple(sorted(elems)),
+        elements=tuple(sorted(elements)) if held else None,
         order=order,
-        transitive=is_transitive(elems),
+        transitive=len(orbit) == degree,
         solvable=solvable,
         sylow_p_count=sylow,
         index_p_subgroup_count=idx_count,
@@ -374,9 +369,12 @@ def subgroup_closure(gens) -> SubgroupRecord:
     """Generated subgroup with all derived flags; the trivial group of degree
     n is ``[pidentity(n)]``.
 
-    Solvability is decided from the generators before the closure is built,
-    so the derived series never runs beside the whole group (S_7 beside
-    A_7 at p = 7)."""
+    The group's chain comes first.  Its element set is closed only when the
+    chain's order is at most ``INDEX_SEARCH_LIMIT``, since the index-p search
+    and the normality check read elements only there; a larger group's
+    record reads the chain's stream, so no element set of more than
+    ``INDEX_SEARCH_LIMIT`` permutations is built (S_7, A_7 and the group of
+    order 168 at p = 7)."""
     gens = [tuple(g) for g in gens]
     if not gens:
         raise ValueError("empty generating set: the trivial group of degree n is [pidentity(n)]")
@@ -385,8 +383,9 @@ def subgroup_closure(gens) -> SubgroupRecord:
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise ValueError(f"generator {g} is not a permutation of range({degree})")
-    solvable = is_solvable(gens)
-    return _record(closure(gens, degree), solvable)
+    chain = StabChain(degree, gens)
+    elements = closure(gens, degree) if chain.order <= INDEX_SEARCH_LIMIT else chain.elements()
+    return _record(elements, chain.order, is_solvable(gens))
 
 
 def _require_scale(n: int) -> None:
@@ -440,6 +439,23 @@ def _conjugates(elems: frozenset[Perm], movers: list[Perm] | None = None) -> set
     return conjugates
 
 
+_SIGMA_7 = pcycle(7)
+
+#: Generators of p = 7's seeded family: the chain between the cycle group
+#: and its normalizer, plus the known non-solvable transitive groups.  3
+#: generates the units mod 7.
+SEEDS_7 = (
+    (_SIGMA_7,),
+    (_SIGMA_7, affine_perm(7, 6)),  # order-2 tame part
+    (_SIGMA_7, affine_perm(7, 2)),  # order-3 tame part
+    (_SIGMA_7, affine_perm(7, 3)),  # full normalizer
+    # (2 6)(4 5) keeps the Fano lines {i, i+1, i+3} mod 7, as the 7-cycle does: order 168
+    (_SIGMA_7, (0, 1, 6, 3, 5, 4, 2)),
+    (_SIGMA_7, (1, 2, 0, 3, 4, 5, 6)),  # with a 3-cycle: alternating
+    (_SIGMA_7, (1, 0, 2, 3, 4, 5, 6)),  # with a transposition: symmetric
+)
+
+
 @lru_cache(maxsize=None)
 def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
     """Transitive subgroups to verify against, and how they were found.
@@ -458,23 +474,11 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
         records = {}
         s_p = list(itertools.permutations(range(p)))  # in sorted order
         for group, gens in _subgroups(s_p, closure([sigma], p), [sigma], len(s_p)).items():
-            rec = _record(group, is_solvable(gens))
+            rec = _record(group, len(group), is_solvable(gens))
             for conj in _conjugates(group):
                 records.setdefault(conj, rec._replace(elements=tuple(sorted(conj))))
         return tuple(sorted(records.values(), key=lambda r: r.elements)), "full"
-    # p == 7: the chain between the cycle group and its normalizer, plus the
-    # known non-solvable transitive families.  3 generates the units mod 7.
-    seeds = [
-        [sigma],
-        [sigma, affine_perm(p, 6)],  # order-2 tame part
-        [sigma, affine_perm(p, 2)],  # order-3 tame part
-        [sigma, affine_perm(p, 3)],  # full normalizer
-        # (2 6)(4 5) keeps the Fano lines {i, i+1, i+3} mod 7, as sigma does: order 168
-        [sigma, (0, 1, 6, 3, 5, 4, 2)],
-        [sigma, (1, 2, 0) + tuple(range(3, p))],  # with a 3-cycle: alternating
-        [sigma, (1, 0) + tuple(range(2, p))],  # with a transposition: symmetric
-    ]
-    records = tuple(subgroup_closure(g) for g in seeds)
+    records = tuple(subgroup_closure(g) for g in SEEDS_7)
     orders = [r.order for r in records]
     if orders != [7, 14, 21, 42, 168, 2520, 5040]:
         raise RuntimeError(f"unexpected seeded family orders {orders}")
@@ -545,29 +549,41 @@ def verify_index_p_subgroups(p: int) -> dict:
     """Exactly p index-p subgroups, trivial intersections, pairwise generation.
 
     Commutative groups (the p-cycle group itself) are skipped: they have a
-    single index-p subgroup, the trivial one.
+    single index-p subgroup, the trivial one.  The index-p subgroups of a
+    conjugate are the conjugates of its class representative's, with the
+    same meets and the same generated orders, so each conjugacy class is
+    searched and checked once, at its first record, and its row repeated for
+    every conjugate.  The full family holds every conjugate of each group;
+    the seeded one holds one group per class.
     """
     records, mode = transitive_family(p)
-    checked = []
+    rows: dict[frozenset[Perm], dict] = {}  # each checked group and its conjugates -> its row
     for rec in records:
         if not rec.solvable:
             continue
-        if rec.order == p:  # commutative case, excluded by the statement
-            checked.append({"order": rec.order, "skipped": "commutative"})
-            continue
-        subs = sorted(
-            subgroups_of_order(rec.element_set(), rec.order // p), key=sorted
-        )
-        if len(subs) != p:
-            raise AssertionError(f"order {rec.order}: {len(subs)} index-p subgroups, expected {p}")
-        for i, a in enumerate(subs):
-            for j, b in enumerate(subs[i + 1 :], i + 1):
-                # Both lie in the group and hold the identity: sizes decide.
-                meet, generated = len(a & b), len(closure(list(a | b), p))
-                if meet != 1 or generated != rec.order:
-                    raise AssertionError(
-                        f"p = {p}, order {rec.order}: index-p subgroups {i} and {j} meet in"
-                        f" {meet} element(s) and generate {generated}, expected 1 and {rec.order}"
-                    )
-        checked.append({"order": rec.order, "index_p_subgroups": len(subs)})
+        elems = rec.element_set()
+        if elems not in rows:
+            row = _index_p_row(elems, p)
+            rows.update(dict.fromkeys(_conjugates(elems) if mode == "full" else [elems], row))
+    checked = [rows[rec.element_set()] for rec in records if rec.solvable]
     return {"p": p, "enumeration": mode, "groups": checked, "holds": True}
+
+
+def _index_p_row(elems: frozenset[Perm], p: int) -> dict:
+    """``verify_index_p_subgroups``' row for the solvable group ``elems``."""
+    order = len(elems)
+    if order == p:  # commutative case, excluded by the statement
+        return {"order": order, "skipped": "commutative"}
+    subs = sorted(subgroups_of_order(elems, order // p), key=sorted)
+    if len(subs) != p:
+        raise AssertionError(f"order {order}: {len(subs)} index-p subgroups, expected {p}")
+    for i, a in enumerate(subs):
+        for j, b in enumerate(subs[i + 1 :], i + 1):
+            # Both lie in the group and hold the identity: sizes decide.
+            meet, generated = len(a & b), len(closure(list(a | b), p))
+            if meet != 1 or generated != order:
+                raise AssertionError(
+                    f"p = {p}, order {order}: index-p subgroups {i} and {j} meet in"
+                    f" {meet} element(s) and generate {generated}, expected 1 and {order}"
+                )
+    return {"order": order, "index_p_subgroups": len(subs)}

@@ -337,13 +337,15 @@ def test_oracle_check_past_the_vector_cap_exits_1_at_once(capsys):
     [
         (("--p", "1000000007", "--e", "inf", "--max-level", "2", "--format", "tsv"), 1000000007),
         (("--p", "10007", "--e", "1", "--format", "tsv"), 10006001),
+        (("--p", "3", "--e", "inf", "--max-level", "100000000"), 10000001),
     ],
-    ids=["ten-digit-p", "p-10007"],
+    ids=["ten-digit-p", "p-10007", "p-3-deep"],
 )
 def test_structure_past_the_row_cap_exits_1_at_once(capsys, argv, rows):
-    # The first walk counts the rows and stops once past ROW_LIMIT.  The
-    # ten-digit p joined a level's 10**9 rows into one string and died of a
-    # MemoryError traceback; p = 10007 wrote 1.68 GB.
+    # The rows are counted in closed form before any output.  The ten-digit
+    # p joined a level's 10**9 rows into one string and died of a
+    # MemoryError traceback; p = 10007 wrote 1.68 GB; p = 3 walked 5 million
+    # levels, 2 s, before it passed the cap.
     with _deadline(1):
         code, out, err = run_cli(capsys, "structure", *argv)
     assert code == 1 and out == ""
@@ -943,11 +945,31 @@ def test_structure_holds_no_level_of_rows(capsys, fmt):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_galois_verify_at_7_holds_one_derived_group_at_a_time(capsys, fmt):
-    # Solvability is decided from each seed's generators before its closure
-    # is built, so the derived series of S_7 no longer runs beside S_7 and
-    # two copies of A_7: the query peaked at 1.9 to 2.1 MB, now 1.3 to 1.4.
+    # With the derived series of S_7 beside S_7 and two copies of A_7 the
+    # query peaked at 1.9 to 2.1 MB; with solvability decided before each
+    # closure, 1.3 to 1.4; with chains in place of every element set past
+    # INDEX_SEARCH_LIMIT, 0.10 (text) to 0.25 (json).
     permgroup.transitive_family.cache_clear()
     permgroup.subgroups_of_order.cache_clear()
     warm_up = ("galois-verify", "--p", "5", "--format", fmt)
     code, peak, _ = _traced_peak(("galois-verify", "--p", "7", "--format", fmt), warm_up)
-    assert code == 0 and peak < 1.7, peak
+    assert code == 0 and peak < 0.6, peak
+
+
+def test_galois_verify_at_7_builds_no_group_past_the_search_limit(capsys, monkeypatch):
+    # S_7, A_7 and the group of order 168 were closed as element sets, and
+    # the derived series built A_7 twice more.
+    sizes = []
+    real = permgroup.extend
+
+    def measured(*args, **kwargs):
+        group = real(*args, **kwargs)
+        sizes.append(len(group))
+        return group
+
+    monkeypatch.setattr(permgroup, "extend", measured)
+    permgroup.transitive_family.cache_clear()
+    permgroup.subgroups_of_order.cache_clear()
+    code, _, _ = run_cli(capsys, "galois-verify", "--p", "7")
+    assert code == 0 and sizes
+    assert max(sizes) <= permgroup.INDEX_SEARCH_LIMIT, max(sizes)

@@ -28,6 +28,7 @@ from localmass.model import (
     stratum_slot,
     trivial_char,
     truncation_bound,
+    walk_totals,
 )
 from localmass.oracle import eigenspace_blocks
 
@@ -217,6 +218,20 @@ def test_layout_block_structure():
     # The cyclotomic class sits where the valuation matches.
     assert {b.distinguished for b in by_level[2]} == {"omega", "none"}
     assert {b.distinguished for b in by_level[1]} == {"trivial", "none"}
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Q3, F3_SERIES, LocalField(2, 1, 3), LocalField(5, 2, 2), LocalField(7, 1, INFINITE_E),
+     LocalField(5, 1, 2, (2, 1))],
+    ids=str,
+)
+def test_walk_totals_count_the_layout(field):
+    # Every bound to past the top, and in equal characteristic to 4p.
+    top = 4 * field.p if field.equal_char else field.p * field.e + 2
+    for bound in range(top + 1):
+        lay = layout(field, bound)
+        assert walk_totals(field, truncation_bound(field, bound)) == (len(lay.blocks), lay.total_dim)
 
 
 def test_layout_requires_bound_in_equal_char():

@@ -12,6 +12,7 @@ import pytest
 from localmass import permgroup
 from localmass.permgroup import (
     INDEX_SEARCH_LIMIT,
+    SEEDS_7,
     _conjugates,
     _double_coset,
     _is_p_cycle,
@@ -34,6 +35,7 @@ from localmass.permgroup import (
     verify_index_p_subgroups,
     verify_normalizer,
 )
+from localmass.stabchain import StabChain
 
 
 def test_perm_basics():
@@ -296,9 +298,50 @@ def _derived_cases():
 def test_derived_subgroup_is_the_closure_of_all_commutators():
     for group, n in _derived_cases():
         derived, dgens = derived_subgroup(_gens(group, n))
-        assert derived == _commutators_generated(group, n)
-        assert _generated(dgens, n) == derived
-        assert 2 ** len(dgens) <= len(derived)
+        expected = _commutators_generated(group, n)
+        assert derived.order == len(expected) and set(derived.elements()) == expected
+        assert _generated(dgens, n) == expected
+        assert 2 ** len(dgens) <= derived.order
+
+
+def test_is_solvable_agrees_with_the_series_of_commutator_closures():
+    for group, n in _derived_cases():
+        series = [group]
+        while len(series[-1]) > 1 and (nxt := _commutators_generated(series[-1], n)) != series[-1]:
+            series.append(nxt)
+        assert is_solvable(_gens(group, n)) == (len(series[-1]) == 1), (n, len(group))
+
+
+def _chain_cases():
+    """Every pair-generated subgroup of S_5, and p = 7's seeded family, each
+    with generators and its element set."""
+    cases = [(_gens(group, 5), group, 5) for group in _pair_generated(_symmetric(5), 5)]
+    return cases + [(gens, closure(gens, 7), 7) for gens in SEEDS_7]
+
+
+def test_the_chain_equals_the_closure():
+    # Order, membership of every permutation of the degree, and the stream.
+    cases = _chain_cases()
+    assert len(cases) == 156 + 7
+    for gens, group, n in cases:
+        chain = StabChain(n, gens)
+        assert chain.order == len(group), (n, len(group))
+        assert {g for g in itertools.permutations(range(n)) if g in chain} == group
+        stream = list(chain.elements())
+        assert len(stream) == len(group) and set(stream) == group, (n, len(group))
+
+
+def test_the_chain_grows_one_permutation_at_a_time():
+    # add() reports whether the permutation was outside, and the chain after
+    # each is the closure of the permutations so far.
+    s5 = sorted(_symmetric(5))
+    sample = random.Random(5).sample(s5, 12)
+    chain, added = StabChain(5), []
+    for g in sample:
+        grew = chain.add(g)
+        assert grew == (g not in _generated(added, 5))
+        added.append(g)
+        assert chain.order == len(_generated(added, 5))
 
 
 def test_is_solvable_agrees_with_the_derived_series_of_every_subgroup_of_s5():
@@ -429,25 +472,38 @@ def test_galois_verify_closes_each_start_group_once(monkeypatch):
         verify_normalizer(p)
         verify_galois_criterion(p)
         verify_index_p_subgroups(p)
-    assert len(calls) == 231
+    # 231 when every conjugate was searched and p = 7's three large seeds
+    # were closed as element sets.
+    assert len(calls) == 128
+
+
+def test_index_p_subgroups_are_searched_once_per_class():
+    # At p = 5 the 12 solvable conjugates of order 10 and 20 lie in 2
+    # classes; searching each conjugate missed the cache 12 times here.
+    transitive_family(5)
+    subgroups_of_order.cache_clear()
+    verify_index_p_subgroups(5)
+    assert subgroups_of_order.cache_info().misses == 2
 
 
 def test_is_solvable_holds_one_derived_group_at_a_time():
     # The derived series of S_7 is A_7, A_7: holding the first A_7 while the
-    # second was built peaked at 1.03 MB traced; dropped first, 0.66 MB.
+    # second was built peaked at 1.03 MB traced; dropped first, 0.51 to 0.66
+    # MB; as chains, which list no element, 0.013 MB.
     tracemalloc.start()
     try:
         assert not is_solvable([pcycle(7), (1, 0, 2, 3, 4, 5, 6)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.85e6, peak
+    assert peak < 0.1e6, peak
 
 
 def test_the_seeded_family_decides_solvability_before_each_closure():
-    # Solvability is decided from the generators before each closure is
-    # built: the derived series of S_7 ran beside S_7 and held two copies of
-    # A_7, a 2.13 MB peak; now 1.40 MB, of which the records keep 0.91 MB.
+    # The derived series of S_7 ran beside S_7 and held two copies of A_7, a
+    # 2.13 MB peak; decided before each closure, 1.40 MB, of which the
+    # records kept 0.91 MB.  With no element set past INDEX_SEARCH_LIMIT
+    # built or kept, 0.25 MB, 0.22 MB of it the records.
     transitive_family.cache_clear()
     tracemalloc.start()
     try:
@@ -456,7 +512,21 @@ def test_the_seeded_family_decides_solvability_before_each_closure():
     finally:
         tracemalloc.stop()
         transitive_family.cache_clear()
-    assert peak < 1.7e6, peak
+    assert peak < 0.5e6, peak
+
+
+def test_records_past_the_search_limit_hold_no_elements():
+    records, _ = transitive_family(7)
+    assert [rec.elements is None for rec in records] == [False] * 4 + [True] * 3
+    assert [rec.index_p_subgroup_count for rec in records[4:]] == [None] * 3
+
+
+def test_a_stream_that_miscounts_raises(monkeypatch):
+    # The record counts what the chain streams against the chain's order.
+    real = StabChain.elements
+    monkeypatch.setattr(StabChain, "elements", lambda self: itertools.islice(real(self), 1, None))
+    with pytest.raises(AssertionError, match="5039 elements listed for a group of order 5040"):
+        subgroup_closure(SEEDS_7[6])
 
 
 def _order_42():
