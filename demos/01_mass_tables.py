@@ -11,7 +11,6 @@ from localmass import (
     LocalField,
     format_rational,
     per_character_contributions,
-    peu_tres_split,
     total_mass,
 )
 
@@ -35,9 +34,11 @@ show(LocalField(3, 1, INFINITE_E), "equal characteristic, p = q = 3")
 show(LocalField(3, 1, 1), "the 3-adic field")
 
 # In mixed characteristic the mass splits into a below-top and a top-level
-# part: p(1 - q**((1-p)e)) and p*q**((1-p)e).
+# part: p(1 - q**((1-p)e)) and p*q**((1-p)e).  The report holds the top-level
+# part as tres_extra.
 for field in (LocalField(3, 1, 1), LocalField(3, 2, 2), LocalField(5, 1, 1)):
-    peu, tres = peu_tres_split(field)
+    report = total_mass(field)
+    peu, tres = report.total - report.tres_extra, report.tres_extra
     print(f"\nbelow-top/top split at (p={field.p}, q={field.q}, e={field.e}): "
           f"{format_rational(peu)} + {format_rational(tres)} = {field.p}")
 

@@ -9,7 +9,7 @@ top-level line of the trivial class).
 
 from collections import Counter
 
-from localmass import INFINITE_E, LocalField, layout, nth_prime_to_p, omega_char, stratum_slot
+from localmass import INFINITE_E, LocalField, layout, omega_char, stratum_slot
 
 # Full layout over the 3-adics: six basis dimensions, 2 + (p-1)^2 * e * f.
 q3 = LocalField(3, 1, 1)
@@ -29,9 +29,10 @@ print(" ", sorted({b.level for b in lay.blocks}))
 print("\ncyclotomic levels vs the prime-to-p sequence (p = 5, e = 5):")
 k55 = LocalField(5, 1, 5)
 om = omega_char(k55)
+prime_to_5 = [n for n in range(1, 10) if n % 5]  # 1, 2, 3, 4, 6, ...
 for i in range(5):
     slot = stratum_slot(k55, om, i)
-    print(f"  stratum {i}: slot {slot}, level {5 * i + slot} = 4 * {nth_prime_to_p(5, i + 1)}")
+    print(f"  stratum {i}: slot {slot}, level {5 * i + slot} = 4 * {prime_to_5[i]}")
 
 # Each stratum gives every character class f dimensions; the cyclotomic class
 # also owns the level-0 line and the trivial class the top-level one.

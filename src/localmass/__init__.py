@@ -34,7 +34,6 @@ _HOME = {
             "group_order_contribution",
             "mass_from_counts",
             "per_character_contributions",
-            "peu_tres_split",
             "subfield_contribution",
             "tame_mass",
             "total_mass",
@@ -49,7 +48,6 @@ _HOME = {
             "INFINITE_E",
             "OMEGA",
             "TRIVIAL",
-            "BreakData",
             "CharClass",
             "EigenBlock",
             "FilteredLayout",
@@ -60,13 +58,11 @@ _HOME = {
             "char_is_omega",
             "char_is_trivial",
             "cyclotomic_valuation",
-            "discriminant_valuation",
             "enumerate_characters",
             "generic_char",
             "is_prime",
             "layout",
             "level_walk",
-            "nth_prime_to_p",
             "omega_char",
             "omega_is_trivial",
             "stratum_slot",

@@ -18,7 +18,10 @@ success, 1 on invalid parameters, and 2 if an internal exact identity fails
 
 Only this module renders: the other modules return plain values, and each
 handler makes every conversion that can fail (a decimal string past the
-int-to-str limit) before its renderer writes the first byte.  The long
+int-to-str limit) before its renderer writes the first byte.  Where a
+closed form bounds a printed number's digits (q, ``checksum``'s sides, the
+deepest of ``mass``'s contributions), a number past the limit is rejected
+before the kernel computes it.  The long
 tables are not held: the rows of ``count`` (from :func:`localmass.mass.count_rows`),
 of ``mass`` (one per coordinate pair, marked by :func:`localmass.model.coords_marker`)
 and of ``structure`` go from the kernel's generators to stdout as they are
@@ -288,6 +291,14 @@ def _cmd_mass(args):
         if args.format == "tsv":
             return _tsv([("filter", "contribution"), (args.filter, value)])
         return _text([f"{_describe(field)}: mass of {args.filter} extensions = {value}"])
+    if not field.equal_char:
+        # Level p*e - 1 sits at depth (p-1)e, so its valuation's value is
+        # p(q-1) n / ((p-1) q**((p-1)e)) with n = 1 mod q: its denominator is
+        # at least q**((p-1)e) / p, and every format prints it.
+        _check_digits(
+            ((field.p - 1) * field.e * field.f - 1) * math.log10(field.p),
+            "a contribution's denominator has at least {} digits",
+        )
     report = mass.total_mass(field)
     # A contribution depends only on the valuation a of the character (a, b)
     # and on whether it is trivial, so the (p-1)^2 rows hold at most p distinct
@@ -458,6 +469,13 @@ def _cmd_oracle_check(args):
 def _cmd_checksum(args):
     field = LocalField(args.p, args.f, INFINITE_E)
     _q_decimal(field)
+    # For p >= 3 a side is N / q**(p-2) in lowest terms: N = (q**(p-2) - 1)
+    # (q**((p-1)**2) - 1) / (q - 1) is -1 mod q, and N >= q**(p + (p-1)**2 - 4).
+    p = args.p
+    _check_digits(
+        (p + (p - 1) ** 2 - 4) * args.f * math.log10(p),
+        "the checksum's sides have a numerator of at least {} digits",
+    )
     q = field.q
     lhs, rhs = mass.contribution_checksum(field)
     # The checksum has returned, so the sides are equal: one decimal string.
@@ -472,19 +490,26 @@ def _cmd_checksum(args):
 def _q_decimal(field: LocalField) -> str:
     """``str(field.q)``, or the int-to-str limit's ValueError.
 
-    q = p**f has floor(f * log10(p)) + 1 digits, so a q more than one digit
-    past the limit is rejected from that count before anything computes
-    p**f, which takes seconds at f = 10**7; the digit of slack covers the
-    float's rounding, and nearer the limit ``str`` decides.
+    q = p**f has floor(f * log10(p)) + 1 digits, so a q past the limit is
+    rejected from that count before anything computes p**f, which takes
+    seconds at f = 10**7.
     """
-    limit = sys.get_int_max_str_digits()
-    digits = field.f * math.log10(field.p)
-    if limit and digits > limit + 1:
-        raise ValueError(
-            f"Exceeds the limit ({limit} digits) for integer string conversion:"
-            f" q = {field.p}**{field.f} has {math.floor(digits) + 1} digits"
-        )
+    _check_digits(field.f * math.log10(field.p), f"q = {field.p}**{field.f} has {{}} digits")
     return str(field.q)
+
+
+def _check_digits(log10: float, number: str) -> None:
+    """Raise the int-to-str limit's ValueError for a printed number of at
+    least 10**log10, before anything computes it.  ``number`` names it, with
+    ``{}`` for its digit count, floor(log10) + 1.  Only a ``log10`` more than
+    one digit past the limit is rejected: the digit of slack covers the
+    float's rounding, and nearer the limit ``str`` decides."""
+    limit = sys.get_int_max_str_digits()
+    if limit and log10 > limit + 1:
+        raise ValueError(
+            f"Exceeds the limit ({limit} digits) for integer string conversion: "
+            + number.format(math.floor(log10) + 1)
+        )
 
 
 def _field_json(field: LocalField) -> dict:

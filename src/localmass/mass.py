@@ -263,14 +263,6 @@ def total_mass(field: LocalField) -> MassReport:
     return MassReport(field, {w: Fraction(n, den) for w, n in nums.items()}, tres, total)
 
 
-def peu_tres_split(field: LocalField) -> tuple[Fraction, Fraction]:
-    """Masses of the below-top and top-level strata; they sum to p."""
-    if field.equal_char:
-        raise ValueError("no très ramifiées stratum")
-    tres = tres_term(field)
-    return field.p - tres, tres
-
-
 def count_rows(
     field: LocalField, max_level: int | None = None, vbar: int | None = None, min_level: int = 0
 ):

@@ -15,9 +15,8 @@ owns the one walk over those levels (:func:`level_walk`, truncated by
 layout, the mass kernel, the per-level counts of :mod:`localmass.mass` and
 the ``structure`` command read, with its block count and dimension in
 closed form (:func:`walk_totals`), the one list of
-character classes that behave differently (:func:`char_classes`), the
-stratum arithmetic, and the break/discriminant arithmetic of the tame
-subextension.
+character classes that behave differently (:func:`char_classes`), and the
+stratum arithmetic.
 
 Characters are reduced to the data the formulas consume: a valuation class
 mod ``p - 1``, optional full coordinates in the basis (uniformizer class,
@@ -224,20 +223,6 @@ def validate_char(field: LocalField, chi: CharClass) -> None:
             )
 
 
-def nth_prime_to_p(p: int, n: int) -> int:
-    """The n-th positive integer prime to p (0 for n = 0).
-
-    This is the unique strictly increasing function of n >= 1 whose image is
-    the set of positive integers not divisible by p; the possible nonzero
-    filtration levels below the top one are exactly these integers.
-    """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if n == 0:
-        return 0
-    return n + (n - 1) // (p - 1)
-
-
 def cyclotomic_valuation(field: LocalField) -> int:
     """Valuation class of the cyclotomic character: e mod p-1, or 0 in equal char."""
     return 0 if field.equal_char else field.e % (field.p - 1)
@@ -396,37 +381,3 @@ def layout(field: LocalField, max_level: int | None = None) -> FilteredLayout:
         for marker in special + (GENERIC,) * generic
     )
     return FilteredLayout(field, bound, blocks)
-
-
-class BreakData(namedtuple("BreakData", "b t r")):
-    """Ramification data of a degree-p extension read off its Galois closure.
-
-    ``b`` is the unique ramification break of the wild subgroup, ``t`` the
-    order of the tame inertia quotient, and ``r`` the residual degree of the
-    tame subextension.  The break is always prime to the tame order.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, b: int, t: int, r: int):
-        if b < 1 or t < 1 or r < 1:
-            raise ValueError("break data must be positive")
-        if math.gcd(b, t) != 1:
-            raise ValueError("break must be prime to the tame inertia order")
-        return super().__new__(cls, b, t, r)
-
-
-def discriminant_valuation(p: int, bd: BreakData) -> int:
-    """Valuation (p-1)(b+t)/t of the discriminant of the degree-p extension.
-
-    Obtained by computing the closure's discriminant along the two towers of
-    the closure diagram; integrality is re-checked at runtime because break
-    data may come from external input.  p is taken to be prime: the caller
-    checks it, as ``LocalField`` does.
-    """
-    if (p - 1) % bd.t != 0:
-        raise ValueError("inconsistent break data")
-    num = (p - 1) * (bd.b + bd.t)
-    if num % bd.t != 0:
-        raise ValueError("inconsistent break data")
-    return num // bd.t

@@ -1,0 +1,67 @@
+"""References the tests check against, and helpers more than one test module uses.
+
+The tame subextension's break/discriminant arithmetic below is the paper's,
+kept as the independent side of the discriminant tower identity; no command
+runs it, so it lives beside the tests, not in the library.  The suite imports
+this module as ``reference``: ``tests/`` is not a package, so pytest puts it
+on the import path.
+"""
+
+import math
+from collections import namedtuple
+
+import localmass.cli as cli
+from localmass.permgroup import extend, pidentity
+
+
+class BreakData(namedtuple("BreakData", "b t r")):
+    """Ramification data of a degree-p extension read off its Galois closure.
+
+    ``b`` is the unique ramification break of the wild subgroup, ``t`` the
+    order of the tame inertia quotient, and ``r`` the residual degree of the
+    tame subextension.  The break is always prime to the tame order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, b: int, t: int, r: int):
+        if b < 1 or t < 1 or r < 1:
+            raise ValueError("break data must be positive")
+        if math.gcd(b, t) != 1:
+            raise ValueError("break must be prime to the tame inertia order")
+        return super().__new__(cls, b, t, r)
+
+
+def discriminant_valuation(p: int, bd: BreakData) -> int:
+    """Valuation (p-1)(b+t)/t of the discriminant of the degree-p extension.
+
+    Obtained by computing the closure's discriminant along the two towers of
+    the closure diagram; integrality is re-checked at runtime because break
+    data may come from external input.  p is taken to be prime: the caller
+    checks it, as ``LocalField`` does.
+    """
+    if (p - 1) % bd.t != 0:
+        raise ValueError("inconsistent break data")
+    num = (p - 1) * (bd.b + bd.t)
+    if num % bd.t != 0:
+        raise ValueError("inconsistent break data")
+    return num // bd.t
+
+
+def generating_set(group, n):
+    """Generators of ``group``, a set of permutations of degree ``n``: each
+    element not yet reached extends the group reached so far."""
+    gens, reached = [], frozenset([pidentity(n)])
+    for g in sorted(group):
+        if g not in reached:
+            reached = extend(reached, gens, g)
+            gens.append(g)
+    return gens or [pidentity(n)]
+
+
+def run_cli(capsys, *argv):
+    """``cli.main`` on ``argv``, each argument passed as its ``str``:
+    the exit status, stdout and stderr."""
+    code = cli.main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err

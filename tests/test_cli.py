@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -21,14 +22,9 @@ import localmass.oracle as oracle
 import localmass.permgroup as permgroup
 from localmass.model import INFINITE_E, PRIME_TEST_BOUND, LocalField, trivial_char
 from localmass.rationals import format_rational
+from reference import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_mass_json_equal_char(capsys):
@@ -609,14 +605,16 @@ def test_internal_identity_failure_exits_2(capsys, monkeypatch):
 
 def test_identity_failure_with_huge_sides_exits_2(capsys, monkeypatch):
     # A ramified total too long for decimal conversion is still reported as an
-    # identity failure naming its field, not as bad input.
+    # identity failure naming its field, not as bad input.  (At e = 100 the
+    # report's own denominators are past the limit, so the query exits 1
+    # before the kernel runs.)
     real = mass.tres_term
     monkeypatch.setattr(mass, "tres_term", lambda field: real(field) + Fraction(1, 31**4000))
-    code, out, err = run_cli(capsys, "mass", "--p", "31", "--e", "100")
+    code, out, err = run_cli(capsys, "mass", "--p", "31", "--e", "1")
     assert code == 2
     assert out == ""
     assert "internal identity failure" in err
-    assert "LocalField(p=31, f=1, e=100" in err
+    assert "LocalField(p=31, f=1, e=1," in err
 
 
 P31_F2 = ("mass", "--p", "31", "--f", "2", "--e", "inf")
@@ -780,6 +778,115 @@ def test_count_checks_its_largest_count_before_any_output(capsys, fmt):
         sys.set_int_max_str_digits(limit)
     assert code == 1 and out == ""
     assert err.startswith("error: Exceeds the limit (640 digits) for integer string conversion")
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ("checksum", "--p", "1009"),
+        ("checksum", "--p", "101", "--f", "211"),
+        ("checksum", "--p", "99989"),
+        ("mass", "--p", "7", "--e", "100000"),
+        ("mass", "--p", "10007", "--e", "5"),
+        ("mass", "--p", "1000000007", "--f", "211", "--e", "1"),
+        ("mass", "--p", "7", "--f", "10000", "--e", "100", "--format", "tsv"),
+    ],
+    ids=" ".join,
+)
+def test_sides_and_reports_past_the_int_str_limit_exit_1_before_the_kernel(capsys, query):
+    # The checksum's sides and the mass report's denominators are bounded
+    # below in closed form; each of these queries ran for more than 10 s in
+    # the kernel before the conversion failed.
+    with _deadline(1):
+        code, out, err = run_cli(capsys, *query)
+    assert code == 1 and out == ""
+    assert err.startswith(INT_STR_LIMIT_ERROR + ": ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "query",
+    [("mass", "--p", "31", "--f", "1", "--e", "100"), ("checksum", "--p", "101", "--f", "1")],
+    ids=["mass", "checksum"],
+)
+def test_deep_mass_known_failures_keep_their_signature(capsys, query):
+    # The benchmark recognises these known failures by this text on stderr.
+    with _deadline(1):
+        code, out, err = run_cli(capsys, *query, "--format", "json")
+    assert code == 1 and out == ""
+    assert err.startswith(INT_STR_LIMIT_ERROR)
+
+
+class _KernelReached(Exception):
+    """Raised by a stubbed kernel: the handler passed its digit bound."""
+
+
+def _bound_rejections(kernel, queries):
+    """``{key: digits}`` for each ``(key, argv)`` of ``queries`` whose handler
+    raises the int-to-str limit's ValueError before ``mass.<kernel>`` runs,
+    with the digit count its message names."""
+
+    def reached(*args):
+        raise _KernelReached
+
+    parser = cli.build_parser()
+    rejected = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli.mass, kernel, reached)
+        for key, argv in queries:
+            args = parser.parse_args(argv)
+            try:
+                cli._HANDLERS[args.command](args)
+            except _KernelReached:
+                continue
+            except ValueError as exc:
+                message = f"error: {exc}"
+                assert message.startswith(INT_STR_LIMIT_ERROR + ": "), message
+                rejected[key] = int(re.search(r"at least (\d+) digits$", message)[1])
+    return rejected
+
+
+def test_checksum_rejects_only_sides_past_the_int_str_limit():
+    # Each rejection is a real overflow: the sides, computed and converted
+    # with the limit lifted, have at least the digits the message names.
+    primes = [p for p in range(2, 62) if model.is_prime(p)]
+    queries = [((p, f), ("checksum", "--p", str(p), "--f", str(f))) for p in primes for f in (1, 2)]
+    rejected = _bound_rejections("contribution_checksum", queries)
+    assert (61, 1) in rejected and (31, 1) not in rejected
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for (p, f), named in rejected.items():
+            lhs, _ = mass.contribution_checksum(LocalField(p, f, INFINITE_E))
+            assert len(str(lhs.numerator)) >= named > limit, (p, f)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_mass_rejects_only_reports_past_the_int_str_limit():
+    # Each rejection is a real overflow: the contribution of valuation
+    # 1 mod p-1, which holds level p*e - 1, computed and converted with the
+    # limit lifted, has a denominator of exactly the digits the message names.
+    primes = [p for p in range(2, 32) if model.is_prime(p)]
+    queries = [
+        ((p, f, e), ("mass", "--p", str(p), "--f", str(f), "--e", str(e), "--format", "tsv"))
+        for p in primes for f in (1, 2) for e in range(1, 121)
+    ]
+    rejected = _bound_rejections("total_mass", queries)
+    assert (31, 1, 97) in rejected and (31, 1, 96) not in rejected
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for (p, f, e), named in rejected.items():
+            value = mass.char_contribution(LocalField(p, f, e), model.generic_char(1 % (p - 1)))
+            assert len(str(value.denominator)) == named > limit, (p, f, e)
+        # That contribution has the report's longest denominator.
+        report = mass.total_mass(LocalField(31, 1, 97))
+        values = [*report.per_vbar.values(), report.tres_extra, report.total, report.grand_total]
+        longest = max(len(str(v.denominator)) for v in values)
+        assert longest == rejected[31, 1, 97] == len(str(report.per_vbar[1].denominator))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])

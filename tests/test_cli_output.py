@@ -14,6 +14,7 @@ import localmass.cli as cli
 from localmass.mass import count_table, per_character_contributions, total_mass
 from localmass.model import INFINITE_E, LocalField, layout
 from localmass.rationals import format_rational
+from reference import run_cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,12 +28,6 @@ def _workloads():
 
 
 workloads = _workloads()
-
-
-def run_cli(capsys, *argv):
-    code = cli.main([str(a) for a in argv])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def _wrong_digests(capsys, pool):

@@ -18,7 +18,6 @@ from localmass.mass import (
     group_order_contribution,
     mass_from_counts,
     per_character_contributions,
-    peu_tres_split,
     subfield_contribution,
     tame_mass,
     total_mass,
@@ -119,14 +118,18 @@ def test_per_character_sum_is_total():
 
 
 def test_peu_tres_split():
-    assert peu_tres_split(Q3) == (Fraction(8, 3), Fraction(1, 3))
+    # The report holds both strata: the below-top mass total - tres_extra
+    # and the top-level mass tres_extra.
+    def split(field):
+        report = total_mass(field)
+        return report.total - report.tres_extra, report.tres_extra
+
+    assert split(Q3) == (Fraction(8, 3), Fraction(1, 3))
     field = LocalField(3, 2, 2)
-    assert peu_tres_split(field) == (3 * (1 - Fraction(9) ** -4), 3 * Fraction(9) ** -4)
+    assert split(field) == (3 * (1 - Fraction(9) ** -4), 3 * Fraction(9) ** -4)
     for p, f, e in [(2, 1, 1), (3, 1, 3), (5, 2, 2), (7, 1, 1)]:
-        peu, tres = peu_tres_split(LocalField(p, f, e))
+        peu, tres = split(LocalField(p, f, e))
         assert peu + tres == p
-    with pytest.raises(ValueError, match="très"):
-        peu_tres_split(F3_SERIES)
     with pytest.raises(ValueError, match="très"):
         tres_term(F3_SERIES)
 

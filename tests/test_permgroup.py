@@ -36,6 +36,7 @@ from localmass.permgroup import (
     verify_normalizer,
 )
 from localmass.stabchain import StabChain
+from reference import generating_set
 
 
 def test_perm_basics():
@@ -249,23 +250,12 @@ def test_subgroups_of_order_needs_no_two_element_generating_set():
     assert len(subgroups_of_order(group, 4)) == 7
 
 
-def _gens(group, n):
-    """Test-local generators of ``group``: each element not yet reached
-    extends the group reached so far."""
-    gens, reached = [], frozenset([pidentity(n)])
-    for g in sorted(group):
-        if g not in reached:
-            reached = extend(reached, gens, g)
-            gens.append(g)
-    return gens or [pidentity(n)]
-
-
 @pytest.mark.parametrize("n", [4, 5])
 def test_extend_equals_the_generated_group(n):
     # Every subgroup H of S_n against a sample of permutations g.
     sample = random.Random(n).sample(sorted(_symmetric(n)), 8)
     for group in _pair_generated(_symmetric(n), n):
-        gens = _gens(group, n)
+        gens = generating_set(group, n)
         for g in sample:
             whole = _generated(gens + [g], n)
             assert extend(group, gens, g) == whole
@@ -297,7 +287,7 @@ def _derived_cases():
 
 def test_derived_subgroup_is_the_closure_of_all_commutators():
     for group, n in _derived_cases():
-        derived, dgens = derived_subgroup(_gens(group, n))
+        derived, dgens = derived_subgroup(generating_set(group, n))
         expected = _commutators_generated(group, n)
         assert derived.order == len(expected) and set(derived.elements()) == expected
         assert _generated(dgens, n) == expected
@@ -309,13 +299,13 @@ def test_is_solvable_agrees_with_the_series_of_commutator_closures():
         series = [group]
         while len(series[-1]) > 1 and (nxt := _commutators_generated(series[-1], n)) != series[-1]:
             series.append(nxt)
-        assert is_solvable(_gens(group, n)) == (len(series[-1]) == 1), (n, len(group))
+        assert is_solvable(generating_set(group, n)) == (len(series[-1]) == 1), (n, len(group))
 
 
 def _chain_cases():
     """Every pair-generated subgroup of S_5, and p = 7's seeded family, each
     with generators and its element set."""
-    cases = [(_gens(group, 5), group, 5) for group in _pair_generated(_symmetric(5), 5)]
+    cases = [(generating_set(group, 5), group, 5) for group in _pair_generated(_symmetric(5), 5)]
     return cases + [(gens, closure(gens, 7), 7) for gens in SEEDS_7]
 
 
@@ -351,7 +341,7 @@ def test_is_solvable_agrees_with_the_derived_series_of_every_subgroup_of_s5():
         while len(series[-1]) > 1 and (nxt := _commutators_generated(series[-1], 5)) != series[-1]:
             series.append(nxt)
         solvable[group] = len(series[-1]) == 1
-        assert is_solvable(_gens(group, 5)) == solvable[group]
+        assert is_solvable(generating_set(group, 5)) == solvable[group]
     assert sorted(len(g) for g, ok in solvable.items() if not ok) == [60, 120]
 
 
@@ -541,7 +531,7 @@ _SYLOW_IDS = ["S4", "A5", "S5", "order-42"]
 def test_sylow_subgroups_are_one_orbit_under_the_generators(group, n):
     # Sylow's conjugacy theorem, checked here: the orbit of the grown
     # subgroup is every subgroup of its order.
-    movers = _gens(group, n)
+    movers = generating_set(group, n)
     for q in (2, 3, 5, 7):
         q_part = math.gcd(len(group), q**6)
         if q_part == 1:
@@ -563,7 +553,7 @@ def test_sylow_subgroup_of_a_set_that_is_no_group_raises():
 def test_conjugates_under_movers_equal_a_scan_of_the_group(group, n):
     # The orbit under a group's generators is the conjugates by its elements,
     # not by all of S_n: a normal subgroup of the group is its own orbit.
-    movers = _gens(group, n)
+    movers = generating_set(group, n)
     for sub in _subgroups(sorted(group), _trivial(n), [], len(group)):
         assert _conjugates(sub, movers) == _conjugates_by_scan(sub, n, sorted(group)), len(sub)
 

@@ -10,18 +10,8 @@ import pytest
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
-from localmass.permgroup import SEEDS_7, extend, pidentity, transitive_family  # noqa: E402
-
-
-def _gens(elems):
-    """Test-local generators of the group ``elems``: each element not yet
-    reached extends the group reached so far."""
-    gens, reached = [], frozenset([pidentity(len(next(iter(elems))))])
-    for g in sorted(elems):
-        if g not in reached:
-            reached = extend(reached, gens, g)
-            gens.append(g)
-    return gens
+from localmass.permgroup import SEEDS_7, transitive_family  # noqa: E402
+from reference import generating_set  # noqa: E402
 
 
 def _generators(p):
@@ -31,7 +21,7 @@ def _generators(p):
     records, _ = transitive_family(p)
     if p == 7:
         return list(zip(records, SEEDS_7, strict=True))
-    return [(rec, _gens(rec.element_set())) for rec in records]
+    return [(rec, generating_set(rec.element_set(), p)) for rec in records]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
