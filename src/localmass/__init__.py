@@ -20,14 +20,12 @@ import importlib
 _HOME = {
     **dict.fromkeys(
         (
-            "LevelCount",
             "MassReport",
             "TameReport",
             "char_contribution",
             "char_contribution_closed",
             "char_contribution_truncated",
             "contribution_checksum",
-            "count_rows",
             "count_table",
             "cyclic_contribution",
             "galois_closure_contribution",
@@ -51,12 +49,14 @@ _HOME = {
             "CharClass",
             "EigenBlock",
             "FilteredLayout",
+            "LevelCount",
             "LocalField",
             "MassInvariantError",
             "MassOracleError",
             "char_classes",
             "char_is_omega",
             "char_is_trivial",
+            "count_rows",
             "cyclotomic_valuation",
             "enumerate_characters",
             "generic_char",

@@ -20,19 +20,20 @@ Only this module renders: the other modules return plain values, and each
 handler makes every conversion that can fail (a decimal string past the
 int-to-str limit) before its renderer writes the first byte.  Where a
 closed form bounds a printed number's digits (q, ``checksum``'s sides, the
-deepest of ``mass``'s contributions), a number past the limit is rejected
-before the kernel computes it.  The long
-tables are not held: the rows of ``count`` (from :func:`localmass.mass.count_rows`),
-of ``mass`` (one per coordinate pair, marked by :func:`localmass.model.coords_marker`)
-and of ``structure`` go from the kernel's generators to stdout as they are
-made.  ``count`` walks its levels twice for that: the first walk stops at
-the first count that no decimal string can hold, and the second renders.
+deepest of ``mass``'s contributions, ``count``'s largest count by Krasner's
+count), a number past the limit is rejected before the kernel computes it.
+The long tables are not held: the rows of ``count`` (from
+:func:`localmass.model.count_rows`), of ``mass`` (one per coordinate pair,
+marked by :func:`localmass.model.coords_marker`) and of ``structure`` go
+from the kernel's generators to stdout as they are made.  ``count`` walks
+its levels twice for that: the first walk stops at the first count that no
+decimal string can hold, and the second renders.
 Its json form orders the level keys as strings, which within one digit
 count is their numeric order, so it merges one walk per digit count and
 holds one row per walk.  Each run of equal counts is converted once.
 
-A query loads only what its subcommand runs.  ``structure`` needs the level
-walk of :mod:`localmass.model` alone; ``mass``, ``count``, ``tame`` and
+A query loads only what its subcommand runs.  ``structure`` and ``count``
+need the level walk of :mod:`localmass.model` alone; ``mass``, ``tame`` and
 ``checksum`` also load :mod:`localmass.mass` and :mod:`localmass.rationals`
 (and with it :mod:`fractions`), ``oracle-check`` loads those and
 :mod:`localmass.oracle`, and ``galois-verify`` loads only
@@ -59,6 +60,7 @@ from .model import (
     MassOracleError,
     char_classes,
     coords_marker,
+    count_rows,
     level_walk,
     trivial_char,
     truncation_bound,
@@ -87,9 +89,9 @@ def _import_on_first_use(name: str):
     return module
 
 
-#: Formatting of rationals (it loads fractions), for all but structure and galois-verify.
+#: Formatting of rationals (it loads fractions), for mass, tame, checksum and oracle-check.
 rationals = _import_on_first_use(f"{__package__}.rationals")
-#: The mass kernel, for every subcommand but structure and galois-verify.
+#: The mass kernel, for mass, tame, checksum and oracle-check.
 mass = _import_on_first_use(f"{__package__}.mass")
 #: The line oracle, for oracle-check only.
 oracle = _import_on_first_use(f"{__package__}.oracle")
@@ -331,7 +333,7 @@ def _cmd_mass(args):
 
 
 def _count_decimals(rows):
-    """Each :class:`~localmass.mass.LevelCount` of ``rows``, in level order,
+    """Each :class:`~localmass.model.LevelCount` of ``rows``, in level order,
     as the decimal strings ``(level, vbar, lines, extensions, conjugacy_classes)``.
 
     Within a stratum the levels' counts repeat, and a row's classes are its
@@ -350,17 +352,34 @@ def _count_decimals(rows):
 
 def _cmd_count(args):
     field = _field(args)
+    bound = truncation_bound(field, args.max_level)
+    # Krasner's count gives each row's extensions: 1 at level 0, p(q-1) q**(c//p)
+    # at a level c prime to p below the top, and p q**e at the top level pe.
+    # They never fall as the level rises and bound their row's other counts,
+    # so the last row holds the table's largest count, at least q**(c//p + 1)
+    # since p(q-1) >= q.  A table past the int-to-str limit by that bound exits
+    # 1 before any walk of its rows.  Its last level is read off the walk of
+    # the two steps up to the last level below the top, which hold one level
+    # prime to p, and of the top.
+    p = field.p
+    last = bound if field.equal_char else min(bound, p * field.e - 1)
+    low = last - 2 * (1 if args.vbar is None else p - 1)
+    tail = level_walk(field, bound, args.vbar, max(low, 0))
+    level = max((row[0] for row in tail), default=0)
+    if level:  # the count is at least p**exponent
+        exponent = field.e * field.f + 1 if level == p * field.e else (level // p + 1) * field.f
+        _check_digits(exponent * math.log10(p), "the largest count has at least {} digits")
 
     def rows(max_level=args.max_level, min_level=0):
-        return _count_decimals(mass.count_rows(field, max_level, args.vbar, min_level))
+        return _count_decimals(count_rows(field, max_level, args.vbar, min_level))
 
-    # No count in a row exceeds its extensions.  A first walk stops at the
-    # first row whose extensions no decimal string can hold, the ones from
-    # 10**limit up, and raises the int-to-str limit's ValueError there, before
-    # any output; the rows are then rendered as they come.
+    # Nearer the limit, a first walk stops at the first row whose extensions
+    # no decimal string can hold, the ones from 10**limit up, and raises the
+    # int-to-str limit's ValueError there, before any output; the rows are
+    # then rendered as they come.
     limit = sys.get_int_max_str_digits()
     ceiling = 10**limit if limit else math.inf
-    for rec in mass.count_rows(field, args.max_level, args.vbar):
+    for rec in count_rows(field, args.max_level, args.vbar):
         if rec.extensions >= ceiling:
             str(rec.extensions)
     if args.format == "json":
@@ -369,7 +388,6 @@ def _cmd_count(args):
         # [0, 9], [10, 99], ..., merged, holds one row per walk.
         import heapq
 
-        bound = truncation_bound(field, args.max_level)
         walks = [
             rows(min(10 ** (d + 1) - 1, bound), 10**d if d else 0) for d in range(len(str(bound)))
         ]

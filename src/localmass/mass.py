@@ -15,9 +15,9 @@ each weighted ``q**-d``.  Summing level by level gives every quantity here:
 * :func:`char_contribution_closed` — the same value through an independent
   closed-form expression, kept as a permanent cross-check;
 * :func:`total_mass` — the full report, asserting the total is exactly p;
-* :func:`count_rows` — how many extensions and conjugacy classes live at
-  each level, read off the level walk of :mod:`localmass.model` one level at
-  a time, and :func:`count_table`, the same rows held in a dict by level;
+* :func:`count_table` — the per-level counts of
+  :func:`localmass.model.count_rows` held in a dict by level, and
+  :func:`mass_from_counts`, the mass rebuilt from them;
 * the Galois-closure filters — masses of the extensions whose closure group
   is constrained (cyclic, split by an unramified extension or by a given
   subfield, of given order), each counting the characters it keeps;
@@ -51,18 +51,17 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .model import (
-    OMEGA,
-    TRIVIAL,
     CharClass,
+    LevelCount,
     LocalField,
     MassInvariantError,
     char_is_trivial,
+    count_rows,
     cyclotomic_valuation,
     enumerate_characters,
     is_prime,
     level_walk,
     omega_char,
-    omega_is_trivial,
     truncation_bound,
     validate_char,
 )
@@ -70,17 +69,6 @@ from .rationals import describe_rational, geom_finite, geom_infinite, rat_pow
 
 #: Largest p' for ``tame_mass``, whose scan for the order of q mod p' takes p' steps.
 TAME_PRIME_LIMIT = 100_000
-
-
-class LevelCount(namedtuple("LevelCount", "level vbar lines extensions conjugacy_classes")):
-    """Extensions and conjugacy classes at one filtration level.
-
-    ``vbar`` is the valuation class of the characters whose eigen-blocks sit
-    at the level: the cyclotomic valuation at level 0, 0 at the top level
-    p*e, and the valuation fixed by the level's congruence in between.
-    """
-
-    __slots__ = ()
 
 
 class MassReport(namedtuple("MassReport", "field per_vbar tres_extra total")):
@@ -263,63 +251,11 @@ def total_mass(field: LocalField) -> MassReport:
     return MassReport(field, {w: Fraction(n, den) for w, n in nums.items()}, tres, total)
 
 
-def count_rows(
-    field: LocalField, max_level: int | None = None, vbar: int | None = None, min_level: int = 0
-):
-    """Yield the aggregate counts of each level, over all character classes.
-
-    One ``LevelCount`` per level, in increasing level order, each made when
-    it is asked for: a caller that writes rows as they come holds one row,
-    not the table, whose counts reach thousands of digits.
-
-    Includes the level-0 row for the unramified extension and, in mixed
-    characteristic, the top-level row; ``max_level`` truncates as
-    :func:`localmass.model.truncation_bound` says, so it is required in
-    equal characteristic.  With ``vbar`` only the rows of that valuation
-    (mod p-1) are made, from the level walk of that valuation alone.  Rows
-    below ``min_level`` are not made, so walks over adjacent level windows
-    make each row once between them.
-
-    Each row is the direct per-level formula over the walk's counted blocks:
-    a block of dimension ``dim`` at a level of stratum ``i`` adds the
-    ``p**below * (p**dim - 1) / (p - 1)`` lines not already in the
-    ``below``-dimensional space under it, ``below = i*f`` plus, above level
-    0, one for a cyclotomic character, which owns the level-0 line.  Its
-    lines give one extension each when the character is cyclotomic and p
-    otherwise.
-    The generic blocks of a row are one class, weighted by their number;
-    ``p**(i*f)`` is kept as a running product over the strata, from the
-    stratum of ``min_level``.
-    Whether the cyclotomic character is the trivial one is read off the
-    field: when it is (the field contains the p-th roots of unity), every
-    top-level extension is cyclic and its own class.
-    """
-    p = field.p
-    cyclotomic = (OMEGA, TRIVIAL) if omega_is_trivial(field) else (OMEGA,)
-    step, stratum = p**field.f, min_level // p
-    power = step**stratum
-    span = {1: 1, field.f: (step - 1) // (p - 1)}  # (p**dim - 1) // (p - 1) for each dim
-    for level, w, dim, special, generic in level_walk(
-        field, truncation_bound(field, max_level), vbar, min_level
-    ):
-        while stratum < level // p:
-            stratum, power = stratum + 1, power * step
-        block = power * span[dim]
-        lines, extensions = generic * block, generic * block * p
-        for marker in special:
-            if marker not in cyclotomic:
-                lines, extensions = lines + block, extensions + block * p
-            else:
-                n = block * p if level else block
-                lines, extensions = lines + n, extensions + n
-        yield LevelCount(level, w, lines, extensions, lines)
-
-
 def count_table(
     field: LocalField, max_level: int | None = None, vbar: int | None = None
 ) -> dict[int, LevelCount]:
-    """The rows of :func:`count_rows`, held in a dict keyed by level, for
-    callers that index levels or need them all at once."""
+    """The rows of :func:`localmass.model.count_rows`, held in a dict keyed
+    by level, for callers that index levels or need them all at once."""
     return {rec.level: rec for rec in count_rows(field, max_level, vbar)}
 
 

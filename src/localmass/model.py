@@ -12,11 +12,13 @@ into eigen-blocks, one per character class of the degree-(p-1) abelian
 closure, and each block sits at a well-defined filtration level.  This module
 owns the one walk over those levels (:func:`level_walk`, truncated by
 :func:`truncation_bound`, whole or one valuation at a time), which the block
-layout, the mass kernel, the per-level counts of :mod:`localmass.mass` and
-the ``structure`` command read, with its block count and dimension in
-closed form (:func:`walk_totals`), the one list of
+layout, the mass kernel and the ``structure`` command read, with its block
+count and dimension in closed form (:func:`walk_totals`), the one list of
 character classes that behave differently (:func:`char_classes`), and the
-stratum arithmetic.
+stratum arithmetic.  It also makes the per-level counts the ``count``
+command prints: :func:`count_rows` reads off the walk how many extensions
+and conjugacy classes live at each level, in integers alone, so that
+command never loads the ``Fraction`` kernel of :mod:`localmass.mass`.
 
 Characters are reduced to the data the formulas consume: a valuation class
 mod ``p - 1``, optional full coordinates in the basis (uniformizer class,
@@ -363,6 +365,82 @@ def walk_totals(field: LocalField, bound: int) -> tuple[int, int]:
     levels = last - last // p
     top = int(not field.equal_char and p * field.e <= bound)
     return 1 + (p - 1) * levels + top, 1 + (p - 1) * field.f * levels + top
+
+
+class LevelCount(namedtuple("LevelCount", "level vbar lines extensions conjugacy_classes")):
+    """Extensions and conjugacy classes at one filtration level.
+
+    ``vbar`` is the valuation class of the characters whose eigen-blocks sit
+    at the level: the cyclotomic valuation at level 0, 0 at the top level
+    p*e, and the valuation fixed by the level's congruence in between.
+    """
+
+    __slots__ = ()
+
+
+def count_rows(
+    field: LocalField, max_level: int | None = None, vbar: int | None = None, min_level: int = 0
+):
+    """Yield the aggregate counts of each level, over all character classes.
+
+    One ``LevelCount`` per level, in increasing level order, each made when
+    it is asked for: a caller that writes rows as they come holds one row,
+    not the table, whose counts reach thousands of digits.
+
+    Includes the level-0 row for the unramified extension and, in mixed
+    characteristic, the top-level row; ``max_level`` truncates as
+    :func:`truncation_bound` says, so it is required in
+    equal characteristic.  With ``vbar`` only the rows of that valuation
+    (mod p-1) are made, from the level walk of that valuation alone.  Rows
+    below ``min_level`` are not made, so walks over adjacent level windows
+    make each row once between them.
+
+    Each row is the direct per-level formula over the walk's counted blocks:
+    a block of dimension ``dim`` at a level of stratum ``i`` adds the
+    ``p**below * (p**dim - 1) / (p - 1)`` lines not already in the
+    ``below``-dimensional space under it, ``below = i*f`` plus, above level
+    0, one for a cyclotomic character, which owns the level-0 line.  Its
+    lines give one extension each when the character is cyclotomic and p
+    otherwise.
+    The generic blocks of a row are one class, weighted by their number;
+    ``p**(i*f)`` is kept as a running product over the strata, from the
+    stratum of ``min_level``.  A row's counts depend on its stratum and its
+    shape ``(dim, generic, special)`` alone, and a stratum's levels have at
+    most three shapes, so each shape's counts are made once per stratum and
+    shared by its rows.  The level-0 row is not shared: its cyclotomic line
+    has no line below it, so at p = 2, f = 1 it counts one line where its
+    stratum's level 1, of the same shape, counts two.
+    Whether the cyclotomic character is the trivial one is read off the
+    field: when it is (the field contains the p-th roots of unity), every
+    top-level extension is cyclic and its own class.
+    """
+    p = field.p
+    cyclotomic = (OMEGA, TRIVIAL) if omega_is_trivial(field) else (OMEGA,)
+    step, stratum = p**field.f, min_level // p
+    power = step**stratum
+    span = {1: 1, field.f: (step - 1) // (p - 1)}  # (p**dim - 1) // (p - 1) for each dim
+    shapes = {}  # (dim, generic, special) -> (lines, extensions, classes) in the stratum
+    row = tuple.__new__  # LevelCount's fields in order, without its Python-level __new__
+    for level, w, dim, special, generic in level_walk(
+        field, truncation_bound(field, max_level), vbar, min_level
+    ):
+        while stratum < level // p:
+            stratum, power, shapes = stratum + 1, power * step, {}
+        shape = (dim, generic, special)
+        counts = shapes.get(shape)
+        if counts is None:
+            block = power * span[dim]
+            lines, extensions = generic * block, generic * block * p
+            for marker in special:
+                if marker not in cyclotomic:
+                    lines, extensions = lines + block, extensions + block * p
+                else:
+                    n = block * p if level else block
+                    lines, extensions = lines + n, extensions + n
+            counts = (lines, extensions, lines)
+            if level:
+                shapes[shape] = counts
+        yield row(LevelCount, (level, w, *counts))
 
 
 def layout(field: LocalField, max_level: int | None = None) -> FilteredLayout:

@@ -11,6 +11,14 @@ import math
 from collections import namedtuple
 
 import localmass.cli as cli
+from localmass.model import (
+    OMEGA,
+    TRIVIAL,
+    LevelCount,
+    level_walk,
+    omega_is_trivial,
+    truncation_bound,
+)
 from localmass.permgroup import extend, pidentity
 
 
@@ -46,6 +54,30 @@ def discriminant_valuation(p: int, bd: BreakData) -> int:
     if num % bd.t != 0:
         raise ValueError("inconsistent break data")
     return num // bd.t
+
+
+def row_by_row_count_rows(field, max_level=None, vbar=None, min_level=0):
+    """``localmass.model.count_rows`` with every row multiplied out afresh:
+    the reference its per-stratum shapes are checked against."""
+    p = field.p
+    cyclotomic = (OMEGA, TRIVIAL) if omega_is_trivial(field) else (OMEGA,)
+    step, stratum = p**field.f, min_level // p
+    power = step**stratum
+    span = {1: 1, field.f: (step - 1) // (p - 1)}  # (p**dim - 1) // (p - 1) for each dim
+    for level, w, dim, special, generic in level_walk(
+        field, truncation_bound(field, max_level), vbar, min_level
+    ):
+        while stratum < level // p:
+            stratum, power = stratum + 1, power * step
+        block = power * span[dim]
+        lines, extensions = generic * block, generic * block * p
+        for marker in special:
+            if marker not in cyclotomic:
+                lines, extensions = lines + block, extensions + block * p
+            else:
+                n = block * p if level else block
+                lines, extensions = lines + n, extensions + n
+        yield LevelCount(level, w, lines, extensions, lines)
 
 
 def generating_set(group, n):

@@ -745,9 +745,10 @@ def test_q_past_the_int_str_limit_exits_1_before_the_kernel(capsys, query, fmt):
 
 
 def test_count_past_the_int_str_limit_stops_at_the_first_such_row(capsys):
-    # tsv prints no q, so nothing checks it before the walk; the first row
-    # whose extensions pass the limit, level 1's, ends the walk.  The walk
-    # to the end ran for more than 10 s.
+    # tsv prints no q, so nothing checks it before the count's own bound,
+    # which rejects the table before any walk; before that bound, the first
+    # row whose extensions pass the limit, level 1's, ended the first walk.
+    # The walk to the end ran for more than 10 s.
     with _deadline(1):
         code, out, err = run_cli(
             capsys, "count", "--p", "101", "--f", "10000", "--e", "100", "--format", "tsv"
@@ -821,9 +822,9 @@ class _KernelReached(Exception):
     """Raised by a stubbed kernel: the handler passed its digit bound."""
 
 
-def _bound_rejections(kernel, queries):
+def _bound_rejections(kernel, queries, owner=cli.mass):
     """``{key: digits}`` for each ``(key, argv)`` of ``queries`` whose handler
-    raises the int-to-str limit's ValueError before ``mass.<kernel>`` runs,
+    raises the int-to-str limit's ValueError before ``owner.<kernel>`` runs,
     with the digit count its message names."""
 
     def reached(*args):
@@ -832,7 +833,7 @@ def _bound_rejections(kernel, queries):
     parser = cli.build_parser()
     rejected = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli.mass, kernel, reached)
+        patch.setattr(owner, kernel, reached)
         for key, argv in queries:
             args = parser.parse_args(argv)
             try:
@@ -885,6 +886,51 @@ def test_mass_rejects_only_reports_past_the_int_str_limit():
         values = [*report.per_vbar.values(), report.tres_extra, report.total, report.grand_total]
         longest = max(len(str(v.denominator)) for v in values)
         assert longest == rejected[31, 1, 97] == len(str(report.per_vbar[1].denominator))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_count_rejects_a_table_past_the_int_str_limit_before_any_row(capsys, monkeypatch, fmt):
+    # Krasner's count bounds the top row's extensions, 7 * 343**2000, in
+    # closed form; the first walk made about 12 000 rows before it failed.
+    def reached(*args):
+        raise _KernelReached
+
+    monkeypatch.setattr(cli, "count_rows", reached)
+    with _deadline(1):
+        code, out, err = run_cli(
+            capsys, "count", "--p", "7", "--f", "3", "--e", "2000", "--format", fmt
+        )
+    assert code == 1 and out == ""
+    assert err == INT_STR_LIMIT_ERROR + ": the largest count has at least 5072 digits\n"
+
+
+def test_count_rejects_only_tables_past_the_int_str_limit():
+    # Each rejection is a real overflow: the table's largest extensions, made
+    # and converted with the limit lifted, have at least the digits the message
+    # names.  At (3, 1, e) the top row's 3**(e + 1) passes 4 300 digits from
+    # e = 9 013, where only the first walk sees it, and the bound from 9 014.
+    def query(p, f, e, max_level=None, vbar=None):
+        argv = ["count", "--p", str(p), "--f", str(f), "--e", str(e), "--format", "tsv"]
+        if max_level is not None:
+            argv += ["--max-level", str(max_level)]
+        return (p, f, e, max_level, vbar), argv + ([] if vbar is None else ["--vbar", str(vbar)])
+
+    queries = [query(3, 1, e) for e in range(9005, 9021)]
+    queries += [query(3, 1, "inf", level) for level in range(27037, 27046)]
+    queries += [query(5, 1, e, None, vbar) for e in range(6151, 6156) for vbar in (None, 0, 1, 2, 3)]
+    queries += [query(7, 2, "inf", level, 4) for level in range(17790, 17830, 4)]
+    rejected = _bound_rejections("count_rows", queries, owner=cli)
+    assert (3, 1, 9014, None, None) in rejected and (3, 1, 9013, None, None) not in rejected
+    assert len(rejected) > len(queries) // 3
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for (p, f, e, max_level, vbar), named in rejected.items():
+            field = LocalField(p, f, INFINITE_E if e == "inf" else e)
+            largest = max(rec.extensions for rec in model.count_rows(field, max_level, vbar))
+            assert len(str(largest)) >= named > limit, (p, f, e, max_level, vbar)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -989,7 +1035,7 @@ def test_count_prints_classes_that_differ_from_lines(capsys, monkeypatch):
         for rec in real(*args):
             yield rec._replace(conjugacy_classes=rec.lines + 1)
 
-    monkeypatch.setattr(cli.mass, "count_rows", shifted)
+    monkeypatch.setattr(cli, "count_rows", shifted)
     code, out, _ = run_cli(capsys, "count", "--p", "3", "--e", "1", "--format", "tsv")
     assert code == 0
     rows = [line.split("\t") for line in out.splitlines()[1:]]
@@ -1012,7 +1058,7 @@ def test_count_converts_each_run_of_equal_counts_once(capsys, monkeypatch, fmt):
                 for column in ("lines", "extensions", "conjugacy_classes")
             })
 
-    monkeypatch.setattr(cli.mass, "count_rows", counted)
+    monkeypatch.setattr(cli, "count_rows", counted)
     argv = ("count", "--p", "5", "--f", "2", "--e", "30", "--omega-a", "2", "--omega-b", "1")
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0

@@ -1,16 +1,19 @@
 """What a query imports: each check runs in a fresh interpreter, since this
 one has long since loaded every module."""
 
+import ast
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_fresh(code: str) -> None:
+def run_fresh(code: str) -> str:
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     result = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
@@ -20,6 +23,7 @@ def run_fresh(code: str) -> None:
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def test_cli_import_skips_dataclasses_inspect_and_json():
@@ -72,3 +76,40 @@ def test_star_import_binds_each_name_to_its_module_object():
         else:
             raise AssertionError("unknown names must raise AttributeError")
     """)
+
+
+#: For one query of each subcommand: the ``localmass`` modules it executes,
+#: and whether it imports ``fractions`` and ``json``.
+KERNELS = {"cli", "model", "mass", "rationals"}
+LOADS = [
+    ("structure --p 3 --e 2 --format tsv", {"cli", "model"}, False, False),
+    ("structure --p 3 --e 2 --format text", {"cli", "model"}, False, False),
+    ("structure --p 3 --e 2 --format json", {"cli", "model"}, False, True),
+    ("count --p 3 --e 2 --format tsv", {"cli", "model"}, False, False),
+    ("count --p 3 --e 2 --format text", {"cli", "model"}, False, False),
+    ("count --p 3 --e 2 --format json", {"cli", "model"}, False, True),
+    ("mass --p 3 --e 2 --format tsv", KERNELS, True, False),
+    ("mass --p 3 --e 2 --format json", KERNELS, True, True),
+    ("tame --p 3 --pprime 2 --format tsv", KERNELS, True, False),
+    ("checksum --p 3 --format tsv", KERNELS, True, False),
+    ("oracle-check --p 3 --e 1 --format tsv", KERNELS | {"oracle"}, True, False),
+    ("galois-verify --p 3 --format tsv", {"cli", "model", "permgroup", "stabchain"}, False, False),
+]
+
+
+@pytest.mark.parametrize("query, modules, fractions, json", LOADS, ids=[row[0] for row in LOADS])
+def test_each_subcommand_executes_only_what_it_runs(query, modules, fractions, json):
+    # A module the cli registered lazily and never read keeps its placeholder
+    # type, so it counts only once its code has run.
+    loaded = run_fresh(f"""
+        import contextlib, io, sys, types
+        import localmass.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({query.split()!r}) == 0
+        executed = sorted(
+            name.removeprefix("localmass.") for name, module in sys.modules.items()
+            if name.startswith("localmass.") and type(module) is types.ModuleType
+        )
+        print([executed, "fractions" in sys.modules, "json" in sys.modules])
+    """)
+    assert ast.literal_eval(loaded) == [sorted(modules), fractions, json]

@@ -43,6 +43,7 @@ from localmass.model import (
     truncation_bound,
 )
 from localmass.oracle import eigenspace_blocks
+from reference import row_by_row_count_rows
 
 
 @st.composite
@@ -110,6 +111,18 @@ def test_a_walk_from_a_low_level_is_the_full_walk_cut(case, low):
         assert list(level_walk(field, bound, vbar, low)) == [row for row in walk if row[0] >= low]
         rows = [rec for rec in count_rows(field, max_level, vbar) if rec.level >= low]
         assert list(count_rows(field, max_level, vbar, low)) == rows, vbar
+
+
+@SETTINGS
+@given(cases(), st.integers(0, 400))
+def test_count_rows_share_each_stratum_shape_as_rows_made_one_by_one(case, low):
+    # count_rows makes each of a stratum's row shapes once; the reference
+    # multiplies every row out, from whichever stratum the window starts in.
+    field, max_level = case
+    for vbar in [None, *range(field.p - 1)]:
+        for window in (0, low):
+            expected = list(row_by_row_count_rows(field, max_level, vbar, window))
+            assert list(count_rows(field, max_level, vbar, window)) == expected, (vbar, window)
 
 
 def listed_walk(field, bound, vbar=None):
