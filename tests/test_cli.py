@@ -16,10 +16,13 @@ from pathlib import Path
 import pytest
 
 import localmass.cli as cli
+import localmass.cli_count as cli_count
+import localmass.cli_structure as cli_structure
 import localmass.mass as mass
 import localmass.model as model
 import localmass.oracle as oracle
 import localmass.permgroup as permgroup
+import localmass.rationals as rationals
 from localmass.model import INFINITE_E, PRIME_TEST_BOUND, LocalField, trivial_char
 from localmass.rationals import format_rational
 from reference import run_cli
@@ -354,8 +357,8 @@ def test_structure_chunks_write_the_bytes_of_one_join(capsys, monkeypatch, fmt):
     # default, hundreds of 7 rows, or one join of them all.
     argv = ("structure", "--p", "2003", "--e", "inf", "--max-level", "3", "--format", fmt)
     outs = set()
-    for rows in (cli._REPEAT_ROWS, 7, 10_000):
-        monkeypatch.setattr(cli, "_REPEAT_ROWS", rows)
+    for rows in (cli_structure._REPEAT_ROWS, 7, 10_000):
+        monkeypatch.setattr(cli_structure, "_REPEAT_ROWS", rows)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         outs.add(out)
@@ -484,8 +487,8 @@ def test_oracle_check_mixed_char_bounds_around_the_top_level(capsys):
 
 
 def test_oracle_mismatch_names_its_inputs(capsys, monkeypatch):
-    real = cli.oracle.oracle_mass
-    monkeypatch.setattr(cli.oracle, "oracle_mass", lambda *args: real(*args) + Fraction(1, 3))
+    real = oracle.oracle_mass
+    monkeypatch.setattr(oracle, "oracle_mass", lambda *args: real(*args) + Fraction(1, 3))
     code, out, err = run_cli(capsys, "oracle-check", "--p", "3", "--e", "1", "--max-level", "2")
     assert code == 2 and out == ""
     assert "internal identity failure" in err
@@ -597,7 +600,7 @@ def test_internal_identity_failure_exits_2(capsys, monkeypatch):
     def broken(field):
         raise MassInvariantError("synthetic")
 
-    monkeypatch.setattr(cli.mass, "contribution_checksum", broken)
+    monkeypatch.setattr(mass, "contribution_checksum", broken)
     code, _, err = run_cli(capsys, "checksum", "--p", "3", "--f", "1")
     assert code == 2
     assert "internal identity failure" in err
@@ -631,7 +634,7 @@ def test_mass_formats_each_distinct_contribution_once(capsys, monkeypatch, fmt):
         calls.append(x)
         return format_rational(x)
 
-    monkeypatch.setattr(cli.rationals, "format_rational", counting)
+    monkeypatch.setattr(rationals, "format_rational", counting)
     code, _, _ = run_cli(capsys, *P31_F2, "--format", fmt)
     assert code == 0
     assert len(calls) <= 31 + 3
@@ -822,7 +825,7 @@ class _KernelReached(Exception):
     """Raised by a stubbed kernel: the handler passed its digit bound."""
 
 
-def _bound_rejections(kernel, queries, owner=cli.mass):
+def _bound_rejections(kernel, queries, owner=mass):
     """``{key: digits}`` for each ``(key, argv)`` of ``queries`` whose handler
     raises the int-to-str limit's ValueError before ``owner.<kernel>`` runs,
     with the digit count its message names."""
@@ -837,7 +840,7 @@ def _bound_rejections(kernel, queries, owner=cli.mass):
         for key, argv in queries:
             args = parser.parse_args(argv)
             try:
-                cli._HANDLERS[args.command](args)
+                cli._handler(args.command)(args)
             except _KernelReached:
                 continue
             except ValueError as exc:
@@ -890,6 +893,45 @@ def test_mass_rejects_only_reports_past_the_int_str_limit():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (("--p", "1000000007", "--e", "1", "--format", "tsv"), (10**9 + 6) + 2),
+        (("--p", "1000003", "--e", "12"), (12 * 1000003 - 1) - 11 + 2),
+    ],
+    ids=["p=10**9+7", "p=1000003,e=12"],
+)
+def test_count_past_the_row_cap_exits_1_before_any_walk(capsys, monkeypatch, argv, rows):
+    # The rows are counted in closed form: level 0, the levels prime to p
+    # below the top, and the top.  Both queries ran past 10 s.
+    def reached(*args):
+        raise _KernelReached
+
+    monkeypatch.setattr(cli_count, "count_rows", reached)
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "count", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: count scale exceeded: rows = {rows} > ROW_LIMIT = 10000000\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_count_with_an_extension_too_many_exits_2_before_any_output(capsys, monkeypatch, fmt):
+    # Krasner's count at level 5 over Q_3: p(q-1) q**(5//3) = 18.
+    real = model.count_rows
+
+    def one_too_many(*args):
+        for rec in real(*args):
+            yield rec._replace(extensions=rec.extensions + 1) if rec.level == 5 else rec
+
+    monkeypatch.setattr(cli_count, "count_rows", one_too_many)
+    code, out, err = run_cli(capsys, "count", "--p", "3", "--e", "4", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == (
+        "internal identity failure: count over LocalField(p=3, f=1, e=4, omega=None),"
+        " level 5: 19 extensions != Krasner's count 18\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
 def test_count_rejects_a_table_past_the_int_str_limit_before_any_row(capsys, monkeypatch, fmt):
     # Krasner's count bounds the top row's extensions, 7 * 343**2000, in
@@ -897,7 +939,7 @@ def test_count_rejects_a_table_past_the_int_str_limit_before_any_row(capsys, mon
     def reached(*args):
         raise _KernelReached
 
-    monkeypatch.setattr(cli, "count_rows", reached)
+    monkeypatch.setattr(cli_count, "count_rows", reached)
     with _deadline(1):
         code, out, err = run_cli(
             capsys, "count", "--p", "7", "--f", "3", "--e", "2000", "--format", fmt
@@ -921,7 +963,7 @@ def test_count_rejects_only_tables_past_the_int_str_limit():
     queries += [query(3, 1, "inf", level) for level in range(27037, 27046)]
     queries += [query(5, 1, e, None, vbar) for e in range(6151, 6156) for vbar in (None, 0, 1, 2, 3)]
     queries += [query(7, 2, "inf", level, 4) for level in range(17790, 17830, 4)]
-    rejected = _bound_rejections("count_rows", queries, owner=cli)
+    rejected = _bound_rejections("count_rows", queries, owner=cli_count)
     assert (3, 1, 9014, None, None) in rejected and (3, 1, 9013, None, None) not in rejected
     assert len(rejected) > len(queries) // 3
     limit = sys.get_int_max_str_digits()
@@ -946,7 +988,7 @@ def test_mass_converts_the_trivial_contribution_before_any_output(capsys, monkey
     )
     for value in (*fake.per_vbar.values(), fake.tres_extra, fake.total, fake.grand_total):
         format_rational(value)
-    monkeypatch.setattr(cli.mass, "total_mass", lambda field: fake)
+    monkeypatch.setattr(mass, "total_mass", lambda field: fake)
     code, out, err = run_cli(capsys, "mass", "--p", "3", "--e", "1", "--format", fmt)
     assert code == 1 and out == ""
     assert err.startswith(INT_STR_LIMIT_ERROR)
@@ -1035,7 +1077,7 @@ def test_count_prints_classes_that_differ_from_lines(capsys, monkeypatch):
         for rec in real(*args):
             yield rec._replace(conjugacy_classes=rec.lines + 1)
 
-    monkeypatch.setattr(cli, "count_rows", shifted)
+    monkeypatch.setattr(cli_count, "count_rows", shifted)
     code, out, _ = run_cli(capsys, "count", "--p", "3", "--e", "1", "--format", "tsv")
     assert code == 0
     rows = [line.split("\t") for line in out.splitlines()[1:]]
@@ -1058,7 +1100,7 @@ def test_count_converts_each_run_of_equal_counts_once(capsys, monkeypatch, fmt):
                 for column in ("lines", "extensions", "conjugacy_classes")
             })
 
-    monkeypatch.setattr(cli, "count_rows", counted)
+    monkeypatch.setattr(cli_count, "count_rows", counted)
     argv = ("count", "--p", "5", "--f", "2", "--e", "30", "--omega-a", "2", "--omega-b", "1")
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0

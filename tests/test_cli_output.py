@@ -3,6 +3,7 @@ hand-rolled json of the long tables, one renderer per query, and nothing at
 all when a query fails."""
 
 import hashlib
+import importlib
 import importlib.util
 import json
 import sys
@@ -200,8 +201,11 @@ def test_only_the_requested_renderer_runs(capsys, monkeypatch, fmt):
 
         return wrapped
 
-    for name in set().union(*RENDERERS.values()):
-        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    # Each handler module binds the renderers it calls.
+    for module in sorted(set(cli._HANDLER_MODULES.values())):
+        handlers = importlib.import_module(f"localmass.{module}")
+        for name in set().union(*RENDERERS.values()) & set(vars(handlers)):
+            monkeypatch.setattr(handlers, name, spy(name, getattr(handlers, name)))
     monkeypatch.setattr(json, "dumps", spy("json.dumps", json.dumps))
     for argv in QUERIES:
         calls.clear()

@@ -79,21 +79,35 @@ def test_star_import_binds_each_name_to_its_module_object():
 
 
 #: For one query of each subcommand: the ``localmass`` modules it executes,
-#: and whether it imports ``fractions`` and ``json``.
-KERNELS = {"cli", "model", "mass", "rationals"}
+#: and whether it imports ``fractions`` and ``json``.  Every query executes
+#: the cli, the helpers its handlers share, and the one module that holds
+#: its handler.
+STRUCTURE = {"cli", "cli_common", "cli_structure", "model"}
+COUNT = {"cli", "cli_common", "cli_count", "model"}
+KERNELS = {"cli", "cli_common", "cli_mass", "model", "mass", "rationals"}
 LOADS = [
-    ("structure --p 3 --e 2 --format tsv", {"cli", "model"}, False, False),
-    ("structure --p 3 --e 2 --format text", {"cli", "model"}, False, False),
-    ("structure --p 3 --e 2 --format json", {"cli", "model"}, False, True),
-    ("count --p 3 --e 2 --format tsv", {"cli", "model"}, False, False),
-    ("count --p 3 --e 2 --format text", {"cli", "model"}, False, False),
-    ("count --p 3 --e 2 --format json", {"cli", "model"}, False, True),
+    ("structure --p 3 --e 2 --format tsv", STRUCTURE, False, False),
+    ("structure --p 3 --e 2 --format text", STRUCTURE, False, False),
+    ("structure --p 3 --e 2 --format json", STRUCTURE, False, True),
+    ("count --p 3 --e 2 --format tsv", COUNT, False, False),
+    ("count --p 3 --e 2 --format text", COUNT, False, False),
+    ("count --p 3 --e 2 --format json", COUNT, False, True),
     ("mass --p 3 --e 2 --format tsv", KERNELS, True, False),
     ("mass --p 3 --e 2 --format json", KERNELS, True, True),
     ("tame --p 3 --pprime 2 --format tsv", KERNELS, True, False),
     ("checksum --p 3 --format tsv", KERNELS, True, False),
-    ("oracle-check --p 3 --e 1 --format tsv", KERNELS | {"oracle"}, True, False),
-    ("galois-verify --p 3 --format tsv", {"cli", "model", "permgroup", "stabchain"}, False, False),
+    (
+        "oracle-check --p 3 --e 1 --format tsv",
+        {"cli", "cli_common", "cli_verify", "model", "mass", "rationals", "oracle"},
+        True,
+        False,
+    ),
+    (
+        "galois-verify --p 3 --format tsv",
+        {"cli", "cli_common", "cli_verify", "model", "permgroup", "stabchain"},
+        False,
+        False,
+    ),
 ]
 
 
@@ -113,3 +127,44 @@ def test_each_subcommand_executes_only_what_it_runs(query, modules, fractions, j
         print([executed, "fractions" in sys.modules, "json" in sys.modules])
     """)
     assert ast.literal_eval(loaded) == [sorted(modules), fractions, json]
+
+
+def test_cli_import_executes_no_handler_module():
+    # main imports the module of the asked subcommand; the import alone
+    # executes the parser's module and the model that names its errors.
+    run_fresh("""
+        import sys, types
+        import localmass.cli as cli
+        executed = sorted(
+            name for name, module in sys.modules.items()
+            if name.startswith("localmass.") and type(module) is types.ModuleType
+        )
+        assert executed == ["localmass.cli", "localmass.model"], executed
+        handlers = {f"localmass.{m}" for m in cli._HANDLER_MODULES.values()} | {"localmass.cli_common"}
+        assert handlers.isdisjoint(sys.modules), sorted(handlers & set(sys.modules))
+    """)
+
+
+def _imported(path: Path) -> set[str]:
+    """The absolute names of the modules ``path`` imports, or imports from."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "localmass" + (f".{base}" if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_module_but_the_cli_imports_the_cli():
+    # ``python -m localmass.cli`` runs cli.py as __main__: a module that
+    # imported localmass.cli would compile and run it a second time.
+    importers = [
+        path.name for path in sorted((ROOT / "src" / "localmass").glob("*.py"))
+        if path.name != "cli.py" and "localmass.cli" in _imported(path)
+    ]
+    assert not importers, importers

@@ -42,6 +42,7 @@ from localmass.model import (
     stratum_slot,
     truncation_bound,
 )
+from localmass.cli_count import _check_counts, _walk_rows
 from localmass.oracle import eigenspace_blocks
 from reference import row_by_row_count_rows
 
@@ -99,6 +100,29 @@ def test_one_valuation_walk_is_the_full_walk_filtered(case):
         assert list(level_walk(field, bound, w)) == [row for row in walk if row[1] == w % m]
         rows = [(level, rec) for level, rec in table.items() if rec.vbar == w % m]
         assert list(count_table(field, max_level, vbar=w).items()) == rows
+
+
+@SETTINGS
+@given(cases(), st.integers(0, 400))
+def test_count_rows_are_counted_in_closed_form(case, cut):
+    # count's row cap is this closed form, checked before any walk.
+    field, max_level = case
+    for level in {max_level, cut if max_level is None else min(cut, max_level)}:
+        bound = truncation_bound(field, level)
+        for vbar in [None, *range(2 * (field.p - 1)), -1]:
+            made = sum(1 for _ in count_rows(field, level, vbar))
+            assert _walk_rows(field, bound, vbar) == made, (level, vbar)
+
+
+@SETTINGS
+@given(cases(), st.integers(0, 400))
+def test_every_count_row_has_krasners_extensions(case, cut):
+    # Krasner's count, which count checks every row against, knows nothing
+    # of characters; the rows come from the level walk's blocks.
+    field, max_level = case
+    for level in {max_level, cut if max_level is None else min(cut, max_level)}:
+        for vbar in [None, *range(field.p - 1)]:
+            _check_counts(field, count_rows(field, level, vbar))
 
 
 @SETTINGS
