@@ -28,38 +28,13 @@ from .cli_common import (
     _text,
     _tsv,
 )
-from .model import (
-    MassInvariantError,
-    count_rows,
-    cyclotomic_valuation,
-    level_walk,
-    truncation_bound,
-)
+from .model import MassInvariantError, count_rows, truncation_bound, walk_plan, walk_totals
 
 # A level as json.dumps(indent=2) renders it at depth 2.
 _LEVEL_JSON = (
     '    "{0}": {{\n      "conjugacy_classes": {4},\n      "extensions": {3},\n'
     '      "level": {0},\n      "lines": {2},\n      "vbar": {1}\n    }}'
 )
-
-
-def _walk_rows(field, bound: int, vbar: int | None) -> int:
-    """The number of rows ``count_rows`` makes up to ``bound``, in closed
-    form, as ``walk_totals`` counts ``structure``'s: the level-0 row if its
-    valuation is walked, the levels of the walked progression up to the last
-    below the top, and the top row if its valuation is walked and ``bound``
-    reaches it.  The progression is ``level_walk``'s: every level from 1, or
-    given ``vbar`` the levels from the r in [1, p-1] congruent to cyclotomic
-    valuation - ``vbar``, stepping by p - 1.  It skips the multiples of p,
-    and since p = 1 mod p-1, those are p times its own levels up to last // p."""
-    p, m = field.p, field.p - 1
-    w_omega = cyclotomic_valuation(field)
-    walked = range(m) if vbar is None else [vbar % m]
-    start, step = (1, 1) if vbar is None else ((w_omega - walked[0] - 1) % m + 1, m)
-    last = bound if field.equal_char else min(bound, p * field.e - 1)
-    levels = (last - start) // step - (last // p - start) // step
-    top = not field.equal_char and p * field.e <= bound and 0 in walked
-    return (w_omega in walked) + levels + top
 
 
 def _count_decimals(rows):
@@ -115,23 +90,20 @@ def _check_counts(field, rows) -> None:
 def _cmd_count(args):
     field = _field(args)
     bound = truncation_bound(field, args.max_level)
-    size = _walk_rows(field, bound, args.vbar)
+    size = walk_totals(field, bound, args.vbar)[0]
     if size > ROW_LIMIT:
         raise ValueError(f"count scale exceeded: rows = {size} > ROW_LIMIT = {ROW_LIMIT}")
     # Krasner's count gives each row's extensions (see _check_counts).  They
     # never fall as the level rises and bound their row's other counts, so
     # the last row holds the table's largest count, at least q**(c//p + 1)
     # since p(q-1) >= q.  A table past the int-to-str limit by that bound exits
-    # 1 before any walk of its rows.  Its last level is read off the walk of
-    # the two steps up to the last level below the top, which hold one level
-    # prime to p, and of the top.
+    # 1 before any walk of its rows.  Its last level is the top, or else the
+    # last level prime to p of the walk's progression, one of its last two.
     p = field.p
-    last = bound if field.equal_char else min(bound, p * field.e - 1)
-    low = last - 2 * (1 if args.vbar is None else p - 1)
-    tail = level_walk(field, bound, args.vbar, max(low, 0))
-    level = max((row[0] for row in tail), default=0)
-    if level:  # the count is at least p**exponent
-        exponent = field.e * field.f + 1 if level == p * field.e else (level // p + 1) * field.f
+    _, levels, top = walk_plan(field, bound, args.vbar)
+    tail = [lv for lv in levels[-2:] if lv % p]
+    if top or tail:  # the count is at least p**exponent
+        exponent = field.e * field.f + 1 if top else (tail[-1] // p + 1) * field.f
         _check_digits(exponent * math.log10(p), "the largest count has at least {} digits")
 
     def rows(max_level=args.max_level, min_level=0):

@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import bisect
 from itertools import chain, repeat
 
 from .cli_common import ROW_LIMIT, _describe, _field, _field_json, _json_streamed, _text, _tsv
@@ -28,15 +27,12 @@ def _cmd_structure(args):
 
     The rows and the total dimension are counted in closed form first
     (``walk_totals``); past ``ROW_LIMIT`` rows the query exits 1 before any
-    output, naming the rows through the first level that passes the cap,
-    which a bisection over the levels finds."""
+    output."""
     field = _field(args)
     bound = truncation_bound(field, args.max_level)
-    rows, total_dim = walk_totals(field, bound)
+    _, rows, total_dim = walk_totals(field, bound)
     if rows > ROW_LIMIT:
-        level = bisect.bisect_right(range(bound), ROW_LIMIT, key=lambda lv: walk_totals(field, lv)[0])
-        rows = walk_totals(field, level)[0]
-        raise ValueError(f"structure scale exceeded: rows >= {rows} > ROW_LIMIT = {ROW_LIMIT}")
+        raise ValueError(f"structure scale exceeded: rows = {rows} > ROW_LIMIT = {ROW_LIMIT}")
 
     def blocks(render, sep):
         for level, vbar, dim, special, generic in level_walk(field, bound):

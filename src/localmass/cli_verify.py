@@ -49,9 +49,7 @@ def _cmd_oracle_check(args):
     bound = clamped if args.max_level is None else args.max_level
     kind = "full" if not field.equal_char and clamped == field.p * field.e else "truncated"
     rows = []
-    for chi in char_classes(field):
-        if args.vbar is not None and chi.valuation != args.vbar % (field.p - 1):
-            continue
+    for chi in char_classes(field, args.vbar):
         brute = oracle.oracle_mass(field, chi, bound)
         reference = mass.char_contribution_truncated(field, chi, bound)
         if brute != reference:

@@ -185,15 +185,16 @@ def char_contribution_truncated(
     return _characters_mass(field, {chi.valuation % (field.p - 1): 1}, trivial, max_level)
 
 
-def _valuation_sums(field: LocalField, max_level: int | None, valuations):
+def _valuation_sums(field: LocalField, max_level: int | None, valuations, trivial: bool = True):
     """``(nums, tres, den)``: the block sum of one character of valuation
     ``w`` is ``nums[w] / den`` for each ``w`` asked for, and ``tres`` is the
-    top-level mass if the bound reaches it; no ``max_level`` means the full
-    sum.  Each sum is one :func:`_over_power_of` over the blocks of
-    ``level_walk(field, bound, w)``, whose depth ``l - l//p`` grows with the
-    level ``l``, aligned to the one denominator ``(p-1) * q**T``, ``T`` the
-    deepest depth, or ``(p-1) * (q**((p-1)**2) - 1)`` in the periodic case.
-    No gcd is taken: a caller normalises once per value it builds."""
+    top-level mass if ``trivial`` asks for it and the bound reaches it, else
+    0; no ``max_level`` means the full sum.  Each sum is one
+    :func:`_over_power_of` over the blocks of ``level_walk(field, bound, w)``,
+    whose depth ``l - l//p`` grows with the level ``l``, aligned to the one
+    denominator ``(p-1) * q**T``, ``T`` the deepest depth, or
+    ``(p-1) * (q**((p-1)**2) - 1)`` in the periodic case.  No gcd is taken:
+    a caller normalises once per value it builds."""
     p, q = field.p, field.q
     period = (p - 1) ** 2
     periodic = field.equal_char and max_level is None
@@ -203,7 +204,8 @@ def _valuation_sums(field: LocalField, max_level: int | None, valuations):
     for w in valuations:
         levels = (lv for lv, *_ in level_walk(field, bound, w) if lv % p)
         sums[w] = _over_power_of(q, ((lv - lv // p, 1) for lv in levels))
-    tres = tres_term(field) if not field.equal_char and p * field.e <= bound else Fraction(0)
+    reached = trivial and not field.equal_char and p * field.e <= bound
+    tres = tres_term(field) if reached else Fraction(0)
     # A first period's n / q**t times 1 / (1 - q**-period) is the infinite sum.
     top = period if periodic else max((t for _, t in sums.values()), default=0)
     c = p * (q - 1)
@@ -236,7 +238,7 @@ def _characters_mass(
     ``counts[w]`` distinct characters of each valuation ``w`` in [0, p-1):
     one integer sum of their valuations' numerators, plus the top-level mass
     if ``trivial`` says the trivial character is among them."""
-    nums, tres, den = _valuation_sums(field, max_level, counts)
+    nums, tres, den = _valuation_sums(field, max_level, counts, trivial)
     value = Fraction(sum(n * nums[w] for w, n in counts.items()), den)
     return value + tres if trivial else value
 

@@ -11,14 +11,15 @@ stable lines in a filtered module attached to ``F``.  That module decomposes
 into eigen-blocks, one per character class of the degree-(p-1) abelian
 closure, and each block sits at a well-defined filtration level.  This module
 owns the one walk over those levels (:func:`level_walk`, truncated by
-:func:`truncation_bound`, whole or one valuation at a time), which the block
-layout, the mass kernel and the ``structure`` command read, with its block
-count and dimension in closed form (:func:`walk_totals`), the one list of
-character classes that behave differently (:func:`char_classes`), and the
-stratum arithmetic.  It also makes the per-level counts the ``count``
-command prints: :func:`count_rows` reads off the walk how many extensions
-and conjugacy classes live at each level, in integers alone, so that
-command never loads the ``Fraction`` kernel of :mod:`localmass.mass`.
+:func:`truncation_bound`, whole or one valuation at a time, shaped by
+:func:`walk_plan`), which the block layout, the mass kernel and the
+``structure`` command read, with its rows, blocks and dimension in closed
+form (:func:`walk_totals`), the one list of character classes that behave
+differently (:func:`char_classes`), and the stratum arithmetic.  It also
+makes the per-level counts the ``count`` command prints: :func:`count_rows`
+reads off the walk how many extensions and conjugacy classes live at each
+level, in integers alone, so that command never loads the ``Fraction``
+kernel of :mod:`localmass.mass`.
 
 Characters are reduced to the data the formulas consume: a valuation class
 mod ``p - 1``, optional full coordinates in the basis (uniformizer class,
@@ -260,20 +261,21 @@ def enumerate_characters(field: LocalField):
             yield CharClass(a, coords_marker(field, a, b), (a, b))
 
 
-def char_classes(field: LocalField):
+def char_classes(field: LocalField, vbar: int | None = None):
     """Yield one character of each class whose contribution and line counts differ.
 
     Those depend only on the valuation, on being trivial and on being
     cyclotomic, so for each valuation w this yields the trivial character
     (w = 0), the cyclotomic character (w its valuation, unless it is the
-    trivial one) and ``generic_char(w)``, in that order.  The up to p + 1
-    classes come one at a time, so a caller that stops early builds only
-    what it read.  It still yields a generic class where a valuation has no
-    generic character (p = 2, and ``LocalField(3, 1, 2)``): dropping it changes
-    recorded ``oracle-check`` output, so it waits for a benchmark re-record.
+    trivial one) and ``generic_char(w)``, in that order; given ``vbar``
+    (mod p-1), only that valuation's.  The up to p + 1 classes come one at
+    a time, so a caller that stops early builds only what it read.  It
+    still yields a generic class where a valuation has no generic character
+    (p = 2, and ``LocalField(3, 1, 2)``): dropping it changes recorded
+    ``oracle-check`` output, so it waits for a benchmark re-record.
     """
     w_omega = cyclotomic_valuation(field)
-    for w in range(field.p - 1):
+    for w in range(field.p - 1) if vbar is None else [vbar % (field.p - 1)]:
         if w == 0:
             yield trivial_char()
         if w == w_omega and not omega_is_trivial(field):
@@ -319,6 +321,20 @@ def truncation_bound(field: LocalField, max_level: int | None) -> int:
     return top if max_level is None else min(max_level, top)
 
 
+def walk_plan(field: LocalField, bound: int, vbar: int | None = None):
+    """The shape of ``level_walk(field, bound, vbar)``: whether it makes the
+    level-0 line, its levels below the top as a ``range``, by p - 1 given
+    ``vbar``, whose multiples of p it skips, and whether it makes the top
+    line p*e."""
+    p, m = field.p, field.p - 1
+    w_omega = cyclotomic_valuation(field)
+    w = None if vbar is None else vbar % m
+    last = bound if field.equal_char else min(bound, p * field.e - 1)
+    start, step = (1, 1) if w is None else ((w_omega - w - 1) % m + 1, m)
+    top = not field.equal_char and p * field.e <= bound and w in (None, 0)
+    return w in (None, w_omega), range(start, last + 1, step), top
+
+
 def level_walk(field: LocalField, bound: int, vbar: int | None = None, low: int = 0):
     """Yield ``(level, vbar, dim, special, generic)`` for each occupied level
     in [low, bound].
@@ -330,41 +346,40 @@ def level_walk(field: LocalField, bound: int, vbar: int | None = None, low: int 
     blocks at a level are counted, not listed: ``special`` holds the markers
     of the omega and trivial blocks among them (at most two valuations have
     any), and ``generic`` is the number of the others.
-    Given ``vbar`` (mod p-1), only its rows come: its levels step by p - 1
-    from the ``r`` in [1, p-1] congruent to cyclotomic valuation - ``vbar``.
-    The walk starts at its first level >= ``low``, so walks over adjacent
-    windows [low, bound] make each row once between them.
+    Given ``vbar`` (mod p-1), only its rows come.  The walk starts at its
+    first level >= ``low``, so walks over adjacent windows [low, bound] make
+    each row once between them.
     """
     p, m = field.p, field.p - 1
     w_omega = cyclotomic_valuation(field)
-    walked = range(m) if vbar is None else [vbar % m]
-    if w_omega in walked and low <= 0:
+    zero, levels, top = walk_plan(field, bound, vbar)
+    if zero and low <= 0:
         yield 0, w_omega, 1, (OMEGA,), 0
     special = {0: () if omega_is_trivial(field) else (TRIVIAL,)}
     special[w_omega] = (OMEGA,) + special.get(w_omega, ())
-    last = bound if field.equal_char else min(bound, p * field.e - 1)
-    start, step = (1, 1) if vbar is None else ((w_omega - walked[0] - 1) % m + 1, m)
-    if low > start:
-        start -= (start - low) // step * step  # the progression's first level >= low
-    for level in range(start, last + 1, step):
+    if low > levels.start:  # the progression's first level >= low
+        levels = levels[-((levels.start - low) // levels.step) :]
+    for level in levels:
         if level % p:
             w = (w_omega - level) % m
             markers = special.get(w, ())
             yield level, w, field.f, markers, m - len(markers)
-    if not field.equal_char and low <= p * field.e <= bound and 0 in walked:
+    if top and low <= p * field.e:
         yield p * field.e, 0, 1, (TRIVIAL,), 0
 
 
-def walk_totals(field: LocalField, bound: int) -> tuple[int, int]:
-    """The number of blocks ``level_walk(field, bound)`` yields, and their
-    total dimension, in closed form: the level-0 line, p - 1 blocks of
-    dimension f at each level prime to p up to the last below the top, and
-    the top-level line if ``bound`` reaches it."""
+def walk_totals(field: LocalField, bound: int, vbar: int | None = None):
+    """The levels ``level_walk(field, bound, vbar)`` makes (``count``'s rows),
+    their blocks (``structure``'s rows) and the blocks' total dimension, in
+    closed form from :func:`walk_plan`: the level-0 and top-level lines, and
+    p - 1 blocks of dimension f at each level of the progression prime to p.
+    Since p = 1 mod p-1, the progression's multiples of p are p times its
+    own levels."""
+    zero, levels, top = walk_plan(field, bound, vbar)
     p = field.p
-    last = bound if field.equal_char else min(bound, p * field.e - 1)
-    levels = last - last // p
-    top = int(not field.equal_char and p * field.e <= bound)
-    return 1 + (p - 1) * levels + top, 1 + (p - 1) * field.f * levels + top
+    inner = len(levels) - len(range(p * levels.start, levels.stop, p * levels.step))
+    lines = zero + top
+    return lines + inner, lines + (p - 1) * inner, lines + (p - 1) * field.f * inner
 
 
 class LevelCount(namedtuple("LevelCount", "level vbar lines extensions conjugacy_classes")):

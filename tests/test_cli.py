@@ -334,9 +334,9 @@ def test_oracle_check_past_the_vector_cap_exits_1_at_once(capsys):
 @pytest.mark.parametrize(
     "argv, rows",
     [
-        (("--p", "1000000007", "--e", "inf", "--max-level", "2", "--format", "tsv"), 1000000007),
-        (("--p", "10007", "--e", "1", "--format", "tsv"), 10006001),
-        (("--p", "3", "--e", "inf", "--max-level", "100000000"), 10000001),
+        (("--p", "1000000007", "--e", "inf", "--max-level", "2", "--format", "tsv"), 2000000013),
+        (("--p", "10007", "--e", "1", "--format", "tsv"), 1 + 10006 * 10006 + 1),
+        (("--p", "3", "--e", "inf", "--max-level", "100000000"), 133333335),
     ],
     ids=["ten-digit-p", "p-10007", "p-3-deep"],
 )
@@ -344,11 +344,12 @@ def test_structure_past_the_row_cap_exits_1_at_once(capsys, argv, rows):
     # The rows are counted in closed form before any output.  The ten-digit
     # p joined a level's 10**9 rows into one string and died of a
     # MemoryError traceback; p = 10007 wrote 1.68 GB; p = 3 walked 5 million
-    # levels, 2 s, before it passed the cap.
+    # levels, 2 s, before it passed the cap.  The message names all the
+    # rows: 1 + 2(10**9 + 6), 1 + 10006**2 + 1 and 1 + 2(10**8 - 10**8 // 3).
     with _deadline(1):
         code, out, err = run_cli(capsys, "structure", *argv)
     assert code == 1 and out == ""
-    assert err == f"error: structure scale exceeded: rows >= {rows} > ROW_LIMIT = 10000000\n"
+    assert err == f"error: structure scale exceeded: rows = {rows} > ROW_LIMIT = 10000000\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
@@ -413,6 +414,18 @@ def test_oracle_check_at_a_seven_digit_prime_rejects_after_one_class(capsys):
         code, out, err = run_cli(capsys, "oracle-check", "--p", "1000003", "--e", "1")
     assert code == 1 and out == ""
     assert err == "error: oracle scale exceeded: vectors >= 1000003**2 > VECTOR_LIMIT = 10000000\n"
+
+
+def test_oracle_check_of_one_valuation_at_a_seven_digit_prime_is_quick(capsys):
+    # The classes of the asked valuation alone are built, and only the
+    # trivial class's sum computes the top-level mass: scanning the 10**6
+    # classes from valuation 0, and q**-(p-1) computed for the generic
+    # class and dropped, took 4.3 to 4.9 s as a subprocess on a 2-vCPU host.
+    expected = "oracle vs formulas over p=1000003 f=1 e=1 (q=1000003), levels <= 1000003\n"
+    with _deadline(2):
+        code, out, _ = run_cli(capsys, "oracle-check", "--p", "1000003", "--e", "1", "--vbar", "-1")
+    assert code == 0
+    assert out == expected + "  vbar 1000001  none     mass 1/1000003  == full formula\n"
 
 
 def test_oracle_check_bound_far_above_the_top_level_is_immediate(capsys):

@@ -134,6 +134,24 @@ def test_peu_tres_split():
         tres_term(F3_SERIES)
 
 
+def test_only_the_trivial_class_computes_the_top_level_mass(monkeypatch):
+    # The top-level mass p * q**-(p-1) belongs to the trivial character's
+    # sum alone: computed for every class, it took about half the time of
+    # oracle-check --p 1000003 --e 1 --vbar -1.
+    field = LocalField(5, 1, 2, (2, 1))
+    others = (generic_char(1), generic_char(2), omega_char(field))
+    expected = {chi: char_contribution_truncated(field, chi, 10) for chi in others}
+
+    def raises(field):
+        raise AssertionError("top-level mass computed for a sum without it")
+
+    monkeypatch.setattr(mass, "tres_term", raises)
+    for chi, value in expected.items():
+        assert char_contribution_truncated(field, chi, 10) == value
+    with pytest.raises(AssertionError, match="top-level"):
+        char_contribution_truncated(field, trivial_char(), 10)
+
+
 @pytest.mark.parametrize(
     "field", [Q3, LocalField(3, 2, 2), LocalField(5, 1, 1), LocalField(2, 1, 2), LocalField(7, 1, 1)]
 )

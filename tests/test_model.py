@@ -213,7 +213,8 @@ def test_walk_totals_count_the_layout(field):
     top = 4 * field.p if field.equal_char else field.p * field.e + 2
     for bound in range(top + 1):
         lay = layout(field, bound)
-        assert walk_totals(field, truncation_bound(field, bound)) == (len(lay.blocks), lay.total_dim)
+        totals = walk_totals(field, truncation_bound(field, bound))
+        assert totals[1:] == (len(lay.blocks), lay.total_dim)
 
 
 def test_layout_requires_bound_in_equal_char():

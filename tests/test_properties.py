@@ -41,8 +41,9 @@ from localmass.model import (
     omega_is_trivial,
     stratum_slot,
     truncation_bound,
+    walk_totals,
 )
-from localmass.cli_count import _check_counts, _walk_rows
+from localmass.cli_count import _check_counts
 from localmass.oracle import eigenspace_blocks
 from reference import row_by_row_count_rows
 
@@ -105,13 +106,17 @@ def test_one_valuation_walk_is_the_full_walk_filtered(case):
 @SETTINGS
 @given(cases(), st.integers(0, 400))
 def test_count_rows_are_counted_in_closed_form(case, cut):
-    # count's row cap is this closed form, checked before any walk.
+    # count's and structure's row caps are these closed forms, checked
+    # before any walk: count's rows, and the walk's blocks and dimension.
     field, max_level = case
     for level in {max_level, cut if max_level is None else min(cut, max_level)}:
         bound = truncation_bound(field, level)
         for vbar in [None, *range(2 * (field.p - 1)), -1]:
             made = sum(1 for _ in count_rows(field, level, vbar))
-            assert _walk_rows(field, bound, vbar) == made, (level, vbar)
+            walk = list(level_walk(field, bound, vbar))
+            blocks = sum(len(special) + generic for *_, special, generic in walk)
+            dim = sum(dim * (len(special) + generic) for _, _, dim, special, generic in walk)
+            assert walk_totals(field, bound, vbar) == (made, blocks, dim), (level, vbar)
 
 
 @SETTINGS
