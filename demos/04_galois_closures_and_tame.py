@@ -11,33 +11,37 @@ from localmass import (
     INFINITE_E,
     LocalField,
     contribution_checksum,
-    cyclic_contribution,
     format_rational,
-    group_order_contribution,
+    galois_closure_contribution,
     subfield_contribution,
     tame_mass,
-    unramified_closure_contribution,
 )
 
 series3 = LocalField(3, 1, INFINITE_E)
 series5 = LocalField(5, 1, INFINITE_E)
 
+
+def closure_mass(field, spec):
+    """The mass of the extensions passing ``spec``, a ``mass --filter`` spelling."""
+    return format_rational(galois_closure_contribution(field, spec))
+
+
 print("closure filters at p = q = 3 (equal characteristic):")
-print(f"  cyclic closures:              {format_rational(cyclic_contribution(series3))}")
-print(f"  split by an unramified ext.:  {format_rational(unramified_closure_contribution(series3))}")
-print(f"  dihedral closure (order 2p):  {format_rational(group_order_contribution(series3, 2))}")
-print(f"  partition check: {format_rational(group_order_contribution(series3, 1))}"
-      f" + {format_rational(group_order_contribution(series3, 2))} = 3")
+print(f"  cyclic closures:              {closure_mass(series3, 'cyclic')}")
+print(f"  split by an unramified ext.:  {closure_mass(series3, 'unramified-closure')}")
+print(f"  dihedral closure (order 2p):  {closure_mass(series3, 'group-order=2')}")
+print(f"  partition check: {closure_mass(series3, 'group-order=1')}"
+      f" + {closure_mass(series3, 'group-order=2')} = 3")
 
 print("\nclosure-order partition at p = q = 5:")
-parts = {n: group_order_contribution(series5, n) for n in (1, 2, 4)}
+parts = {n: galois_closure_contribution(series5, f"group-order={n}") for n in (1, 2, 4)}
 for n, value in parts.items():
     print(f"  tame part of order {n}: {format_rational(value)}")
 print(f"  total {format_rational(sum(parts.values()))}")
 
 # In mixed characteristic the field carries its cyclotomic class, here (1, 1).
 q3 = LocalField(3, 1, 1, (1, 1))
-print(f"\nclosure-order partition over Q_3: {' + '.join(format_rational(group_order_contribution(q3, n)) for n in (1, 2))} = 3")
+print(f"\nclosure-order partition over Q_3: {' + '.join(closure_mass(q3, f'group-order={n}') for n in (1, 2))} = 3")
 
 # Filtering by a subfield: the trivial subgroup of the dual recovers the
 # cyclic extensions, the full dual recovers everything.

@@ -27,16 +27,14 @@ _HOME = {
             "char_contribution_truncated",
             "contribution_checksum",
             "count_table",
-            "cyclic_contribution",
+            "filter_census",
             "galois_closure_contribution",
-            "group_order_contribution",
             "mass_from_counts",
             "per_character_contributions",
             "subfield_contribution",
             "tame_mass",
             "total_mass",
             "tres_term",
-            "unramified_closure_contribution",
         ),
         "mass",
     ),

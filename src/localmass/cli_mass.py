@@ -23,7 +23,7 @@ from .cli_common import (
     _text,
     _tsv,
 )
-from .model import INFINITE_E, LocalField, coords_marker, trivial_char
+from .model import INFINITE_E, LocalField, coords_marker, trivial_char, walk_plan
 
 # A `mass` character as json.dumps(indent=2) renders it at depth 2.
 _CHAR_JSON = (
@@ -32,23 +32,40 @@ _CHAR_JSON = (
 )
 
 
+def _check_denominator(field: LocalField, counts: dict[int, int], trivial: bool) -> None:
+    """Reject a mixed-characteristic mass of ``counts[w]`` characters of each
+    valuation ``w`` (the trivial one if ``trivial``) whose denominator no
+    decimal string holds.  A block at level l adds p(q-1)/(p-1) q**-T, its
+    depth T = l - l//p growing with l, so one valuation, of fewer than p
+    characters, has the deepest, and the denominator holds exactly
+    p**(f*T - 1).  The top line p q**-((p-1)e) is deeper, but ties with level
+    p*e - 1, where the sum can cancel: no bound."""
+    if field.equal_char:
+        return
+    p, top = field.p, (field.p - 1) * field.e
+    ends = (walk_plan(field, p * field.e, w)[1][-2:] for w in counts)
+    deepest = max((lv - lv // p for tail in ends for lv in tail if lv % p), default=0)
+    if trivial and deepest == top:
+        return
+    _check_digits(
+        (field.f * (top if trivial else deepest) - 1) * math.log10(p),
+        "a contribution's denominator has at least {} digits",
+    )
+
+
 def _cmd_mass(args):
     field = _field(args)
     if args.filter is not None:
+        _check_denominator(field, *mass.filter_census(field, args.filter))
         value = rationals.format_rational(mass.galois_closure_contribution(field, args.filter))
         if args.format == "json":
             return _json({"field": _field_json(field), "filter": args.filter, "contribution": value})
         if args.format == "tsv":
             return _tsv([("filter", "contribution"), (args.filter, value)])
         return _text([f"{_describe(field)}: mass of {args.filter} extensions = {value}"])
-    if not field.equal_char:
-        # Level p*e - 1 sits at depth (p-1)e, so its valuation's value is
-        # p(q-1) n / ((p-1) q**((p-1)e)) with n = 1 mod q: its denominator is
-        # at least q**((p-1)e) / p, and every format prints it.
-        _check_digits(
-            ((field.p - 1) * field.e * field.f - 1) * math.log10(field.p),
-            "a contribution's denominator has at least {} digits",
-        )
+    # Valuation 1 mod p-1 holds level p*e - 1, the deepest block, and every
+    # format prints its value.
+    _check_denominator(field, {1 % (field.p - 1): 1}, False)
     report = mass.total_mass(field)
     # A contribution depends only on the valuation a of the character (a, b)
     # and on whether it is trivial, so the (p-1)^2 rows hold at most p distinct

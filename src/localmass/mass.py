@@ -20,7 +20,8 @@ each weighted ``q**-d``.  Summing level by level gives every quantity here:
   :func:`mass_from_counts`, the mass rebuilt from them;
 * the Galois-closure filters — masses of the extensions whose closure group
   is constrained (cyclic, split by an unramified extension or by a given
-  subfield, of given order), each counting the characters it keeps;
+  subfield, of given order), each counting the characters it keeps; for a
+  ``--filter`` spelling, :func:`filter_census` is that count;
 * :func:`tame_mass` — the two-dimensional degree-p' analogue, p' != p.
 
 A contribution depends only on the character's valuation and on whether the
@@ -60,10 +61,10 @@ from .model import (
     cyclotomic_valuation,
     enumerate_characters,
     is_prime,
-    level_walk,
-    omega_char,
+    omega_is_trivial,
     truncation_bound,
     validate_char,
+    walk_plan,
 )
 from .rationals import describe_rational, geom_finite, geom_infinite, rat_pow
 
@@ -190,22 +191,21 @@ def _valuation_sums(field: LocalField, max_level: int | None, valuations, trivia
     ``w`` is ``nums[w] / den`` for each ``w`` asked for, and ``tres`` is the
     top-level mass if ``trivial`` asks for it and the bound reaches it, else
     0; no ``max_level`` means the full sum.  Each sum is one
-    :func:`_over_power_of` over the blocks of ``level_walk(field, bound, w)``,
-    whose depth ``l - l//p`` grows with the level ``l``, aligned to the one
-    denominator ``(p-1) * q**T``, ``T`` the deepest depth, or
-    ``(p-1) * (q**((p-1)**2) - 1)`` in the periodic case.  No gcd is taken:
-    a caller normalises once per value it builds."""
+    :func:`_over_power_of` over the blocks of ``w``, at the levels prime to p
+    of ``walk_plan(field, bound, w)``, whose depth ``l - l//p`` grows with the
+    level ``l``, aligned to the one denominator ``(p-1) * q**T``, ``T`` the
+    deepest depth, or ``(p-1) * (q**((p-1)**2) - 1)`` in the periodic case.
+    No gcd is taken: a caller normalises once per value it builds."""
     p, q = field.p, field.q
     period = (p - 1) ** 2
     periodic = field.equal_char and max_level is None
     bound = p * (p - 1) if periodic else truncation_bound(field, max_level)
-    # Levels 0 and p*e, the lines outside the strata, are the multiples of p.
+    # The progression's multiples of p hold no block.
     sums = {}
     for w in valuations:
-        levels = (lv for lv, *_ in level_walk(field, bound, w) if lv % p)
-        sums[w] = _over_power_of(q, ((lv - lv // p, 1) for lv in levels))
-    reached = trivial and not field.equal_char and p * field.e <= bound
-    tres = tres_term(field) if reached else Fraction(0)
+        levels = walk_plan(field, bound, w)[1]
+        sums[w] = _over_power_of(q, ((lv - lv // p, 1) for lv in levels if lv % p))
+    tres = tres_term(field) if trivial and walk_plan(field, bound)[2] else Fraction(0)
     # A first period's n / q**t times 1 / (1 - q**-period) is the infinite sum.
     top = period if periodic else max((t for _, t in sums.values()), default=0)
     c = p * (q - 1)
@@ -309,22 +309,6 @@ def contribution_checksum(field: LocalField) -> tuple[Fraction, Fraction]:
 # (``LocalField.omega``).
 
 
-def cyclic_contribution(field: LocalField) -> Fraction:
-    """Mass of the cyclic degree-p extensions (character = cyclotomic)."""
-    return char_contribution(field, omega_char(field))
-
-
-def unramified_closure_contribution(field: LocalField) -> Fraction:
-    """Mass of the extensions split by some unramified extension.
-
-    These are the characters whose valuation equals the cyclotomic one; there
-    are p - 1 of them, the trivial character among them exactly when that
-    valuation is 0.
-    """
-    w0 = cyclotomic_valuation(field)
-    return _characters_mass(field, {w0: field.p - 1}, w0 == 0)
-
-
 def _omega_coords(field: LocalField) -> tuple[int, int]:
     """The field's cyclotomic coordinates, which the closure filters on xi need."""
     if field.omega is None:
@@ -336,19 +320,28 @@ def _omega_coords(field: LocalField) -> tuple[int, int]:
     return field.omega
 
 
-def group_order_contribution(field: LocalField, n: int) -> Fraction:
-    """Mass of the extensions whose closure group has tame part of order n.
+def filter_census(field: LocalField, spec: str) -> tuple[dict[int, int], bool]:
+    """``(counts, trivial)``: the characters the ``--filter`` ``spec`` keeps,
+    ``counts[w]`` of each valuation ``w``, and whether the trivial one is
+    among them.  "cyclic" keeps the cyclotomic character; "unramified-closure"
+    the extensions split by an unramified extension, the p - 1 characters of
+    its valuation; "group-order=N" those whose closure has tame part of order
+    N | p - 1 (N = 2: dihedral of order 2p), which partition the mass p.
 
-    ``n`` must divide p - 1; n = 1 gives the cyclic extensions, n = 2 those
-    with dihedral closure of order 2p.  Every extension is captured by
-    exactly one n, so these contributions partition the total mass p.
-
-    The characters are counted, not listed.  The order of xi = (x, y) is the
-    lcm of its coordinates' orders, so only the n classes x whose order
-    divides n can pass; x fixes the valuation ``omega_a - x`` of chi, and of
-    the coordinates y, phi(d) have order d for each d | n.
+    Counted, not listed: the order of xi = (x, y) is the lcm of its
+    coordinates' orders, so only the N classes x whose order divides N pass;
+    x fixes chi's valuation ``omega_a - x``, and phi(d) of the y have order d.
     """
     m = field.p - 1
+    w_omega = cyclotomic_valuation(field)
+    if spec == "cyclic":
+        return {w_omega: 1}, omega_is_trivial(field)
+    if spec == "unramified-closure":
+        return {w_omega: m}, w_omega == 0
+    name, _, order = spec.partition("=")
+    if name != "group-order" or not order.isdecimal():
+        raise ValueError(f"unknown filter {spec!r}")
+    n = int(order)
     if n < 1 or m % n != 0:
         raise ValueError("order must divide p - 1")
     om = _omega_coords(field)
@@ -356,7 +349,7 @@ def group_order_contribution(field: LocalField, n: int) -> Fraction:
     phi = Counter(orders.values())  # d -> phi(d), how many of them have order d
     passing = {d: sum(k for d2, k in phi.items() if math.lcm(d, d2) == n) for d in phi}
     counts = {(om[0] - x) % m: passing[d] for x, d in orders.items()}
-    return _characters_mass(field, counts, math.lcm(*(m // math.gcd(c, m) for c in om)) == n)
+    return counts, math.lcm(*(m // math.gcd(c, m) for c in om)) == n
 
 
 def subfield_contribution(field: LocalField, subgroup_gens: list[tuple[int, int]]) -> Fraction:
@@ -382,20 +375,9 @@ def subfield_contribution(field: LocalField, subgroup_gens: list[tuple[int, int]
 
 
 def galois_closure_contribution(field: LocalField, filter_spec: str) -> Fraction:
-    """Mass of the extensions passing one ``--filter`` of the command line.
-
-    ``filter_spec`` is "cyclic", "unramified-closure" or "group-order=N".
-    Library callers holding an order or a subgroup call
-    :func:`group_order_contribution` or :func:`subfield_contribution`.
-    """
-    if filter_spec == "cyclic":
-        return cyclic_contribution(field)
-    if filter_spec == "unramified-closure":
-        return unramified_closure_contribution(field)
-    name, _, order = filter_spec.partition("=")
-    if name == "group-order" and order.isdecimal():
-        return group_order_contribution(field, int(order))
-    raise ValueError(f"unknown filter {filter_spec!r}")
+    """Mass of the extensions passing one ``--filter`` of the command line:
+    the characters :func:`filter_census` keeps, summed."""
+    return _characters_mass(field, *filter_census(field, filter_spec))
 
 
 def tame_mass(field: LocalField, pprime: int) -> TameReport:

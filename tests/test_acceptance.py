@@ -15,7 +15,7 @@ from localmass.mass import (
     char_contribution_closed,
     char_contribution_truncated,
     contribution_checksum,
-    group_order_contribution,
+    galois_closure_contribution,
     per_character_contributions,
     tame_mass,
     total_mass,
@@ -198,8 +198,10 @@ def test_criterion_13_closure_filter_partition():
         for f in (1, 2):
             field = LocalField(p, f, INFINITE_E)
             divisors = [n for n in range(1, p) if (p - 1) % n == 0]
-            assert sum(group_order_contribution(field, n) for n in divisors) == p, (p, f)
-    assert group_order_contribution(LocalField(3, 1, INFINITE_E), 2) == Fraction(51, 20)
+            parts = [galois_closure_contribution(field, f"group-order={n}") for n in divisors]
+            assert sum(parts) == p, (p, f)
+    series3 = LocalField(3, 1, INFINITE_E)
+    assert galois_closure_contribution(series3, "group-order=2") == Fraction(51, 20)
     _ok(13, "closure-order partition sums to p; dihedral slice 51/20 at (3,3)")
 
 

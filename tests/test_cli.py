@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import signal
@@ -904,6 +905,74 @@ def test_mass_rejects_only_reports_past_the_int_str_limit():
         assert longest == rejected[31, 1, 97] == len(str(report.per_vbar[1].denominator))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ("--p", "7", "--e", "100000", "--filter", "cyclic", "--format", "tsv"),
+        ("--p", "211", "--e", "100000", "--filter", "cyclic"),
+    ],
+    ids=" ".join,
+)
+def test_filtered_mass_past_the_int_str_limit_exits_1_before_the_kernel(
+    capsys, monkeypatch, query
+):
+    # The deepest block the filter counts bounds its denominator in closed
+    # form; these ran for 7.3 s and for more than 15 s in the kernel.
+    def reached(*args):
+        raise _KernelReached
+
+    monkeypatch.setattr(mass, "_valuation_sums", reached)
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "mass", *query)
+    assert code == 1 and out == ""
+    assert err.startswith(INT_STR_LIMIT_ERROR + ": a contribution's denominator has at least ")
+    assert err.count("\n") == 1
+
+
+def test_filtered_mass_whose_deepest_block_ties_with_the_top_line_is_not_bounded(capsys):
+    # Over Q_2 the cyclic class is the trivial one, and its block at level
+    # p*e - 1 shares the top line's depth (p-1)e: the sum cancels to 2, which
+    # a bound from that depth (6 021 digits) would have rejected.
+    argv = ("mass", "--p", "2", "--e", "20000", "--filter", "cyclic", "--format", "tsv")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == "filter\tcontribution\ncyclic\t2\n"
+
+
+def test_filtered_mass_rejects_only_values_past_the_int_str_limit():
+    # Each rejection is a real overflow: the filtered mass, computed and
+    # converted with the limit lifted, has a denominator of at least the
+    # digits the message names.  Fields around each (p, f)'s threshold are
+    # rejected and passed, with omega trivial and not; at p = 2 every filter
+    # keeps the trivial character, whose top line ties with level p*e - 1,
+    # so none is rejected.
+    limit = sys.get_int_max_str_digits()
+    queries = []
+    for p in (2, 3, 5, 7, 11, 13):
+        m = p - 1
+        specs = ["cyclic", "unramified-closure"]
+        specs += [f"group-order={n}" for n in range(1, p) if m % n == 0]
+        for f in (1, 2):
+            first = math.ceil((limit + 1) / (m * f * math.log10(p)))
+            for e, b, spec in itertools.product(range(first - 2, first + 3), {0, 1 % m}, specs):
+                omega = (e % m, b)
+                argv = ["mass", "--p", str(p), "--f", str(f), "--e", str(e), "--filter", spec]
+                argv += ["--omega-a", str(e % m), "--omega-b", str(b), "--format", "tsv"]
+                queries.append(((LocalField(p, f, e, omega), spec), argv))
+    rejected = _bound_rejections("_valuation_sums", queries)
+    sys.set_int_max_str_digits(0)
+    try:
+        for (field, spec), named in rejected.items():
+            value = mass.galois_closure_contribution(field, spec)
+            assert len(str(value.denominator)) >= named > limit, (field, spec)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert not any(field.p == 2 for field, _ in rejected)
+    assert 0 < len(rejected) < len(queries)
+    assert {spec for _, spec in rejected} >= {"cyclic", "unramified-closure", "group-order=1"}
+    assert any(field.omega == (0, 0) for field, _ in rejected)
 
 
 @pytest.mark.parametrize(

@@ -13,16 +13,13 @@ from localmass.mass import (
     char_contribution_truncated,
     contribution_checksum,
     count_table,
-    cyclic_contribution,
     galois_closure_contribution,
-    group_order_contribution,
     mass_from_counts,
     per_character_contributions,
     subfield_contribution,
     tame_mass,
     total_mass,
     tres_term,
-    unramified_closure_contribution,
 )
 from localmass.model import (
     INFINITE_E,
@@ -201,12 +198,12 @@ def test_checksum_value_p3():
 
 
 def test_cyclic_contribution():
-    assert cyclic_contribution(F3_SERIES) == Fraction(9, 20)
-    assert cyclic_contribution(Q3) == Fraction(1, 3)
+    assert galois_closure_contribution(F3_SERIES, "cyclic") == Fraction(9, 20)
+    assert galois_closure_contribution(Q3, "cyclic") == Fraction(1, 3)
     # If the cyclotomic class is the trivial one, cyclic extensions include
     # the top-level stratum.
     k = LocalField(3, 1, 2, (0, 0))
-    assert cyclic_contribution(k) == char_contribution(k, trivial_char())
+    assert galois_closure_contribution(k, "cyclic") == char_contribution(k, trivial_char())
 
 
 def test_roots_of_unity_field_counts():
@@ -223,69 +220,75 @@ def test_roots_of_unity_field_counts():
 
 def test_one_valuation_reads_only_its_levels(monkeypatch):
     # The trivial character of F_101((t)) has a block every p - 1 = 100
-    # levels: 100 of them below p(p - 1) = 10 100, plus the level-0 line.
-    rows = []
+    # levels: 100 of them below p(p - 1) = 10 100, and 10 100 itself.
+    levels = []
+
+    def counted(plan_levels):
+        for level in plan_levels:
+            levels.append(level)
+            yield level
 
     def spy(*args):
-        for row in walk(*args):
-            rows.append(row)
-            yield row
+        zero, plan_levels, top = plan(*args)
+        return zero, counted(plan_levels), top
 
-    walk = mass.level_walk
-    monkeypatch.setattr(mass, "level_walk", spy)
+    plan = mass.walk_plan
+    monkeypatch.setattr(mass, "walk_plan", spy)
     field = LocalField(101, 1, INFINITE_E)
     assert galois_closure_contribution(field, "cyclic") == char_contribution_closed(
         field, trivial_char()
     )
-    assert len(rows) <= 101
+    assert len(levels) <= 101
 
 
 def test_unramified_closure_contribution():
-    assert unramified_closure_contribution(F3_SERIES) == Fraction(9, 10)
+    assert galois_closure_contribution(F3_SERIES, "unramified-closure") == Fraction(9, 10)
     # Displayed closed form: p*q^{p-2}(q-1)(q^{(p-2)(p-1)}-1) / ((q^{p-2}-1)(q^{(p-1)^2}-1)).
     p, q = 3, 3
     closed = Fraction(
         p * q ** (p - 2) * (q - 1) * (q ** ((p - 2) * (p - 1)) - 1),
         (q ** (p - 2) - 1) * (q ** ((p - 1) ** 2) - 1),
     )
-    assert unramified_closure_contribution(F3_SERIES) == closed
-    assert unramified_closure_contribution(Q3) == 2 * Fraction(1, 3)
+    assert galois_closure_contribution(F3_SERIES, "unramified-closure") == closed
+    assert galois_closure_contribution(Q3, "unramified-closure") == 2 * Fraction(1, 3)
     # Cyclotomic valuation 0: the trivial character is among the two kept,
     # with the top-level mass 1/27 on top of its valuation's 4/9.
-    assert unramified_closure_contribution(LocalField(3, 1, 2)) == Fraction(4, 9) + Fraction(13, 27)
+    value = galois_closure_contribution(LocalField(3, 1, 2), "unramified-closure")
+    assert value == Fraction(4, 9) + Fraction(13, 27)
 
 
 def test_group_order_contributions_equal_char():
     # Dihedral slice at p = q = 3: the three order-2 classes.
-    assert group_order_contribution(F3_SERIES, 2) == Fraction(51, 20)
-    assert group_order_contribution(F3_SERIES, 1) == Fraction(9, 20)
-    assert group_order_contribution(F3_SERIES, 1) + group_order_contribution(
-        F3_SERIES, 2
+    assert galois_closure_contribution(F3_SERIES, "group-order=2") == Fraction(51, 20)
+    assert galois_closure_contribution(F3_SERIES, "group-order=1") == Fraction(9, 20)
+    assert galois_closure_contribution(F3_SERIES, "group-order=1") + galois_closure_contribution(
+        F3_SERIES, "group-order=2"
     ) == 3
     with pytest.raises(ValueError, match="divide"):
-        group_order_contribution(F3_SERIES, 4)
+        galois_closure_contribution(F3_SERIES, "group-order=4")
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (5, 1), (5, 2)])
 def test_group_order_partition_equal_char(p, f):
     field = LocalField(p, f, INFINITE_E)
     divisors = [n for n in range(1, p) if (p - 1) % n == 0]
-    assert sum(group_order_contribution(field, n) for n in divisors) == p
+    assert sum(galois_closure_contribution(field, f"group-order={n}") for n in divisors) == p
 
 
 def test_group_order_requires_omega_in_mixed_char():
     with pytest.raises(ValueError, match="omega class required"):
-        group_order_contribution(Q3, 2)
+        galois_closure_contribution(Q3, "group-order=2")
     # With the class supplied, the partition over divisors is the total mass.
     divisors = [1, 2]
-    assert sum(group_order_contribution(LocalField(3, 1, 1, (1, 1)), n) for n in divisors) == 3
+    field = LocalField(3, 1, 1, (1, 1))
+    assert sum(galois_closure_contribution(field, f"group-order={n}") for n in divisors) == 3
 
 
 def test_subfield_contribution():
     # The full dual group captures everything; the trivial subgroup exactly
     # the cyclic extensions.
     assert subfield_contribution(F3_SERIES, [(1, 0), (0, 1)]) == 3
-    assert subfield_contribution(F3_SERIES, []) == cyclic_contribution(F3_SERIES)
+    assert subfield_contribution(F3_SERIES, []) == galois_closure_contribution(F3_SERIES, "cyclic")
     assert subfield_contribution(LocalField(3, 1, 1, (1, 0)), [(1, 0), (0, 1)]) == 3
 
 
@@ -293,7 +296,6 @@ def test_galois_closure_dispatcher():
     assert galois_closure_contribution(F3_SERIES, "cyclic") == Fraction(9, 20)
     assert galois_closure_contribution(F3_SERIES, "unramified-closure") == Fraction(9, 10)
     assert galois_closure_contribution(F3_SERIES, "group-order=2") == Fraction(51, 20)
-    assert group_order_contribution(F3_SERIES, 2) == Fraction(51, 20)
     assert subfield_contribution(F3_SERIES, [(1, 1)]) == Fraction(9, 20) + Fraction(21, 20)
     with pytest.raises(ValueError, match="unknown filter"):
         galois_closure_contribution(F3_SERIES, "everything")
@@ -325,7 +327,7 @@ def test_tame_mass_branches():
     "call, message",
     [
         (
-            lambda: group_order_contribution(LocalField(3, 1, 2), 2),
+            lambda: galois_closure_contribution(LocalField(3, 1, 2), "group-order=2"),
             "omega class required for p=3 f=1 e=2: pass the cyclotomic coordinates as"
             " LocalField(..., omega=(a, b)), or --omega-a and --omega-b on the command line",
         ),

@@ -15,6 +15,7 @@ from localmass.model import (
     EigenBlock,
     LocalField,
     coords_marker,
+    count_rows,
     cyclotomic_valuation,
     enumerate_characters,
     generic_char,
@@ -293,3 +294,18 @@ def test_discriminant_tower_identity():
         assert c >= 1
         if b % p != 0:
             assert c % p != 0
+
+
+@pytest.mark.parametrize("p, classes", [(2, 7), (3, 10), (5, 26)])
+def test_classes_over_the_p_adics_match_the_tables(p, classes):
+    # Degree-p extensions of Q_p up to isomorphism, the unramified one
+    # included: 7, 10 and 26 (Jones-Roberts, A database of local fields, 2006).
+    assert sum(rec.conjugacy_classes for rec in count_rows(LocalField(p, 1, 1))) == classes
+
+
+@pytest.mark.parametrize("f, e", [(f, e) for f in (1, 2, 3) for e in (1, 2, 3)])
+def test_classes_at_p_2_match_kummer_theory(f, e):
+    # Every quadratic extension is cyclic and its own class, and Kummer
+    # theory counts them: F^x / F^x**2 has order 2**(ef + 2).
+    field = LocalField(2, f, e)
+    assert sum(rec.conjugacy_classes for rec in count_rows(field)) == 2 ** (e * f + 2) - 1

@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import localmass.mass
@@ -17,13 +18,12 @@ from localmass.mass import (
     char_contribution_truncated,
     count_rows,
     count_table,
-    cyclic_contribution,
-    group_order_contribution,
+    filter_census,
+    galois_closure_contribution,
     mass_from_counts,
     per_character_contributions,
     subfield_contribution,
     total_mass,
-    unramified_closure_contribution,
 )
 from localmass.model import (
     GENERIC,
@@ -248,11 +248,51 @@ def test_counted_filters_match_the_listing(case):
 
     for n in [n for n in range(1, field.p) if m % n == 0]:
         listed = listed_xi_filter_mass(field, lambda xi: order(xi) == n)
-        assert group_order_contribution(field, n) == listed, n
+        assert galois_closure_contribution(field, f"group-order={n}") == listed, n
     w0 = cyclotomic_valuation(field)
     chars = [chi for chi in enumerate_characters(field) if chi.valuation == w0]
     listed = sum((char_contribution(field, chi) for chi in chars), Fraction(0))
-    assert unramified_closure_contribution(field) == listed
+    assert galois_closure_contribution(field, "unramified-closure") == listed
+
+
+@SETTINGS
+@given(cases())
+@example((LocalField(3, 1, 2, (0, 0)), None))
+@example((LocalField(13, 1, 4, (4, 6)), None))
+def test_filter_census_counts_the_listed_characters(case):
+    # Each spec keeps the characters whose xi = omega * chi**-1 passes its
+    # test, grouped by valuation; the trivial character's xi is omega's.
+    field, _ = case
+    m = field.p - 1
+    om = field.omega
+    divisors = [n for n in range(1, field.p) if m % n == 0]
+
+    def order(xi):
+        return math.lcm(*(m // math.gcd(c, m) for c in xi))
+
+    keeps = {"cyclic": lambda xi: xi == (0, 0), "unramified-closure": lambda xi: xi[0] == 0}
+    keeps.update({f"group-order={n}": lambda xi, n=n: order(xi) == n for n in divisors})
+    for spec, keep in keeps.items():
+        kept = [
+            chi.valuation
+            for chi in enumerate_characters(field)
+            if keep(((om[0] - chi.coords[0]) % m, (om[1] - chi.coords[1]) % m))
+        ]
+        assert filter_census(field, spec) == (dict(Counter(kept)), keep(om)), spec
+    # Without its coordinates only omega's valuation is known: the filters on
+    # it still count, an order filter cannot.
+    bare = LocalField(field.p, field.f, field.e)
+    if bare.omega is None:
+        w0 = cyclotomic_valuation(bare)
+        assert filter_census(bare, "cyclic") == ({w0: 1}, False)
+        kept = [chi.valuation for chi in enumerate_characters(bare) if chi.valuation == w0]
+        assert filter_census(bare, "unramified-closure") == (dict(Counter(kept)), w0 == 0)
+        for n in divisors:
+            with pytest.raises(ValueError, match="omega class required"):
+                filter_census(bare, f"group-order={n}")
+        # The order is checked before the coordinates are asked for.
+        with pytest.raises(ValueError, match="order must divide p - 1"):
+            filter_census(bare, f"group-order={m + 1}")
 
 
 @SETTINGS
@@ -268,7 +308,7 @@ def test_count_table_rebuilds_mass_in_mixed_char(case):
 def test_group_order_slices_partition_mass(case):
     field, _ = case
     divisors = [n for n in range(1, field.p) if (field.p - 1) % n == 0]
-    assert sum(group_order_contribution(field, n) for n in divisors) == field.p
+    assert sum(galois_closure_contribution(field, f"group-order={n}") for n in divisors) == field.p
 
 
 def test_no_kernel_value_lists_characters(monkeypatch):
@@ -285,10 +325,11 @@ def test_no_kernel_value_lists_characters(monkeypatch):
     for field in fields:
         m = field.p - 1
         assert total_mass(field).total == field.p
-        cyclic_contribution(field)
-        unramified_closure_contribution(field)
+        galois_closure_contribution(field, "cyclic")
+        galois_closure_contribution(field, "unramified-closure")
         divisors = [n for n in range(1, m + 1) if m % n == 0]
-        assert sum(group_order_contribution(field, n) for n in divisors) == field.p
+        parts = [galois_closure_contribution(field, f"group-order={n}") for n in divisors]
+        assert sum(parts) == field.p
         assert subfield_contribution(field, [(1, 0), (0, 1)]) == field.p
         subfield_contribution(field, [(m // 2, 0)])
         list(count_rows(field, 20))

@@ -19,6 +19,7 @@ LIBRARY_ONLY = {
     "model.enumerate_characters": "traced: the (p-1)**2 characters as records",
     "mass.count_table": "traced: count_rows held in a dict by level",
     "mass.per_character_contributions": "traced: one contribution per character",
+    "mass.char_contribution": "traced: one character class's mass, the library's entry for it",
     # The checks ROADMAP item 10 gives the command line.
     "mass.char_contribution_closed": "item 10: the closed form the direct sum is checked against",
     "rationals.geom_finite": "item 10: the closed form's finite geometric series",
