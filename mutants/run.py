@@ -1,14 +1,17 @@
 """The mutation gate: each cross-check must catch the bug it exists for.
 
-Usage, from the root of a checkout: ``python3 mutants/run.py [LABEL ...]``.
-For each entry of ``MUTANTS`` (or only those whose label is given) it copies
-``src/``, ``tests/``, ``demos/``, ``perfbench/``, ``README.md`` and
-``pyproject.toml`` to a temporary directory, replaces the entry's source text,
-which must occur exactly once in its module, and runs the tests with the
-recorded-output ones deselected: the check meant to catch the mutant, then,
-if that passes, the rest.  Each mutant must make a test fail: the run prints
-the first failing test of each, and exits 1 if any mutant survives.  Three
-mutants run at a time.
+Usage, from the root of a checkout: ``python3 mutants/run.py``.
+It copies ``src/``, ``tests/``, ``demos/``, ``perfbench/``, ``README.md`` and
+``pyproject.toml`` to a temporary directory and runs the tests there with the
+recorded-output ones deselected; they must pass.  Then, one entry of
+``MUTANTS`` at a time, it makes a fresh copy, replaces the entry's source
+text, which must occur exactly once in its module, and runs the same tests:
+the check meant to catch the mutant, then, if that passes, the rest.  A
+mutant is killed when pytest exits 1 with a failing test; the run prints that
+test and whether it is in the entry's check.  It exits 1 if a mutant survives
+and 2 if a run cannot judge one (an unmutated copy that fails, a replacement
+that does not occur once, or any pytest exit but 0 and 1).  Mutants run one
+at a time so that the tests' deadlines see no more load than in a plain run.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "demos", "perfbench", "README.md", "pyproject.toml")
 DESELECT = "not digest and not readme and not recorded and not demo"
+ARGV = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-k", DESELECT]
 
 #: ``(module, source text, replacement, label, the check meant to catch it)``.
 MUTANTS = [
@@ -112,57 +115,77 @@ MUTANTS = [
 ]
 
 
+class GateError(Exception):
+    """A run that cannot say whether a mutant was caught."""
+
+
+def _copy(tree: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(source, tree / name)
+
+
 def _mutate(tree: Path, module: str, old: str, new: str) -> None:
     path = tree / "src" / "localmass" / f"{module}.py"
     text = path.read_text()
     count = text.count(old)
     if count != 1:
-        raise SystemExit(f"{module}: {old!r} occurs {count} times, not once")
+        raise GateError(f"{module}: {old!r} occurs {count} times, not once")
     path.write_text(text.replace(old, new))
 
 
-def _first_failure(output: str) -> str | None:
-    match = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE)
-    return match[1] if match else None
+def _pytest(tree: Path, paths: list[str]) -> str | None:
+    """The first test that fails in ``paths`` under ``tree``, or None if all
+    pass."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([*ARGV, *paths], cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode == 0:
+        return None
+    match = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+    if done.returncode != 1 or match is None:
+        raise GateError(f"pytest {' '.join(paths)} exited {done.returncode}:\n{done.stdout[-2000:]}")
+    return match[1]
 
 
-def run(entry) -> tuple[str | None, float]:
+def run(entry=None) -> str | None:
     """The first test that fails under the entry's mutant (None if none
-    does), and the seconds the run took."""
-    module, old, new, _, check = entry
+    does); with no entry, under the unmutated copy."""
     with tempfile.TemporaryDirectory(prefix="localmass-mutant-") as tmp:
         tree = Path(tmp)
-        for name in COPIED:
-            source = ROOT / name
-            if source.is_dir():
-                shutil.copytree(source, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
-            else:
-                shutil.copy2(source, tree / name)
+        _copy(tree)
+        if entry is None:
+            return _pytest(tree, ["tests"])
+        module, old, new, _, check = entry
         _mutate(tree, module, old, new)
-        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-k", DESELECT]
-        start = time.perf_counter()
-        for paths in ([check], ["tests", f"--ignore={check}"]):
-            done = subprocess.run([*argv, *paths], cwd=tree, env=env, capture_output=True, text=True)
-            if done.returncode:
-                return _first_failure(done.stdout) or done.stdout[-200:], time.perf_counter() - start
-        return None, time.perf_counter() - start
+        return _pytest(tree, [check]) or _pytest(tree, ["tests", f"--ignore={check}"])
 
 
-def main(labels: list[str]) -> int:
-    entries = [entry for entry in MUTANTS if not labels or entry[3] in labels]
-    survivors = []
+def main() -> int:
     start = time.perf_counter()
-    with ThreadPoolExecutor(3) as pool:
-        results = list(pool.map(run, entries))
-    for entry, (killer, seconds) in zip(entries, results):
-        print(f"{seconds:5.1f}s  {'killed' if killer else 'SURVIVED'}  {entry[3]}  {killer or ''}")
-        if killer is None:
-            survivors.append(entry[3])
-    print(f"{len(entries) - len(survivors)} of {len(entries)} mutants killed"
+    try:
+        failure = run()
+        if failure:
+            raise GateError(f"the unmutated copy fails {failure}")
+        print(f"{time.perf_counter() - start:5.1f}s  the unmutated copy passes")
+        survivors = 0
+        for entry in MUTANTS:
+            began = time.perf_counter()
+            killer = run(entry)
+            survivors += killer is None
+            verdict = "SURVIVED" if killer is None else "killed"
+            by = "" if killer is None else f"  by {killer}" + (
+                "" if killer.startswith(entry[4] + "::") else f", not by {entry[4]}")
+            print(f"{time.perf_counter() - began:5.1f}s  {verdict}  {entry[3]}{by}")
+    except GateError as err:
+        print(f"gate error: {err}", file=sys.stderr)
+        return 2
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed"
           f" in {time.perf_counter() - start:.1f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

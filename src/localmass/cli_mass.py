@@ -56,8 +56,9 @@ def _check_denominator(field: LocalField, counts: dict[int, int], trivial: bool)
 def _cmd_mass(args):
     field = _field(args)
     if args.filter is not None:
-        _check_denominator(field, *mass.filter_census(field, args.filter))
-        value = rationals.format_rational(mass.galois_closure_contribution(field, args.filter))
+        census = mass.filter_census(field, args.filter)
+        _check_denominator(field, *census)
+        value = rationals.format_rational(mass.galois_closure_contribution(field, args.filter, census))
         if args.format == "json":
             return _json({"field": _field_json(field), "filter": args.filter, "contribution": value})
         if args.format == "tsv":

@@ -374,10 +374,10 @@ def subfield_contribution(field: LocalField, subgroup_gens: list[tuple[int, int]
     return _characters_mass(field, Counter((om[0] - x) % m for x, _ in subgroup), om in subgroup)
 
 
-def galois_closure_contribution(field: LocalField, filter_spec: str) -> Fraction:
+def galois_closure_contribution(field: LocalField, filter_spec: str, census=None) -> Fraction:
     """Mass of the extensions passing one ``--filter`` of the command line:
-    the characters :func:`filter_census` keeps, summed."""
-    return _characters_mass(field, *filter_census(field, filter_spec))
+    the characters :func:`filter_census` keeps (``census``, if built), summed."""
+    return _characters_mass(field, *(census or filter_census(field, filter_spec)))
 
 
 def tame_mass(field: LocalField, pprime: int) -> TameReport:
