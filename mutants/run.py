@@ -29,8 +29,10 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "demos", "perfbench", "README.md", "pyproject.toml")
 DESELECT = "not digest and not readme and not recorded and not demo"
 ARGV = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-k", DESELECT]
+PARSER_CHECK = "tests/test_cli.py::test_parse_args_reads_argv_as_argparse_did"
 
-#: ``(module, source text, replacement, label, the check meant to catch it)``.
+#: ``(module, source text, replacement, label, the check meant to catch it)``;
+#: the check is a test file or one test's node id.
 MUTANTS = [
     # The closure filters' census.
     (
@@ -76,6 +78,34 @@ MUTANTS = [
         "the tie with the top line bounded",
         "tests/test_cli.py",
     ),
+    (
+        "cli_mass",
+        "deepest = level - level // p",
+        "deepest = level",
+        "the denominator bound's depth counting the multiples of p",
+        "tests/test_cli.py",
+    ),
+    (
+        "cli_mass",
+        "(shift + w) % m",
+        "(shift - w) % m",
+        "the denominator bound reading valuation -w's levels",
+        "tests/test_cli.py",
+    ),
+    (
+        "cli_mass",
+        "level = last - min(",
+        "level = last - max(",
+        "the denominator bound reading the shallowest counted valuation",
+        "tests/test_cli.py",
+    ),
+    (
+        "cli_mass",
+        "(p + (p - 1) ** 2 - 4) * args.f",
+        "(p + (p - 1) ** 2 - 2) * args.f",
+        "the checksum bound one power of q too high",
+        "tests/test_cli.py",
+    ),
     # The characters.
     (
         "model",
@@ -111,6 +141,42 @@ MUTANTS = [
         "trivial if a == 0 else per_vbar[a]",
         "mass giving the trivial value to every (0, b) row",
         "tests/test_cli.py",
+    ),
+    # The flag parser, against argparse.
+    (
+        "cli",
+        "if d is ... and values[n] is None]:",
+        "if False]:",
+        "a required flag left out",
+        PARSER_CHECK,
+    ),
+    (
+        "cli",
+        "values[name] = int(value) if kinds[name] is int else value",
+        "values[name] = value",
+        "an int flag kept as text",
+        PARSER_CHECK,
+    ),
+    (
+        "cli",
+        "hits = [stem] if stem in names else [",
+        "hits = [",
+        "an exact name no longer winning over a longer one (tame --p)",
+        PARSER_CHECK,
+    ),
+    (
+        "cli",
+        '("f", int, 1, "residue degree")',
+        '("f", int, 2, "residue degree")',
+        "--f defaulting to 2",
+        PARSER_CHECK,
+    ),
+    (
+        "cli",
+        'return None if number or " " in token else (None, None)',
+        'return None if " " in token else (None, None)',
+        "a negative number taken for a flag, not a value",
+        PARSER_CHECK,
     ),
 ]
 
@@ -160,7 +226,8 @@ def run(entry=None) -> str | None:
             return _pytest(tree, ["tests"])
         module, old, new, _, check = entry
         _mutate(tree, module, old, new)
-        return _pytest(tree, [check]) or _pytest(tree, ["tests", f"--ignore={check}"])
+        rest = f"--deselect={check}" if "::" in check else f"--ignore={check}"
+        return _pytest(tree, [check]) or _pytest(tree, ["tests", rest])
 
 
 def main() -> int:
@@ -177,7 +244,8 @@ def main() -> int:
             survivors += killer is None
             verdict = "SURVIVED" if killer is None else "killed"
             by = "" if killer is None else f"  by {killer}" + (
-                "" if killer.startswith(entry[4] + "::") else f", not by {entry[4]}")
+                "" if killer == entry[4] or killer.startswith((entry[4] + "::", entry[4] + "["))
+                else f", not by {entry[4]}")
             print(f"{time.perf_counter() - began:5.1f}s  {verdict}  {entry[3]}{by}")
     except GateError as err:
         print(f"gate error: {err}", file=sys.stderr)

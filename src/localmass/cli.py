@@ -1,14 +1,6 @@
 """Command-line entry point for batch queries over field parameters.
 
-Subcommands::
-
-    structure      eigen-block layout of the filtered module
-    mass           per-character contributions and totals (or a filtered mass)
-    count          extensions and conjugacy classes per level
-    tame           degree-p' masses for a prime p' different from p
-    galois-verify  permutation-group verifications for one prime
-    oracle-check   brute-force line enumeration against the formulas
-    checksum       the closed-form total-mass identity at (p, q)
+Each subcommand and its flags are declared in ``_FLAGS``, which ``--help`` prints.
 
 Output is byte-deterministic for identical invocations: JSON is emitted with
 sorted keys and no timestamps, TSV with a fixed column order.  Only the asked
@@ -16,9 +8,9 @@ format is rendered, and it is written as it is produced.  Exit status is 0 on
 success, 1 on invalid parameters, and 2 if an internal exact identity fails
 (which would mean a bug, never bad user input); on 1 and 2 stdout stays empty.
 
-A query loads only what its subcommand runs.  This module holds the parser
-and ``main``, which imports the one module that holds the asked
-subcommand's handler: :mod:`localmass.cli_structure`,
+A query loads only what its subcommand runs.  This module holds the flag
+table, its parser and ``main``, which imports the one module that holds the
+asked subcommand's handler: :mod:`localmass.cli_structure`,
 :mod:`localmass.cli_count`, :mod:`localmass.cli_mass` (``mass``, ``tame``
 and ``checksum``) or :mod:`localmass.cli_verify` (``oracle-check`` and
 ``galois-verify``).  Each of them imports the field parsing, digit checks
@@ -34,10 +26,10 @@ is imported by the json renderers, and :mod:`heapq` by ``count``'s.
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import os
 import sys
+from types import SimpleNamespace
 
 from .model import MassInvariantError, MassOracleError
 
@@ -69,65 +61,109 @@ for _kernel in ("rationals", "mass", "oracle", "permgroup"):
     _import_on_first_use(f"{__package__}.{_kernel}")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; we reserve 2 for identity bugs."""
+#: Each subcommand's help line and flags, and the only place a flag is
+#: declared: ``(name, kind, default, help)``, its kind ``int``, ``str`` or the
+#: accepted values, and a default of ``...`` marking a required flag.
+_P, _F = ("p", int, ..., "residue characteristic (prime)"), ("f", int, 1, "residue degree")
+_FORMAT = ("format", ("json", "tsv", "text"), "text", "output format")
+_LEVEL = ("max-level", int, None, "truncation level (required when e=inf)")
+_FIELD = (
+    _P, _F, ("e", str, "inf", 'absolute ramification index, an integer or "inf"'),
+    ("omega-a", int, None, "uniformizer exponent of the cyclotomic class"),
+    ("omega-b", int, None, "unit exponent of the cyclotomic class"), _FORMAT,
+)
+_FLAGS = {
+    "structure": ("eigen-block layout of the filtered module", (*_FIELD, _LEVEL)),
+    "mass": ("per-character contributions and totals (or a filtered mass)", (*_FIELD, (
+        "filter", str, None, "a Galois-closure class: cyclic | unramified-closure | group-order=N"))),
+    "count": ("extensions and conjugacy classes per level", (
+        *_FIELD, _LEVEL, ("vbar", int, None, "only levels of this character valuation"))),
+    "tame": ("degree-p' masses for a prime p' different from p", (
+        _P, _F, _FORMAT, ("pprime", int, ..., "the tame prime p'"))),
+    "galois-verify": ("permutation-group verifications for one prime", (
+        ("p", int, ..., "prime degree, at most 7"), _FORMAT)),
+    "oracle-check": ("brute-force line enumeration against the formulas", (
+        *_FIELD, _LEVEL, ("vbar", int, None, "only character classes of this valuation"))),
+    "checksum": ("the closed-form total-mass identity at (p, q)", (_P, _F, _FORMAT)),
+}
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+
+def _usage(command) -> str:
+    return f"usage: localmass {command or '{' + ','.join(_FLAGS) + '}'} [--flag value ...]"
 
 
-def _add_field_flags(sub, with_e: bool = True) -> None:
-    sub.add_argument("--p", type=int, required=True, help="residue characteristic (prime)")
-    sub.add_argument("--f", type=int, default=1, help="residue degree (default 1)")
-    if with_e:
-        sub.add_argument(
-            "--e", default="inf", help='absolute ramification index, an integer or "inf"'
-        )
-        sub.add_argument("--omega-a", type=int, help="uniformizer exponent of the cyclotomic class")
-        sub.add_argument("--omega-b", type=int, help="unit exponent of the cyclotomic class")
-    sub.add_argument(
-        "--format", choices=("json", "tsv", "text"), default="text", help="output format"
-    )
+def _help(command=None):
+    """Print the subcommands, or one's flags, on stdout, and exit 0."""
+    about, rows = __doc__.split("\n")[0], [(name, text) for name, (text, _) in _FLAGS.items()]
+    if command is not None:
+        about, rows = _FLAGS[command][0], [
+            (f"--{name} {'|'.join(kind) if isinstance(kind, tuple) else name.upper()}",
+             text + ("; required" if d is ... else "" if d is None else f"; default {d}"))
+            for name, kind, d, text in _FLAGS[command][1]
+        ]
+    print(_usage(command), "", about, "", *(f"  {a:<26} {b}" for a, b in rows), sep="\n")
+    raise SystemExit(0)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="localmass", description=__doc__.split("\n")[0])
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _fail(command, message):
+    """Print the usage and ``error: message`` on stderr, and exit 1 (2 is kept
+    for failed identities)."""
+    print(_usage(command), f"error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(1)
 
-    s = subs.add_parser("structure", help="eigen-block layout of the filtered module")
-    _add_field_flags(s)
-    s.add_argument("--max-level", type=int, help="truncation level (required when e=inf)")
 
-    s = subs.add_parser("mass", help="per-character contributions and totals")
-    _add_field_flags(s)
-    s.add_argument(
-        "--filter",
-        help="restrict to a Galois-closure class: cyclic | unramified-closure | group-order=N",
-    )
+def _flag(token: str, names):
+    """None if argparse took ``token`` for a value, as it did a negative number
+    or a token with a space; else ``(name, the text after its "=" or None)``,
+    the name None if it is no flag of ``names`` nor a unique prefix of one."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token.startswith("-h"):  # argparse reads "-hX" as -h with the text X attached
+        return "help", token[2:] or None
+    if token[1] == "-" and token != "--":
+        stem, eq, value = token[2:].partition("=")
+        hits = [stem] if stem in names else [name for name in names if name.startswith(stem)]
+        if len(hits) > 1:
+            _fail(None, f"ambiguous option: {token} could match --{', --'.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    whole, dot, frac = token[1:].removesuffix("\n").partition(".")  # ^-\d+$|^-\d*\.\d+$
+    number = frac.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return None if number or " " in token else (None, None)
 
-    s = subs.add_parser("count", help="extensions and conjugacy classes per level")
-    _add_field_flags(s)
-    s.add_argument("--max-level", type=int, help="truncation level (required when e=inf)")
-    s.add_argument("--vbar", type=int, help="only levels of this character valuation")
 
-    s = subs.add_parser("tame", help="degree-p' masses for a prime p' != p")
-    _add_field_flags(s, with_e=False)
-    s.add_argument("--pprime", type=int, required=True, help="the tame prime p'")
-
-    s = subs.add_parser("galois-verify", help="permutation-group verifications")
-    s.add_argument("--p", type=int, required=True, help="prime degree, at most 7")
-    s.add_argument("--format", choices=("json", "tsv", "text"), default="text")
-
-    s = subs.add_parser("oracle-check", help="brute-force enumeration vs formulas")
-    _add_field_flags(s)
-    s.add_argument("--max-level", type=int, help="truncation level (required when e=inf)")
-    s.add_argument("--vbar", type=int, help="only character classes of this valuation")
-
-    s = subs.add_parser("checksum", help="closed-form total-mass identity at (p, q)")
-    _add_field_flags(s, with_e=False)
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """``argv`` as argparse read it: ``command`` and one attribute per flag of
+    it.  Bad flags print an ``error:`` line and raise ``SystemExit(1)``."""
+    command = argv[0] if argv else None
+    if command not in _FLAGS:
+        if argv and _flag(command, ["help"]) == ("help", None):
+            _help()
+        _fail(None, f"invalid subcommand {command!r}" if argv else "a subcommand is required")
+    flags = _FLAGS[command][1]
+    kinds = {name: kind for name, kind, _, _ in flags}
+    values = {name: None if default is ... else default for name, _, default, _ in flags}
+    tokens = list(argv[:0:-1])  # the rest, last first, so that pop() takes the next
+    while tokens:
+        token = tokens.pop()
+        name, value = _flag(token, [*kinds, "help"]) or (None, None)
+        if name == "help" and value is None:
+            _help(command)
+        if name not in kinds:
+            _fail(command, f"unrecognized argument: {token}")
+        if value is None:
+            if not tokens or _flag(tokens[-1], [*kinds, "help"]) is not None:
+                _fail(command, f"argument --{name}: expected one argument")
+            value = tokens.pop()
+        if isinstance(kinds[name], tuple) and value not in kinds[name]:
+            _fail(command, f"argument --{name}: invalid choice: {value!r}")
+        try:
+            values[name] = int(value) if kinds[name] is int else value
+        except ValueError:
+            _fail(command, f"argument --{name}: invalid int value: {value!r}")
+    if missing := [f"--{n}" for n, _, d, _ in flags if d is ... and values[n] is None]:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{k.replace("-", "_"): v for k, v in values.items()})
 
 
 #: The module that holds each subcommand's handler, imported for it alone.
@@ -148,7 +184,7 @@ def _handler(command: str):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         chunks = _handler(args.command)(args)
     except (MassInvariantError, MassOracleError, AssertionError) as exc:

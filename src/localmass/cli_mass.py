@@ -23,7 +23,7 @@ from .cli_common import (
     _text,
     _tsv,
 )
-from .model import INFINITE_E, LocalField, coords_marker, trivial_char, walk_plan
+from .model import INFINITE_E, LocalField, coords_marker, cyclotomic_valuation, trivial_char
 
 # A `mass` character as json.dumps(indent=2) renders it at depth 2.
 _CHAR_JSON = (
@@ -42,9 +42,12 @@ def _check_denominator(field: LocalField, counts: dict[int, int], trivial: bool)
     p*e - 1, where the sum can cancel: no bound."""
     if field.equal_char:
         return
-    p, top = field.p, (field.p - 1) * field.e
-    ends = (walk_plan(field, p * field.e, w)[1][-2:] for w in counts)
-    deepest = max((lv - lv // p for tail in ends for lv in tail if lv % p), default=0)
+    p, m, top, last = field.p, field.p - 1, (field.p - 1) * field.e, field.p * field.e - 1
+    # The p - 1 levels below p*e are prime to p, one of each valuation class
+    # w_omega - level mod p - 1: the deepest counted is the nearest to p*e.
+    shift = last - cyclotomic_valuation(field)
+    level = last - min(((shift + w) % m for w in counts), default=last)
+    deepest = level - level // p
     if trivial and deepest == top:
         return
     _check_digits(

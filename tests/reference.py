@@ -7,7 +7,9 @@ this module as ``reference``: ``tests/`` is not a package, so pytest puts it
 on the import path.
 """
 
+import argparse
 import math
+import sys
 from collections import namedtuple
 
 import localmass.cli as cli
@@ -97,3 +99,66 @@ def run_cli(capsys, *argv):
     code = cli.main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The command line's argparse parser, kept as the reference that
+# ``localmass.cli.parse_args`` must read every argv as.
+class _Parser(argparse.ArgumentParser):
+    """argparse exits with status 2 on bad flags; we reserve 2 for identity bugs."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _add_field_flags(sub, with_e: bool = True) -> None:
+    sub.add_argument("--p", type=int, required=True, help="residue characteristic (prime)")
+    sub.add_argument("--f", type=int, default=1, help="residue degree (default 1)")
+    if with_e:
+        sub.add_argument(
+            "--e", default="inf", help='absolute ramification index, an integer or "inf"'
+        )
+        sub.add_argument("--omega-a", type=int, help="uniformizer exponent of the cyclotomic class")
+        sub.add_argument("--omega-b", type=int, help="unit exponent of the cyclotomic class")
+    sub.add_argument(
+        "--format", choices=("json", "tsv", "text"), default="text", help="output format"
+    )
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="localmass", description=__doc__.split("\n")[0])
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    s = subs.add_parser("structure", help="eigen-block layout of the filtered module")
+    _add_field_flags(s)
+    s.add_argument("--max-level", type=int, help="truncation level (required when e=inf)")
+
+    s = subs.add_parser("mass", help="per-character contributions and totals")
+    _add_field_flags(s)
+    s.add_argument(
+        "--filter",
+        help="restrict to a Galois-closure class: cyclic | unramified-closure | group-order=N",
+    )
+
+    s = subs.add_parser("count", help="extensions and conjugacy classes per level")
+    _add_field_flags(s)
+    s.add_argument("--max-level", type=int, help="truncation level (required when e=inf)")
+    s.add_argument("--vbar", type=int, help="only levels of this character valuation")
+
+    s = subs.add_parser("tame", help="degree-p' masses for a prime p' != p")
+    _add_field_flags(s, with_e=False)
+    s.add_argument("--pprime", type=int, required=True, help="the tame prime p'")
+
+    s = subs.add_parser("galois-verify", help="permutation-group verifications")
+    s.add_argument("--p", type=int, required=True, help="prime degree, at most 7")
+    s.add_argument("--format", choices=("json", "tsv", "text"), default="text")
+
+    s = subs.add_parser("oracle-check", help="brute-force enumeration vs formulas")
+    _add_field_flags(s)
+    s.add_argument("--max-level", type=int, help="truncation level (required when e=inf)")
+    s.add_argument("--vbar", type=int, help="only character classes of this valuation")
+
+    s = subs.add_parser("checksum", help="closed-form total-mass identity at (p, q)")
+    _add_field_flags(s, with_e=False)
+    return parser

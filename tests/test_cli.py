@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import localmass.cli as cli
 import localmass.cli_count as cli_count
@@ -26,7 +27,9 @@ import localmass.permgroup as permgroup
 import localmass.rationals as rationals
 from localmass.model import INFINITE_E, PRIME_TEST_BOUND, LocalField, trivial_char
 from localmass.rationals import format_rational
+import reference
 from reference import run_cli
+from test_cli_output import workloads
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -847,12 +850,11 @@ def _bound_rejections(kernel, queries, owner=mass):
     def reached(*args):
         raise _KernelReached
 
-    parser = cli.build_parser()
     rejected = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(owner, kernel, reached)
         for key, argv in queries:
-            args = parser.parse_args(argv)
+            args = cli.parse_args(argv)
             try:
                 cli._handler(args.command)(args)
             except _KernelReached:
@@ -973,6 +975,21 @@ def test_filtered_mass_rejects_only_values_past_the_int_str_limit():
     assert 0 < len(rejected) < len(queries)
     assert {spec for _, spec in rejected} >= {"cyclic", "unramified-closure", "group-order=1"}
     assert any(field.omega == (0, 0) for field, _ in rejected)
+
+
+def test_filtered_mass_bound_counts_valuations_without_walk_plans(capsys, monkeypatch):
+    # group-order=500001 at p = 1000003 counts 500 001 valuations; one
+    # walk_plan each took 1.29 s before the query exited 1.
+    def reached(*args):
+        raise _KernelReached
+
+    monkeypatch.setattr(model, "walk_plan", reached)
+    monkeypatch.setattr(mass, "walk_plan", reached)
+    argv = ("--p", "1000003", "--e", "1", "--omega-a", "1", "--omega-b", "1")
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "mass", *argv, "--filter", "group-order=500001", "--format", "tsv")
+    assert code == 1 and out == ""
+    assert err == INT_STR_LIMIT_ERROR + ": a contribution's denominator has at least 6000008 digits\n"
 
 
 @pytest.mark.parametrize(
@@ -1250,3 +1267,111 @@ def test_galois_verify_at_7_builds_no_group_past_the_search_limit(capsys, monkey
     code, _, _ = run_cli(capsys, "galois-verify", "--p", "7")
     assert code == 0 and sizes
     assert max(sizes) <= permgroup.INDEX_SEARCH_LIMIT, max(sizes)
+
+
+# The flag parser against argparse: ``reference.build_parser`` is the parser
+# the cli used before it read its flag table itself.
+REFERENCE_PARSER = reference.build_parser()
+# Every flag name of the table, drawn with text values where a subcommand lacks it.
+ANY_FLAG = sorted({(name, str) for _, flags in cli._FLAGS.values() for name, *_ in flags})
+# Values and stray tokens: good, bad and negative ints, choices, and tokens
+# that argparse takes for a flag or, with a space or as a number, for a value.
+FLAG_VALUES = [
+    "3", "0", "17", " 5 ", "2_0", "-1", "-12", "-1.5", "-.5", "-5.", "x", "", "3.0", "1e3",
+    "json", "tsv", "text", "JSON", "inf", "cyclic", "group-order=2",
+    "-", "--", "-x", "-p", "--x y", "-x y", "--p=4", "--omega", "--=1", "-1\n",
+]
+# Values a flag of each kind accepts; a flag with choices draws from those.
+GOOD_VALUES = {int: ["3", "0", "-1", "-12", " 7 ", "2_0"], str: ["inf", "1", "cyclic", "", "-", "-5", "-x y"]}
+
+
+def _parsed(parse, argv):
+    """``vars(parse(argv))``, or 1 if it exits 1 with a usage and an
+    ``error:`` line on stderr and nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            assert exc.code == 1 and out.getvalue() == ""
+            assert "\nerror: " in err.getvalue()
+            return 1
+
+
+def _assert_parsed_as_argparse_does(argv):
+    assert _parsed(cli.parse_args, argv) == _parsed(REFERENCE_PARSER.parse_args, argv), argv
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, mostly a real one, and flag groups in any order: mostly
+    its own flags, by name or by a prefix, unique or ambiguous, with a value
+    of their kind as the next token or after "=", else with any value or
+    none; ``--p`` and ``--pprime`` may be dropped, and stray tokens may come
+    anywhere."""
+    if not draw(st.integers(0, 19)):
+        return []
+    command = draw(st.sampled_from([*cli._FLAGS] * 3 + ["mas", "x", "--", "-1"]))
+    own = [(name, kind) for name, kind, *_ in cli._FLAGS[command][1]] if command in cli._FLAGS else [("p", int)]
+
+    def group():
+        name, kind = draw(st.sampled_from(own if draw(st.integers(0, 9)) else ANY_FLAG))
+        flag = "--" + (name if draw(st.integers(0, 2)) else name[: draw(st.integers(1, len(name)))])
+        value = draw(st.sampled_from(GOOD_VALUES.get(kind, kind) if draw(st.integers(0, 4)) else FLAG_VALUES))
+        form = draw(st.integers(0, 19))
+        if form == 0:
+            return (flag,)
+        if form == 1:
+            return (value,)
+        # argparse reads "--flag=--" as an empty list; see the test below.
+        return (f"{flag}={value}",) if form < 11 and value != "--" else (flag, value)
+
+    required = [("--p", draw(st.sampled_from(["3", "5", "-3", "x"]))), ("--pprime", "2")]
+    groups = [g for g in required[: 1 + (command == "tame")] if draw(st.integers(0, 4))]
+    groups += [group() for _ in range(draw(st.integers(0, 3)))]
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(groups)))]
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None)
+@given(_argv())
+def test_parse_args_reads_argv_as_argparse_did(argv):
+    _assert_parsed_as_argparse_does(argv)
+
+
+def test_parse_args_reads_every_workload_query_as_argparse_did():
+    pool = workloads.every_query()
+    assert len(pool) == 1187
+    for query in pool:
+        _assert_parsed_as_argparse_does(query.argv)
+
+
+def test_a_double_dash_after_equals_is_the_flags_value(capsys):
+    # argparse took "--flag=--" for an empty list: --p=-- and --filter=--
+    # ended in a traceback, and --format=-- printed text.
+    assert run_cli(capsys, "mass", "--p", "3", "--filter=--") == (1, "", "error: unknown filter '--'\n")
+    for flags, message in [
+        (["--p=--"], "argument --p: invalid int value: '--'"),
+        (["--p", "3", "--format=--"], "argument --format: invalid choice: '--'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mass", *flags])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1 and out == ""
+        assert err.splitlines()[-1] == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", [None, *cli._FLAGS])
+@pytest.mark.parametrize("spelling", ["-h", "--help", "--he"])
+def test_help_lists_the_subcommands_or_one_subcommands_flags(capsys, command, spelling):
+    argv = [spelling] if command is None else [command, "--p", "3", spelling, "--no-such-flag"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    if command is None:
+        assert all(f"  {name} " in out and help_line in out for name, (help_line, _) in cli._FLAGS.items())
+        return
+    for name, _, default, help_line in cli._FLAGS[command][1]:
+        line = next(line for line in out.splitlines() if line.startswith(f"  --{name} "))
+        assert help_line in line
+        assert ("required" if default is ... else "" if default is None else f"default {default}") in line

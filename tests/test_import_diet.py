@@ -78,6 +78,24 @@ def test_star_import_binds_each_name_to_its_module_object():
     """)
 
 
+def test_no_query_loads_an_argument_parsing_library():
+    # argparse brought in gettext; getopt brings in gettext and locale too.
+    run_fresh("""
+        import contextlib, io, sys
+        import localmass.cli as cli
+        parsers = {"argparse", "optparse", "getopt", "gettext", "locale"}
+        assert parsers.isdisjoint(sys.modules), sorted(parsers & set(sys.modules))
+        for query in [
+            "structure --p 3 --e 2", "mass --p 3 --e 2", "count --p 3 --e 2",
+            "tame --p 3 --pprime 2", "galois-verify --p 3", "oracle-check --p 3 --e 1",
+            "checksum --p 3",
+        ]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([*query.split(), "--format", "tsv"]) == 0
+            assert parsers.isdisjoint(sys.modules), (query, sorted(parsers & set(sys.modules)))
+    """)
+
+
 #: For one query of each subcommand: the ``localmass`` modules it executes,
 #: and whether it imports ``fractions`` and ``json``.  Every query executes
 #: the cli, the helpers its handlers share, and the one module that holds
