@@ -17,9 +17,9 @@ from localmass import (
 
 def show(field, note):
     print(f"\n{note}  [p={field.p}, f={field.f}, e={'inf' if field.equal_char else field.e}, q={field.q}]")
-    for chi, value in per_character_contributions(field):
+    for coords, chi, value in per_character_contributions(field):
         label = chi.distinguished if chi.distinguished != "none" else ""
-        print(f"  character {chi.coords}  vbar={chi.valuation}  ->  {format_rational(value):>8}  {label}")
+        print(f"  character {coords}  vbar={chi.valuation}  ->  {format_rational(value):>8}  {label}")
     report = total_mass(field)
     print(f"  ramified total = {format_rational(report.total)}"
           f"   (with the unramified extension: {format_rational(report.grand_total)})")

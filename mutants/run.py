@@ -73,10 +73,17 @@ MUTANTS = [
     ),
     (
         "cli_mass",
-        "    if trivial and deepest == top:\n        return\n",
+        "    if trivial and counts.get(-shift % m) == m:\n        return\n",
         "",
         "the tie with the top line bounded",
         "tests/test_cli.py",
+    ),
+    (
+        "cli_mass",
+        "counts.get(-shift % m) == m",
+        "counts.get(-shift % m, 0) >= 1",
+        "the bound skipped on any tie with the top line, cancelling or not",
+        "tests/test_cli.py::test_filtered_mass_with_a_partial_tie_is_bounded",
     ),
     (
         "cli_mass",
@@ -113,6 +120,13 @@ MUTANTS = [
         "",
         "the cyclotomic class dropped from char_classes",
         "tests/test_properties.py",
+    ),
+    (
+        "model",
+        "    if omega_is_trivial(field):\n        raise ValueError(",
+        "    if False:\n        raise ValueError(",
+        "omega accepted where the cyclotomic class is trivial",
+        "tests/test_mass.py::test_omega_refused_where_the_cyclotomic_class_is_trivial",
     ),
     (
         "mass",

@@ -53,7 +53,6 @@ _HOME = {
             "MassOracleError",
             "char_classes",
             "char_is_omega",
-            "char_is_trivial",
             "count_rows",
             "cyclotomic_valuation",
             "enumerate_characters",

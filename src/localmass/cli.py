@@ -1,6 +1,7 @@
 """Command-line entry point for batch queries over field parameters.
 
-Each subcommand and its flags are declared in ``_FLAGS``, which ``--help`` prints.
+Each subcommand's handler module, help line and flags are declared in one
+table, ``_FLAGS``, which ``--help`` prints.
 
 Output is byte-deterministic for identical invocations: JSON is emitted with
 sorted keys and no timestamps, TSV with a fixed column order.  Only the asked
@@ -61,9 +62,10 @@ for _kernel in ("rationals", "mass", "oracle", "permgroup"):
     _import_on_first_use(f"{__package__}.{_kernel}")
 
 
-#: Each subcommand's help line and flags, and the only place a flag is
-#: declared: ``(name, kind, default, help)``, its kind ``int``, ``str`` or the
-#: accepted values, and a default of ``...`` marking a required flag.
+#: Each subcommand's handler module, imported for it alone, its help line and
+#: its flags, the only place a flag is declared: ``(name, kind, default,
+#: help)``, its kind ``int``, ``str`` or the accepted values, and a default of
+#: ``...`` marking a required flag.
 _P, _F = ("p", int, ..., "residue characteristic (prime)"), ("f", int, 1, "residue degree")
 _FORMAT = ("format", ("json", "tsv", "text"), "text", "output format")
 _LEVEL = ("max-level", int, None, "truncation level (required when e=inf)")
@@ -73,18 +75,18 @@ _FIELD = (
     ("omega-b", int, None, "unit exponent of the cyclotomic class"), _FORMAT,
 )
 _FLAGS = {
-    "structure": ("eigen-block layout of the filtered module", (*_FIELD, _LEVEL)),
-    "mass": ("per-character contributions and totals (or a filtered mass)", (*_FIELD, (
+    "structure": ("cli_structure", "eigen-block layout of the filtered module", (*_FIELD, _LEVEL)),
+    "mass": ("cli_mass", "per-character contributions and totals (or a filtered mass)", (*_FIELD, (
         "filter", str, None, "a Galois-closure class: cyclic | unramified-closure | group-order=N"))),
-    "count": ("extensions and conjugacy classes per level", (
+    "count": ("cli_count", "extensions and conjugacy classes per level", (
         *_FIELD, _LEVEL, ("vbar", int, None, "only levels of this character valuation"))),
-    "tame": ("degree-p' masses for a prime p' different from p", (
+    "tame": ("cli_mass", "degree-p' masses for a prime p' different from p", (
         _P, _F, _FORMAT, ("pprime", int, ..., "the tame prime p'"))),
-    "galois-verify": ("permutation-group verifications for one prime", (
+    "galois-verify": ("cli_verify", "permutation-group verifications for one prime", (
         ("p", int, ..., "prime degree, at most 7"), _FORMAT)),
-    "oracle-check": ("brute-force line enumeration against the formulas", (
+    "oracle-check": ("cli_verify", "brute-force line enumeration against the formulas", (
         *_FIELD, _LEVEL, ("vbar", int, None, "only character classes of this valuation"))),
-    "checksum": ("the closed-form total-mass identity at (p, q)", (_P, _F, _FORMAT)),
+    "checksum": ("cli_mass", "the closed-form total-mass identity at (p, q)", (_P, _F, _FORMAT)),
 }
 
 
@@ -94,12 +96,13 @@ def _usage(command) -> str:
 
 def _help(command=None):
     """Print the subcommands, or one's flags, on stdout, and exit 0."""
-    about, rows = __doc__.split("\n")[0], [(name, text) for name, (text, _) in _FLAGS.items()]
+    about, rows = __doc__.split("\n")[0], [(name, text) for name, (_, text, _) in _FLAGS.items()]
     if command is not None:
-        about, rows = _FLAGS[command][0], [
+        _, about, flags = _FLAGS[command]
+        rows = [
             (f"--{name} {'|'.join(kind) if isinstance(kind, tuple) else name.upper()}",
              text + ("; required" if d is ... else "" if d is None else f"; default {d}"))
-            for name, kind, d, text in _FLAGS[command][1]
+            for name, kind, d, text in flags
         ]
     print(_usage(command), "", about, "", *(f"  {a:<26} {b}" for a, b in rows), sep="\n")
     raise SystemExit(0)
@@ -140,7 +143,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         if argv and _flag(command, ["help"]) == ("help", None):
             _help()
         _fail(None, f"invalid subcommand {command!r}" if argv else "a subcommand is required")
-    flags = _FLAGS[command][1]
+    flags = _FLAGS[command][2]
     kinds = {name: kind for name, kind, _, _ in flags}
     values = {name: None if default is ... else default for name, _, default, _ in flags}
     tokens = list(argv[:0:-1])  # the rest, last first, so that pop() takes the next
@@ -166,21 +169,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     return SimpleNamespace(command=command, **{k.replace("-", "_"): v for k, v in values.items()})
 
 
-#: The module that holds each subcommand's handler, imported for it alone.
-_HANDLER_MODULES = {
-    "structure": "cli_structure",
-    "count": "cli_count",
-    "mass": "cli_mass",
-    "tame": "cli_mass",
-    "checksum": "cli_mass",
-    "oracle-check": "cli_verify",
-    "galois-verify": "cli_verify",
-}
-
-
 def _handler(command: str):
     """The handler of ``command``: it returns the asked format's renderer."""
-    return importlib.import_module(f"{__package__}.{_HANDLER_MODULES[command]}").HANDLERS[command]
+    return importlib.import_module(f"{__package__}.{_FLAGS[command][0]}").HANDLERS[command]
 
 
 def main(argv=None) -> int:

@@ -38,18 +38,20 @@ def _check_denominator(field: LocalField, counts: dict[int, int], trivial: bool)
     decimal string holds.  A block at level l adds p(q-1)/(p-1) q**-T, its
     depth T = l - l//p growing with l, so one valuation, of fewer than p
     characters, has the deepest, and the denominator holds exactly
-    p**(f*T - 1).  The top line p q**-((p-1)e) is deeper, but ties with level
-    p*e - 1, where the sum can cancel: no bound."""
+    p**(f*T - 1).  The top line p q**-((p-1)e) is deeper, and ties with level
+    p*e - 1: with n characters of its valuation the q**-((p-1)e) term is
+    p(n(q-1) + p-1)/(p-1), whose numerator is -(n+1) mod p, so the sum
+    cancels there, and is not bounded, only at n = p - 1."""
     if field.equal_char:
         return
     p, m, top, last = field.p, field.p - 1, (field.p - 1) * field.e, field.p * field.e - 1
     # The p - 1 levels below p*e are prime to p, one of each valuation class
     # w_omega - level mod p - 1: the deepest counted is the nearest to p*e.
     shift = last - cyclotomic_valuation(field)
+    if trivial and counts.get(-shift % m) == m:
+        return
     level = last - min(((shift + w) % m for w in counts), default=last)
     deepest = level - level // p
-    if trivial and deepest == top:
-        return
     _check_digits(
         (field.f * (top if trivial else deepest) - 1) * math.log10(p),
         "a contribution's denominator has at least {} digits",

@@ -52,11 +52,11 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .model import (
+    TRIVIAL,
     CharClass,
     LevelCount,
     LocalField,
     MassInvariantError,
-    char_is_trivial,
     count_rows,
     cyclotomic_valuation,
     enumerate_characters,
@@ -91,8 +91,9 @@ class MassReport(namedtuple("MassReport", "field per_vbar tres_extra total")):
     def contribution(self, chi: CharClass) -> Fraction:
         """Contribution of the character class ``chi``: its valuation's
         value, plus the top-level mass if it is trivial."""
+        validate_char(self.field, chi)
         value = self.per_vbar[chi.valuation % (self.field.p - 1)]
-        return value + self.tres_extra if char_is_trivial(self.field, chi) else value
+        return value + self.tres_extra if chi.distinguished == TRIVIAL else value
 
 
 class TameReport(
@@ -134,7 +135,7 @@ def char_contribution(field: LocalField, chi: CharClass) -> Fraction:
     ``1 / (1 - q**-(p-1)**2)``.
     """
     validate_char(field, chi)
-    return _characters_mass(field, {chi.valuation % (field.p - 1): 1}, char_is_trivial(field, chi))
+    return _characters_mass(field, {chi.valuation % (field.p - 1): 1}, chi.distinguished == TRIVIAL)
 
 
 def char_contribution_closed(field: LocalField, chi: CharClass) -> Fraction:
@@ -165,7 +166,7 @@ def char_contribution_closed(field: LocalField, chi: CharClass) -> Fraction:
             n_full, rem = divmod(field.e - a - 1, m)
             s += lead * (block * geom_finite(big, n_full) + rat_pow(big, n_full) * geom_finite(x, rem + 1))
     total = scale * s
-    if not field.equal_char and char_is_trivial(field, chi):
+    if not field.equal_char and chi.distinguished == TRIVIAL:
         total += tres_term(field)
     return total
 
@@ -182,7 +183,7 @@ def char_contribution_truncated(
     closed form's geometric series.
     """
     validate_char(field, chi)
-    trivial = char_is_trivial(field, chi)
+    trivial = chi.distinguished == TRIVIAL
     return _characters_mass(field, {chi.valuation % (field.p - 1): 1}, trivial, max_level)
 
 
@@ -224,11 +225,13 @@ def _over_power_of(q: int, terms) -> tuple[int, int]:
     return num, top
 
 
-def per_character_contributions(field: LocalField) -> list[tuple[CharClass, Fraction]]:
-    """Contribution of each of the (p-1)^2 characters, in coordinate order,
-    expanded from the one :func:`total_mass` report."""
+def per_character_contributions(
+    field: LocalField,
+) -> list[tuple[tuple[int, int], CharClass, Fraction]]:
+    """``((a, b), class, contribution)`` for each of the (p-1)^2 characters,
+    in coordinate order, expanded from the one :func:`total_mass` report."""
     report = total_mass(field)
-    return [(chi, report.contribution(chi)) for chi in enumerate_characters(field)]
+    return [(ab, chi, report.contribution(chi)) for ab, chi in enumerate_characters(field)]
 
 
 def _characters_mass(

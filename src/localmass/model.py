@@ -22,11 +22,13 @@ level, in integers alone, so that command never loads the ``Fraction``
 kernel of :mod:`localmass.mass`.
 
 Characters are reduced to the data the formulas consume: a valuation class
-mod ``p - 1``, optional full coordinates in the basis (uniformizer class,
-residue-unit generator class), and a distinguished marker for the trivial
-character and for the mod-p cyclotomic character.  The cyclotomic class is a
-fact about the field, so :class:`LocalField` carries its coordinates, and
-whether it is the trivial class is :func:`omega_is_trivial` of the field.
+mod ``p - 1`` and a distinguished marker for the trivial character and for
+the mod-p cyclotomic character, each class spelled one way.  Coordinates in
+the basis (uniformizer class, residue-unit generator class) are a census
+matter: :func:`coords_marker` marks a pair and :func:`enumerate_characters`
+lists the pairs.  The cyclotomic class is a fact about the field, so
+:class:`LocalField` carries its coordinates, and whether it is the trivial
+class is :func:`omega_is_trivial` of the field.
 
 :class:`LocalField` checks the parameters, so no computation that takes a
 field re-checks them.  The records are plain values; :mod:`localmass.cli`
@@ -141,42 +143,35 @@ class LocalField(namedtuple("LocalField", "p f e omega")):
         return self.e == INFINITE_E
 
 
-class CharClass(namedtuple("CharClass", "valuation distinguished coords")):
-    """A character class: valuation mod p-1, optional coordinates, marker.
-
-    ``coords = (a, b)`` are exponents in the basis (uniformizer class,
-    residue-unit generator class), so ``a`` is the valuation.
-    """
+class CharClass(namedtuple("CharClass", "valuation distinguished")):
+    """A character class: valuation mod p-1 and marker.  The trivial class
+    has valuation 0; which class is cyclotomic is the field's to say
+    (:func:`validate_char`)."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, valuation: int, distinguished: str = GENERIC, coords: tuple[int, int] | None = None
-    ):
+    def __new__(cls, valuation: int, distinguished: str = GENERIC):
         if distinguished not in (GENERIC, TRIVIAL, OMEGA):
             raise ValueError(f"unknown marker {distinguished!r}")
-        if distinguished == TRIVIAL:
-            if valuation != 0 or coords not in (None, (0, 0)):
-                raise ValueError("trivial character must have valuation 0 and coords (0, 0)")
-        if coords is not None and coords[0] != valuation:
-            raise ValueError("first coordinate must equal the valuation")
-        return super().__new__(cls, valuation, distinguished, coords)
+        if distinguished == TRIVIAL and valuation != 0:
+            raise ValueError("trivial character must have valuation 0")
+        return super().__new__(cls, valuation, distinguished)
 
 
 def trivial_char() -> CharClass:
-    return CharClass(0, TRIVIAL, (0, 0))
+    return CharClass(0, TRIVIAL)
 
 
-def generic_char(valuation: int, coords: tuple[int, int] | None = None) -> CharClass:
-    return CharClass(valuation, GENERIC, coords)
+def generic_char(valuation: int) -> CharClass:
+    return CharClass(valuation, GENERIC)
 
 
 def omega_char(field: LocalField) -> CharClass:
-    """The cyclotomic character class of ``field``, with its coordinates when
-    the field carries them (the trivial character when it is trivial)."""
+    """The cyclotomic character class of ``field`` (the trivial character
+    when it is trivial)."""
     if omega_is_trivial(field):
         return trivial_char()
-    return CharClass(cyclotomic_valuation(field), OMEGA, field.omega)
+    return CharClass(cyclotomic_valuation(field), OMEGA)
 
 
 def omega_is_trivial(field: LocalField) -> bool:
@@ -196,12 +191,6 @@ def char_is_omega(field: LocalField, chi: CharClass) -> bool:
     return omega_is_trivial(field) and chi.distinguished == TRIVIAL
 
 
-def char_is_trivial(field: LocalField, chi: CharClass) -> bool:
-    if chi.distinguished == TRIVIAL:
-        return True
-    return omega_is_trivial(field) and chi.distinguished == OMEGA
-
-
 def coords_marker(field: LocalField, a: int, b: int) -> str:
     """The marker of the character ``(a, b)``, coordinates in [0, p-1), by the
     one census: (0, 0) is trivial, the cyclotomic coordinates the field carries
@@ -212,18 +201,15 @@ def coords_marker(field: LocalField, a: int, b: int) -> str:
 
 
 def validate_char(field: LocalField, chi: CharClass) -> None:
-    """Check the field-dependent character invariants.  Coordinates force the
-    marker :func:`coords_marker` gives them; where the cyclotomic class is
-    trivial, (0, 0) may also be marked omega."""
-    if chi.distinguished == OMEGA and chi.valuation % (field.p - 1) != cyclotomic_valuation(field):
+    """Check the field-dependent character invariant: only a nontrivial
+    cyclotomic class, of valuation e mod p-1, is marked omega.  Where the
+    cyclotomic class is trivial it is spelled trivial."""
+    if chi.distinguished != OMEGA:
+        return
+    if omega_is_trivial(field):
+        raise ValueError("cyclotomic character is trivial for this field: mark it 'trivial'")
+    if chi.valuation % (field.p - 1) != cyclotomic_valuation(field):
         raise ValueError("cyclotomic character must have valuation e mod p-1")
-    if chi.coords is not None:
-        needed = coords_marker(field, *(c % (field.p - 1) for c in chi.coords))
-        if chi.distinguished != needed and not (needed == TRIVIAL and char_is_trivial(field, chi)):
-            raise ValueError(
-                f"character with coordinates {chi.coords} must be marked {needed!r},"
-                f" not {chi.distinguished!r}"
-            )
 
 
 def cyclotomic_valuation(field: LocalField) -> int:
@@ -247,7 +233,7 @@ def stratum_slot(field: LocalField, chi: CharClass, i: int) -> int:
 
 
 def enumerate_characters(field: LocalField):
-    """Yield all (p-1)^2 character classes as coordinate pairs, in (a, b) order.
+    """Yield all (p-1)^2 characters as ``((a, b), class)`` pairs, in (a, b) order.
 
     The valuation of ``(a, b)`` is ``a``, so each valuation class carries
     exactly p-1 characters, each marked by :func:`coords_marker`.  It is the
@@ -258,7 +244,7 @@ def enumerate_characters(field: LocalField):
     m = field.p - 1
     for a in range(m):
         for b in range(m):
-            yield CharClass(a, coords_marker(field, a, b), (a, b))
+            yield (a, b), CharClass(a, coords_marker(field, a, b))
 
 
 def char_classes(field: LocalField, vbar: int | None = None):

@@ -33,11 +33,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .model import (
+    TRIVIAL,
     CharClass,
     LocalField,
     MassOracleError,
     char_is_omega,
-    char_is_trivial,
     cyclotomic_valuation,
     validate_char,
 )
@@ -78,7 +78,7 @@ def eigenspace_blocks(field: LocalField, chi: CharClass, max_level: int):
     for d in range(1, below + 1):
         if d % p and d % m == residue % m:
             yield OracleBlock(d, field.f)
-    if not field.equal_char and char_is_trivial(field, chi) and p * field.e <= max_level:
+    if not field.equal_char and chi.distinguished == TRIVIAL and p * field.e <= max_level:
         yield OracleBlock(p * field.e, 1)
 
 

@@ -61,7 +61,7 @@ def test_criterion_01_equal_char_p3_contributions():
 
 def test_criterion_02_q3_per_character_contributions():
     field = LocalField(3, 1, 1)
-    values = [v for _, v in per_character_contributions(field)]
+    values = [v for _, _, v in per_character_contributions(field)]
     assert values == [Fraction(4, 3), Fraction(1), Fraction(1, 3), Fraction(1, 3)]
     assert total_mass(field).total == 3
     _ok(2, "p=3, f=1, e=1: 4/3, 1, 1/3, 1/3 in class order, total 3")

@@ -420,6 +420,25 @@ def test_oracle_check_at_a_seven_digit_prime_rejects_after_one_class(capsys):
     assert err == "error: oracle scale exceeded: vectors >= 1000003**2 > VECTOR_LIMIT = 10000000\n"
 
 
+def test_oracle_check_refuses_a_scan_it_cannot_finish(capsys, monkeypatch):
+    # At p = 100000007 the one class of valuation 1 has its first block at
+    # level 100000005: the congruence scan took 10.05 s to get there, only
+    # for that block's p vectors to pass the cap.  The scan is refused
+    # before any class is built.
+    def reached(*args):
+        raise _KernelReached
+
+    monkeypatch.setattr(oracle, "eigenspace_blocks", reached)
+    argv = ("--p", "100000007", "--e", "inf", "--max-level", "1000000000", "--vbar", "1")
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "oracle-check", *argv, "--format", "tsv")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: oracle scale exceeded: a scan of 1000000000 levels > VECTOR_LIMIT = 10000000"
+        " for blocks of 100000007**1 vectors\n"
+    )
+
+
 def test_oracle_check_of_one_valuation_at_a_seven_digit_prime_is_quick(capsys):
     # The classes of the asked valuation alone are built, and only the
     # trivial class's sum computes the top-level mass: scanning the 10**6
@@ -943,6 +962,18 @@ def test_filtered_mass_whose_deepest_block_ties_with_the_top_line_is_not_bounded
     assert out == "filter\tcontribution\ncyclic\t2\n"
 
 
+def test_filtered_mass_with_a_partial_tie_is_bounded(capsys):
+    # group-order=p-1 keeps the trivial character and some, not all, of the
+    # characters of level p*e - 1's valuation: the top line's term does not
+    # cancel, so the bound holds.  Skipped on any tie, this ran 12.55 s and
+    # then failed on the int-to-str limit.
+    argv = ("--p", "10007", "--e", "1", "--omega-a", "1", "--omega-b", "1")
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "mass", *argv, "--filter", "group-order=10006", "--format", "tsv")
+    assert code == 1 and out == ""
+    assert err == INT_STR_LIMIT_ERROR + ": a contribution's denominator has at least 40024 digits\n"
+
+
 def test_filtered_mass_rejects_only_values_past_the_int_str_limit():
     # Each rejection is a real overflow: the filtered mass, computed and
     # converted with the limit lifted, has a denominator of at least the
@@ -1273,7 +1304,7 @@ def test_galois_verify_at_7_builds_no_group_past_the_search_limit(capsys, monkey
 # the cli used before it read its flag table itself.
 REFERENCE_PARSER = reference.build_parser()
 # Every flag name of the table, drawn with text values where a subcommand lacks it.
-ANY_FLAG = sorted({(name, str) for _, flags in cli._FLAGS.values() for name, *_ in flags})
+ANY_FLAG = sorted({(name, str) for *_, flags in cli._FLAGS.values() for name, *_ in flags})
 # Values and stray tokens: good, bad and negative ints, choices, and tokens
 # that argparse takes for a flag or, with a space or as a number, for a value.
 FLAG_VALUES = [
@@ -1312,7 +1343,7 @@ def _argv(draw):
     if not draw(st.integers(0, 19)):
         return []
     command = draw(st.sampled_from([*cli._FLAGS] * 3 + ["mas", "x", "--", "-1"]))
-    own = [(name, kind) for name, kind, *_ in cli._FLAGS[command][1]] if command in cli._FLAGS else [("p", int)]
+    own = [(name, kind) for name, kind, *_ in cli._FLAGS[command][2]] if command in cli._FLAGS else [("p", int)]
 
     def group():
         name, kind = draw(st.sampled_from(own if draw(st.integers(0, 9)) else ANY_FLAG))
@@ -1369,9 +1400,9 @@ def test_help_lists_the_subcommands_or_one_subcommands_flags(capsys, command, sp
     out, err = capsys.readouterr()
     assert exc.value.code == 0 and err == ""
     if command is None:
-        assert all(f"  {name} " in out and help_line in out for name, (help_line, _) in cli._FLAGS.items())
+        assert all(f"  {name} " in out and help_line in out for name, (_, help_line, _) in cli._FLAGS.items())
         return
-    for name, _, default, help_line in cli._FLAGS[command][1]:
+    for name, _, default, help_line in cli._FLAGS[command][2]:
         line = next(line for line in out.splitlines() if line.startswith(f"  --{name} "))
         assert help_line in line
         assert ("required" if default is ... else "" if default is None else f"default {default}") in line

@@ -125,9 +125,9 @@ def _old_mass_json(field):
         "grand_total": format_rational(report.total + 1),
     }
     obj["per_character"] = [
-        {"a": chi.coords[0], "b": chi.coords[1], "vbar": chi.valuation,
+        {"a": a, "b": b, "vbar": chi.valuation,
          "distinguished": chi.distinguished, "contribution": format_rational(value)}
-        for chi, value in per_character_contributions(field)
+        for (a, b), chi, value in per_character_contributions(field)
     ]
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -202,7 +202,7 @@ def test_only_the_requested_renderer_runs(capsys, monkeypatch, fmt):
         return wrapped
 
     # Each handler module binds the renderers it calls.
-    for module in sorted(set(cli._HANDLER_MODULES.values())):
+    for module in sorted({module for module, *_ in cli._FLAGS.values()}):
         handlers = importlib.import_module(f"localmass.{module}")
         for name in set().union(*RENDERERS.values()) & set(vars(handlers)):
             monkeypatch.setattr(handlers, name, spy(name, getattr(handlers, name)))

@@ -158,7 +158,7 @@ def test_cli_import_executes_no_handler_module():
             if name.startswith("localmass.") and type(module) is types.ModuleType
         )
         assert executed == ["localmass.cli", "localmass.model"], executed
-        handlers = {f"localmass.{m}" for m in cli._HANDLER_MODULES.values()} | {"localmass.cli_common"}
+        handlers = {f"localmass.{m}" for m, *_ in cli._FLAGS.values()} | {"localmass.cli_common"}
         assert handlers.isdisjoint(sys.modules), sorted(handlers & set(sys.modules))
     """)
 

@@ -66,7 +66,7 @@ def test_equal_char_p5_contribution_polynomials(f):
 
 
 def test_q3_per_character_values():
-    values = [v for _, v in per_character_contributions(Q3)]
+    values = [v for _, _, v in per_character_contributions(Q3)]
     assert values == [Fraction(4, 3), Fraction(1), Fraction(1, 3), Fraction(1, 3)]
     assert sum(values) == 3
     # The cyclotomic class of Q_3 has valuation 1; its contribution is 1/3.
@@ -111,7 +111,7 @@ def test_two_path_equality_grid(p, f, e):
 
 def test_per_character_sum_is_total():
     for field in (Q3, F3_SERIES, LocalField(5, 1, 2), LocalField(7, 2, INFINITE_E)):
-        assert sum(v for _, v in per_character_contributions(field)) == field.p
+        assert sum(v for _, _, v in per_character_contributions(field)) == field.p
 
 
 def test_peu_tres_split():
@@ -359,23 +359,47 @@ def test_mass_report_values():
 
 
 def test_coordinates_force_the_marker():
-    # (0, 0) is the trivial character, whose contribution over Q_3 is 4/3;
-    # marked "none" it used to get the generic value 1, from the oracle too.
-    message = "character with coordinates (0, 0) must be marked 'trivial', not 'none'"
+    # The census marks each pair, and a class is valued by its valuation and
+    # marker alone: (0, 0) is the trivial character, whose contribution over
+    # Q_3 is 4/3, and (0, 1) is generic, at 1.
+    rows = {ab: (chi, value) for ab, chi, value in per_character_contributions(Q3)}
+    assert rows[(0, 0)] == (trivial_char(), Fraction(4, 3))
+    assert rows[(0, 1)] == (generic_char(0), Fraction(1))
+    q3_omega = LocalField(3, 1, 1, (1, 1))
+    rows = {ab: (chi, value) for ab, chi, value in per_character_contributions(q3_omega)}
+    assert rows[(1, 1)] == (omega_char(q3_omega), Fraction(1, 3))
+    assert rows[(1, 0)][0] == generic_char(1)
+    # Omega marks only a cyclotomic class of valuation e mod p-1.
+    message = "cyclotomic character must have valuation e mod p-1"
     for call in (char_contribution, char_contribution_closed):
         with pytest.raises(ValueError) as exc:
-            call(Q3, generic_char(0, (0, 0)))
+            call(Q3, CharClass(0, OMEGA))
         assert str(exc.value) == message
     with pytest.raises(ValueError, match=re.escape(message)):
-        oracle_mass(Q3, generic_char(0, (0, 0)), 3)
-    q3_omega = LocalField(3, 1, 1, (1, 1))
-    with pytest.raises(ValueError, match=r"\(1, 1\) must be marked 'omega', not 'none'"):
-        char_contribution(q3_omega, generic_char(1, (1, 1)))
-    with pytest.raises(ValueError, match=r"\(1, 0\) must be marked 'none', not 'omega'"):
-        char_contribution(q3_omega, CharClass(1, OMEGA, (1, 0)))
-    # Where the cyclotomic class is trivial, (0, 0) may carry either marker.
-    assert char_contribution(F3_SERIES, CharClass(0, OMEGA, (0, 0))) == Fraction(9, 20)
-    assert char_contribution(Q3, trivial_char()) == Fraction(4, 3)
+        oracle_mass(Q3, CharClass(0, OMEGA), 3)
+    # Where the cyclotomic class is trivial, it is spelled trivial.
+    assert omega_char(F3_SERIES) == trivial_char()
+    assert char_contribution(F3_SERIES, trivial_char()) == Fraction(9, 20)
+
+
+def test_omega_refused_where_the_cyclotomic_class_is_trivial():
+    # One spelling per class: where the field holds the p-th roots of unity,
+    # or in equal characteristic, the cyclotomic class is the trivial one,
+    # and CharClass(0, OMEGA) is refused by every path that values a class.
+    message = "cyclotomic character is trivial for this field"
+    for field in (F3_SERIES, LocalField(3, 1, 2, (0, 0)), LocalField(2, 1, 3)):
+        report = total_mass(field)
+        calls = [
+            lambda chi: char_contribution(field, chi),
+            lambda chi: char_contribution_closed(field, chi),
+            lambda chi: char_contribution_truncated(field, chi, 6),
+            report.contribution,
+            lambda chi: oracle_mass(field, chi, 6),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(CharClass(0, OMEGA))
+            assert call(trivial_char()) == call(omega_char(field))
 
 
 def test_invariant_error_is_detectable():

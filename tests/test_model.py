@@ -88,12 +88,16 @@ def test_roots_of_unity_field():
 
 
 def test_char_class_validation():
-    with pytest.raises(ValueError):
+    # A class is its valuation and its marker; which class is cyclotomic is
+    # the field's to say, so the constructor checks only the marker and the
+    # trivial class's valuation.
+    with pytest.raises(ValueError, match="valuation 0"):
         CharClass(1, TRIVIAL)
-    with pytest.raises(ValueError):
-        CharClass(1, coords=(2, 0))
-    assert trivial_char().coords == (0, 0)
-    assert generic_char(2, (2, 1)).valuation == 2
+    with pytest.raises(ValueError, match="unknown marker"):
+        CharClass(1, "cyclotomic")
+    assert CharClass._fields == ("valuation", "distinguished")
+    assert trivial_char() == CharClass(0, TRIVIAL)
+    assert generic_char(2) == CharClass(2) == (2, GENERIC)
 
 
 def test_omega_identification():
@@ -233,16 +237,17 @@ def test_truncation_bound():
 
 
 def test_enumerate_characters():
-    chars = list(enumerate_characters(Q3))
-    assert len(chars) == 4
-    assert [c.coords for c in chars] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert chars[0].distinguished == TRIVIAL
+    pairs = list(enumerate_characters(Q3))
+    assert [ab for ab, _ in pairs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(chi.valuation == a for (a, _), chi in pairs)
+    chars = [chi for _, chi in pairs]
+    assert chars[0] == trivial_char()
     for w in (0, 1):
         assert sum(1 for c in chars if c.valuation == w) == 2
     assert len(list(enumerate_characters(LocalField(5, 1, 1)))) == 16
     # Order-2 classes at p = 3 in equal characteristic: the three nontrivial ones.
-    order2 = [c for c in enumerate_characters(F3_SERIES) if c.coords != (0, 0)]
-    assert [c.coords for c in order2] == [(0, 1), (1, 0), (1, 1)]
+    order2 = [ab for ab, _ in enumerate_characters(F3_SERIES) if ab != (0, 0)]
+    assert order2 == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_coords_marker_census():
@@ -258,8 +263,10 @@ def test_coords_marker_census():
 
 
 def test_enumerate_characters_omega_coords():
-    chars = enumerate_characters(LocalField(3, 1, 1, (1, 1)))
-    assert [c.distinguished for c in chars] == ["trivial", "none", "none", "omega"]
+    field = LocalField(3, 1, 1, (1, 1))
+    chars = dict(enumerate_characters(field))
+    assert [c.distinguished for c in chars.values()] == ["trivial", "none", "none", "omega"]
+    assert chars[(1, 1)] == omega_char(field)
     with pytest.raises(ValueError):
         LocalField(3, 1, 1, (0, 1))  # wrong valuation
     with pytest.raises(ValueError):

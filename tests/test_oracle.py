@@ -17,10 +17,10 @@ from localmass.mass import (
 )
 from localmass.model import (
     INFINITE_E,
+    TRIVIAL,
     LocalField,
     char_classes,
     char_is_omega,
-    char_is_trivial,
     cyclotomic_valuation,
     enumerate_characters,
     generic_char,
@@ -64,7 +64,7 @@ def test_blocks_agree_with_layout():
                     if char_is_omega(field, chi):
                         expected.append((0, 1))
                 elif not field.equal_char and b.level == field.p * field.e:
-                    if char_is_trivial(field, chi):
+                    if chi.distinguished == TRIVIAL:
                         expected.append((b.level, 1))
                 elif b.valuation == chi.valuation % (field.p - 1):
                     expected.append((b.level, field.f))
@@ -246,7 +246,7 @@ def test_count_table_matches_enumerated_lines(field, bound):
     # and p conjugate extensions otherwise.
     bound = field.p * field.e if bound is None else bound
     lines, extensions = {}, {}
-    for chi in enumerate_characters(field):
+    for _, chi in enumerate_characters(field):
         mult = 1 if char_is_omega(field, chi) else field.p
         for level, n in enumerate_lines(field, chi, bound).items():
             lines[level] = lines.get(level, 0) + n

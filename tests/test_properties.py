@@ -34,9 +34,9 @@ from localmass.model import (
     LocalField,
     char_classes,
     char_is_omega,
-    char_is_trivial,
     cyclotomic_valuation,
     enumerate_characters,
+    generic_char,
     level_walk,
     omega_is_trivial,
     stratum_slot,
@@ -71,8 +71,27 @@ SETTINGS = settings(max_examples=50, deadline=None)
 @given(cases())
 def test_per_character_contributions_match_direct(case):
     field, _ = case
-    expected = [(chi, char_contribution(field, chi)) for chi in enumerate_characters(field)]
+    expected = [(ab, chi, char_contribution(field, chi)) for ab, chi in enumerate_characters(field)]
     assert per_character_contributions(field) == expected
+
+
+@SETTINGS
+@given(cases())
+@example((LocalField(2, 1, 3), None))
+@example((LocalField(3, 1, 2, (0, 1)), None))
+@example((LocalField(3, 1, 2, (0, 0)), None))
+def test_char_classes_are_the_census_classes(case):
+    # The (valuation, marker) classes of the (p-1)**2 coordinate pairs are
+    # the classes char_classes yields, each once, but for a phantom: it
+    # yields a generic class of valuation 0 where no pair is generic there,
+    # at p = 2, whose one character is trivial, and at p = 3 where the
+    # cyclotomic pair is (0, 1), as over LocalField(3, 1, 2, (0, 1)).
+    field, _ = case
+    classes = list(char_classes(field))
+    assert len(set(classes)) == len(classes)
+    phantom = field.p == 2 or (field.p == 3 and field.omega == (0, 1))
+    expected = set(classes) - ({generic_char(0)} if phantom else set())
+    assert {chi for _, chi in enumerate_characters(field)} == expected
 
 
 @SETTINGS
@@ -226,10 +245,10 @@ def listed_xi_filter_mass(field, keep):
     m = field.p - 1
     kept = [
         chi
-        for chi in enumerate_characters(field)
-        if keep(((om[0] - chi.coords[0]) % m, (om[1] - chi.coords[1]) % m))
+        for (a, b), chi in enumerate_characters(field)
+        if keep(((om[0] - a) % m, (om[1] - b) % m))
     ]
-    trivial = any(char_is_trivial(field, chi) for chi in kept)
+    trivial = any(chi.distinguished == TRIVIAL for chi in kept)
     return _characters_mass(field, Counter(chi.valuation for chi in kept), trivial)
 
 
@@ -250,7 +269,7 @@ def test_counted_filters_match_the_listing(case):
         listed = listed_xi_filter_mass(field, lambda xi: order(xi) == n)
         assert galois_closure_contribution(field, f"group-order={n}") == listed, n
     w0 = cyclotomic_valuation(field)
-    chars = [chi for chi in enumerate_characters(field) if chi.valuation == w0]
+    chars = [chi for _, chi in enumerate_characters(field) if chi.valuation == w0]
     listed = sum((char_contribution(field, chi) for chi in chars), Fraction(0))
     assert galois_closure_contribution(field, "unramified-closure") == listed
 
@@ -275,8 +294,8 @@ def test_filter_census_counts_the_listed_characters(case):
     for spec, keep in keeps.items():
         kept = [
             chi.valuation
-            for chi in enumerate_characters(field)
-            if keep(((om[0] - chi.coords[0]) % m, (om[1] - chi.coords[1]) % m))
+            for (a, b), chi in enumerate_characters(field)
+            if keep(((om[0] - a) % m, (om[1] - b) % m))
         ]
         assert filter_census(field, spec) == (dict(Counter(kept)), keep(om)), spec
     # Without its coordinates only omega's valuation is known: the filters on
@@ -285,7 +304,7 @@ def test_filter_census_counts_the_listed_characters(case):
     if bare.omega is None:
         w0 = cyclotomic_valuation(bare)
         assert filter_census(bare, "cyclic") == ({w0: 1}, False)
-        kept = [chi.valuation for chi in enumerate_characters(bare) if chi.valuation == w0]
+        kept = [chi.valuation for _, chi in enumerate_characters(bare) if chi.valuation == w0]
         assert filter_census(bare, "unramified-closure") == (dict(Counter(kept)), w0 == 0)
         for n in divisors:
             with pytest.raises(ValueError, match="omega class required"):
@@ -355,8 +374,8 @@ def test_subfield_slices_match_per_character_sums(case, gens):
     expected = sum(
         (
             char_contribution(field, chi)
-            for chi in enumerate_characters(field)
-            if ((om[0] - chi.coords[0]) % m, (om[1] - chi.coords[1]) % m) in subgroup
+            for (a, b), chi in enumerate_characters(field)
+            if ((om[0] - a) % m, (om[1] - b) % m) in subgroup
         ),
         Fraction(0),
     )
@@ -377,7 +396,7 @@ def per_stratum_sum(field, chi, max_level):
             head += Fraction(1, q ** (level - i))
         i += 1
     total = Fraction(p * (q - 1), p - 1) * head
-    if not field.equal_char and char_is_trivial(field, chi) and p * field.e <= max_level:
+    if not field.equal_char and chi.distinguished == TRIVIAL and p * field.e <= max_level:
         total += Fraction(p, q ** ((p - 1) * field.e))
     return total
 
