@@ -156,6 +156,21 @@ MUTANTS = [
         "mass giving the trivial value to every (0, b) row",
         "tests/test_cli.py",
     ),
+    # The line oracle's walk of a congruence class.
+    (
+        "oracle",
+        "range(residue or m, below + 1, m)",
+        "range((residue or m) + 1, below + 1, m)",
+        "the congruence class walked from one past its residue",
+        "tests/test_oracle.py::test_roots_of_unity_field_oracle",
+    ),
+    (
+        "oracle",
+        "if d % p:",
+        "if True:",
+        "the multiples of p in a class kept as block levels",
+        "tests/test_oracle.py::test_blocks_agree_with_layout",
+    ),
     # The flag parser, against argparse.
     (
         "cli",

@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     except (MassInvariantError, MassOracleError, AssertionError) as exc:
         print(f"internal identity failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     batch, size = [], 0

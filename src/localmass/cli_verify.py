@@ -48,18 +48,6 @@ def _cmd_oracle_check(args):
     clamped = truncation_bound(field, args.max_level)
     bound = clamped if args.max_level is None else args.max_level
     kind = "full" if not field.equal_char and clamped == field.p * field.e else "truncated"
-    # A class's blocks are found by scanning its levels, about 10**7 a second,
-    # and past VECTOR_LIMIT vectors its first block fails the oracle: refuse
-    # such a scan of more than VECTOR_LIMIT levels before it starts.
-    scan = clamped if field.equal_char else min(clamped, field.p * field.e - 1)
-    limit = oracle.VECTOR_LIMIT
-    # Any power of p with limit.bit_length() factors exceeds the limit, so no
-    # larger power is formed.
-    if scan > limit and field.p ** min(field.f, limit.bit_length()) > limit:
-        raise ValueError(
-            f"oracle scale exceeded: a scan of {scan} levels > VECTOR_LIMIT = {limit}"
-            f" for blocks of {field.p}**{field.f} vectors"
-        )
     rows = []
     for chi in char_classes(field, args.vbar):
         brute = oracle.oracle_mass(field, chi, bound)

@@ -18,9 +18,9 @@ asked, and that walk is shared by every character whose eigenspace lives
 over p; nothing is counted by a closed form or by splitting the space into
 halves.
 
-Independence is the point.  Block levels are found by scanning the integers
-and keeping those that are prime to p and whose valuation congruence matches
-the character; the slot formula, the point-count differences, and the
+Independence is the point.  Block levels are found by stepping through the
+integers of the character's congruence class mod p-1 and keeping those prime
+to p; the slot formula, the point-count differences, and the
 geometric series of :mod:`localmass.mass` are never consulted.  Agreement
 between :func:`oracle_mass` and ``char_contribution`` is therefore a real
 two-path check, not a tautology.
@@ -55,19 +55,21 @@ _NONZERO = bytes([0]) + bytes([1]) * 255
 
 
 class OracleBlock(namedtuple("OracleBlock", "level dim")):
-    """One eigen-space block as the congruence scan finds it."""
+    """One eigen-space block as the walk of its congruence class finds it."""
 
     __slots__ = ()
 
 
 def eigenspace_blocks(field: LocalField, chi: CharClass, max_level: int):
-    """Yield chi's eigenspace blocks with level <= max_level, by congruence scan.
+    """Yield chi's eigenspace blocks with level <= max_level, by congruence class.
 
     A level d >= 1 prime to p carries an f-dimensional block for chi exactly
     when d is congruent to (cyclotomic valuation - valuation(chi)) mod p-1;
     in mixed characteristic only d < p*e qualify and the trivial character
     additionally owns a line at level p*e.  The cyclotomic character owns the
-    level-0 line.  Blocks come in increasing level order.
+    level-0 line.  Blocks come in increasing level order: the class is walked
+    from its least positive member, and of any two consecutive members one is
+    prime to p, since p does not divide p-1.
     """
     validate_char(field, chi)
     p, m = field.p, field.p - 1
@@ -75,8 +77,8 @@ def eigenspace_blocks(field: LocalField, chi: CharClass, max_level: int):
     if char_is_omega(field, chi):
         yield OracleBlock(0, 1)
     below = max_level if field.equal_char else min(max_level, p * field.e - 1)
-    for d in range(1, below + 1):
-        if d % p and d % m == residue % m:
+    for d in range(residue or m, below + 1, m):
+        if d % p:
             yield OracleBlock(d, field.f)
     if not field.equal_char and chi.distinguished == TRIVIAL and p * field.e <= max_level:
         yield OracleBlock(p * field.e, 1)

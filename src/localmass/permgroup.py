@@ -481,7 +481,7 @@ def transitive_family(p: int) -> tuple[tuple[SubgroupRecord, ...], str]:
     records = tuple(subgroup_closure(g) for g in SEEDS_7)
     orders = [r.order for r in records]
     if orders != [7, 14, 21, 42, 168, 2520, 5040]:
-        raise RuntimeError(f"unexpected seeded family orders {orders}")
+        raise AssertionError(f"unexpected seeded family orders {orders} at p = {p}")
     return records, "seeded"
 
 
@@ -490,7 +490,7 @@ def verify_normalizer(p: int) -> dict:
     _require_degree(p)
     character = normalizer_of_cycle(p)
     if len(character) != p * (p - 1):
-        raise AssertionError(f"normalizer order {len(character)} != {p * (p - 1)}")
+        raise AssertionError(f"normalizer order {len(character)} != {p * (p - 1)} at p = {p}")
     kernel = {g for g, a in character.items() if a == 1}
     image = sorted(set(character.values()))
     if image != list(range(1, p)) or kernel != closure([pcycle(p)], p):
@@ -576,7 +576,7 @@ def _index_p_row(elems: frozenset[Perm], p: int) -> dict:
         return {"order": order, "skipped": "commutative"}
     subs = sorted(subgroups_of_order(elems, order // p), key=sorted)
     if len(subs) != p:
-        raise AssertionError(f"order {order}: {len(subs)} index-p subgroups, expected {p}")
+        raise AssertionError(f"p = {p}, order {order}: {len(subs)} index-p subgroups, expected {p}")
     for i, a in enumerate(subs):
         for j, b in enumerate(subs[i + 1 :], i + 1):
             # Both lie in the group and hold the identity: sizes decide.

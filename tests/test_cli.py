@@ -420,23 +420,73 @@ def test_oracle_check_at_a_seven_digit_prime_rejects_after_one_class(capsys):
     assert err == "error: oracle scale exceeded: vectors >= 1000003**2 > VECTOR_LIMIT = 10000000\n"
 
 
-def test_oracle_check_refuses_a_scan_it_cannot_finish(capsys, monkeypatch):
+def test_oracle_check_at_a_nine_digit_prime_rejects_its_first_block(capsys):
     # At p = 100000007 the one class of valuation 1 has its first block at
-    # level 100000005: the congruence scan took 10.05 s to get there, only
-    # for that block's p vectors to pass the cap.  The scan is refused
-    # before any class is built.
-    def reached(*args):
-        raise _KernelReached
-
-    monkeypatch.setattr(oracle, "eigenspace_blocks", reached)
+    # level 100000005, the first member of its congruence class, and that
+    # block's p vectors pass the cap.
     argv = ("--p", "100000007", "--e", "inf", "--max-level", "1000000000", "--vbar", "1")
     with _deadline(1):
         code, out, err = run_cli(capsys, "oracle-check", *argv, "--format", "tsv")
     assert code == 1 and out == ""
-    assert err == (
-        "error: oracle scale exceeded: a scan of 1000000000 levels > VECTOR_LIMIT = 10000000"
-        " for blocks of 100000007**1 vectors\n"
-    )
+    assert err == "error: oracle scale exceeded: vectors >= 100000007**1 > VECTOR_LIMIT = 10000000\n"
+
+
+def test_oracle_check_of_a_class_with_no_block_under_the_bound_is_mass_0(capsys):
+    # The class of valuation 1 starts at level 1000000005, past the bound,
+    # so its walk yields no block.
+    argv = ("--p", "1000000007", "--e", "inf", "--max-level", "20000000", "--vbar", "1")
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "oracle-check", *argv, "--format", "tsv")
+    assert code == 0 and err == ""
+    assert out == "vbar\tdistinguished\tmass\treference\texact_match\n1\tnone\t0\ttruncated\tTrue\n"
+
+
+def test_oracle_reads_few_levels_however_far_the_bound(capsys, monkeypatch):
+    # At p = 2 the class is every integer from 1, so the last level read is
+    # the number of candidates read.  Of two consecutive members of a class
+    # one is prime to p, so the oracle passes DIM_LIMIT within about twice
+    # as many candidates.
+    levels = []
+    blocks = oracle.eigenspace_blocks
+
+    def recorded(*args):
+        for block in blocks(*args):
+            levels.append(block.level)
+            yield block
+
+    monkeypatch.setattr(oracle, "eigenspace_blocks", recorded)
+    argv = ("--p", "2", "--e", "inf", "--max-level", "1000000000")
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "oracle-check", *argv)
+    assert code == 1 and out == ""
+    assert err == "error: oracle scale exceeded: dimension >= 13 > DIM_LIMIT = 12\n"
+    assert 0 < max(levels) <= 2 * (oracle.DIM_LIMIT + 1) + 1
+
+
+_HUGE = "9" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mass", "--p", "3", "--e", _HUGE),
+        ("mass", "--p", "3", "--e", _HUGE, "--filter", "cyclic"),
+        ("count", "--p", "3", "--e", _HUGE),
+        ("count", "--p", "3", "--e", "inf", "--max-level", _HUGE),
+        ("structure", "--p", "3", "--e", _HUGE),
+        ("structure", "--p", "3", "--e", "inf", "--max-level", _HUGE),
+        ("checksum", "--p", "3", "--f", _HUGE),
+        ("tame", "--p", "3", "--pprime", "2", "--f", _HUGE),
+        ("count", "--p", "3", "--f", _HUGE, "--e", "1", "--format", "tsv"),
+    ],
+    ids=lambda argv: " ".join(a if a != _HUGE else "N" for a in argv),
+)
+def test_a_400_digit_flag_exits_1_with_an_error_line(capsys, argv):
+    # Each makes a float or a C size of the huge value, an OverflowError.
+    with _deadline(1):
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
 
 
 def test_oracle_check_of_one_valuation_at_a_seven_digit_prime_is_quick(capsys):
@@ -580,6 +630,139 @@ def test_galois_verify_identity_failure_names_p_and_both_sides(capsys, monkeypat
         "internal identity failure: criterion fails at p = 5, order 20:"
         " solvable=False but sylow_p_count=1\n"
     )
+
+
+#: The memoized searches, as defined, whatever a test has patched.
+_MEMOIZED = (permgroup.transitive_family, permgroup.subgroups_of_order)
+
+
+def _galois_verify_failure(capsys, p="5"):
+    """stderr of ``galois-verify --p p``, which must exit 2 with no output.
+    The memoized searches are dropped before and after, so no result built
+    under a test's patch outlives it."""
+    for memoized in _MEMOIZED:
+        memoized.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "galois-verify", "--p", p)
+    finally:
+        for memoized in _MEMOIZED:
+            memoized.cache_clear()
+    assert code == 2 and out == ""
+    assert err.startswith("internal identity failure: ") and err.count("\n") == 1
+    return err
+
+
+def _alter(monkeypatch, name, alter):
+    """Make ``permgroup.<name>`` return ``alter(result, *args)`` of its result."""
+    original = getattr(permgroup, name)
+    monkeypatch.setattr(permgroup, name, lambda *args: alter(original(*args), *args))
+
+
+def _without_a_complement_element(character, p):
+    # A map x -> a*x (a != 1) swapped for a permutation outside the
+    # normalizer with the same value: order, image and kernel are unchanged.
+    g = next(g for g, a in character.items() if g[0] == 0 and a != 1)
+    h = next(h for h in itertools.permutations(range(p)) if h[0] != 0 and h not in character)
+    altered = dict(character)
+    altered[h] = altered.pop(g)
+    return altered
+
+
+@pytest.mark.parametrize(
+    "alter, expected",
+    [
+        (lambda character, p: dict(list(character.items())[1:]), "normalizer order 19 != 20 at p = 5"),
+        (
+            lambda character, p: dict.fromkeys(character, 1),
+            "conjugation character at p = 5: image [1], kernel of order 20;"
+            " expected 1..4 and the cycle group",
+        ),
+        (
+            _without_a_complement_element,
+            "affine complement at p = 5: order 3 (expected 4),"
+            " meets the kernel in 1 element(s) (expected 1), cyclic=False",
+        ),
+    ],
+    ids=["order", "image-and-kernel", "complement"],
+)
+def test_galois_verify_normalizer_failures_exit_2(capsys, monkeypatch, alter, expected):
+    _alter(monkeypatch, "normalizer_of_cycle", alter)
+    assert _galois_verify_failure(capsys) == f"internal identity failure: {expected}\n"
+
+
+def _replaced_in_family(group_order, **fields):
+    """The family with ``fields`` replaced in its first record of ``group_order``."""
+
+    def alter(family, p):
+        records, mode = family
+        i = next(i for i, rec in enumerate(records) if rec.order == group_order)
+        return (*records[:i], records[i]._replace(**fields), *records[i + 1 :]), mode
+
+    return alter
+
+
+@pytest.mark.parametrize(
+    "alter, expected",
+    [
+        (_replaced_in_family(20, order=25), "transitive order 25 is not divisible by p = 5 exactly once"),
+        (
+            _replaced_in_family(120, solvable=True, sylow_p_count=1),
+            "solvable group of order 120 at p = 5 not inside its Sylow normalizer",
+        ),
+    ],
+    ids=["order", "normality"],
+)
+def test_galois_verify_criterion_failures_exit_2(capsys, monkeypatch, alter, expected):
+    _alter(monkeypatch, "transitive_family", alter)
+    assert _galois_verify_failure(capsys).startswith(f"internal identity failure: {expected}")
+
+
+def _one_dropped(subs, elems, order):
+    return frozenset(sorted(subs, key=sorted)[1:])
+
+
+def _one_replaced_by_the_group(subs, elems, order):
+    return frozenset([*sorted(subs, key=sorted)[1:], elems])
+
+
+@pytest.mark.parametrize(
+    "alter, expected",
+    [
+        (_one_dropped, "p = 5, order 20: 4 index-p subgroups, expected 5"),
+        (
+            _one_replaced_by_the_group,
+            "p = 5, order 20: index-p subgroups 0 and 1 meet in 4 element(s)"
+            " and generate 20, expected 1 and 20",
+        ),
+    ],
+    ids=["count", "meet-and-generate"],
+)
+def test_galois_verify_index_p_failures_exit_2(capsys, monkeypatch, alter, expected):
+    _alter(monkeypatch, "subgroups_of_order", alter)
+    assert _galois_verify_failure(capsys) == f"internal identity failure: {expected}\n"
+
+
+def test_galois_verify_with_a_seed_dropped_exits_2(capsys, monkeypatch):
+    # The seeded family's order check is an identity check like the others.
+    monkeypatch.setattr(permgroup, "SEEDS_7", permgroup.SEEDS_7[:-1])
+    assert _galois_verify_failure(capsys, "7") == (
+        "internal identity failure: unexpected seeded family orders"
+        " [7, 14, 21, 42, 168, 2520] at p = 7\n"
+    )
+
+
+def test_checksum_mismatch_exits_2_naming_both_sides(capsys, monkeypatch):
+    over_power_of = mass._over_power_of
+
+    def one_too_many(q, terms):
+        num, top = over_power_of(q, terms)
+        return num + 1, top
+
+    monkeypatch.setattr(mass, "_over_power_of", one_too_many)
+    code, out, err = run_cli(capsys, "checksum", "--p", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("internal identity failure: contribution checksum failed at p=3, q=3:")
+    assert re.search(r"lhs \S+ != rhs 80/3\n$", err)
 
 
 @pytest.mark.parametrize("p", [0, 1, -3, 4, 6])

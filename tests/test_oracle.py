@@ -53,7 +53,7 @@ def test_roots_of_unity_field_oracle():
 
 
 def test_blocks_agree_with_layout():
-    # The congruence scan must reproduce the layout's levels per class.
+    # The walk of each congruence class must reproduce the layout's levels.
     for field, bound in [(Q3, 3), (LocalField(5, 1, 1), 5), (F3_SERIES, 9)]:
         lay = layout(field, bound)
         for chi in char_classes(field):
