@@ -171,6 +171,13 @@ MUTANTS = [
         "the multiples of p in a class kept as block levels",
         "tests/test_oracle.py::test_blocks_agree_with_layout",
     ),
+    (
+        "cli_verify",
+        "    if args.vbar is None:\n",
+        "    if False:\n",
+        "oracle-check's cyclotomic class left to its turn in the loop",
+        "tests/test_cli.py::test_oracle_check_of_every_class_at_a_nine_digit_prime_exits_1_at_once",
+    ),
     # The flag parser, against argparse.
     (
         "cli",

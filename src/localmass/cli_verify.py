@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import mass, oracle, permgroup, rationals
 from .cli_common import _describe, _field, _field_json, _json, _text, _tsv
-from .model import MassOracleError, char_classes, truncation_bound
+from .model import MassOracleError, char_classes, omega_char, truncation_bound
 
 
 def _cmd_galois_verify(args):
@@ -48,6 +48,11 @@ def _cmd_oracle_check(args):
     clamped = truncation_bound(field, args.max_level)
     bound = clamped if args.max_level is None else args.max_level
     kind = "full" if not field.equal_char and clamped == field.p * field.e else "truncated"
+    if args.vbar is None:
+        # The cyclotomic class owns the level-0 line, p vectors, so past
+        # VECTOR_LIMIT its oracle fails here, before the loop reads up to
+        # p - 1 valuations with no block under the bound.
+        oracle.oracle_mass(field, omega_char(field), bound)
     rows = []
     for chi in char_classes(field, args.vbar):
         brute = oracle.oracle_mass(field, chi, bound)

@@ -318,11 +318,17 @@ def test_closure_filters_at_p_1009_are_quick(capsys, flags):
 
 
 @pytest.mark.parametrize(
-    "field", [("--e", "inf", "--max-level", "30000000"), ("--e", "10000000")], ids=["inf", "e"]
+    "argv",
+    [
+        ("--p", "3", "--e", "inf", "--max-level", "30000000"),
+        ("--p", "3", "--e", "10000000"),
+        ("--p", "2", "--e", "inf", "--max-level", "1000000000"),
+    ],
+    ids=["inf", "e", "p-2"],
 )
-def test_oracle_check_beyond_its_scale_exits_1_at_once(capsys, field):
+def test_oracle_check_beyond_its_scale_exits_1_at_once(capsys, argv):
     with _deadline(1):
-        code, out, err = run_cli(capsys, "oracle-check", "--p", "3", *field)
+        code, out, err = run_cli(capsys, "oracle-check", *argv)
     assert code == 1 and out == ""
     assert err == "error: oracle scale exceeded: dimension >= 13 > DIM_LIMIT = 12\n"
 
@@ -441,26 +447,46 @@ def test_oracle_check_of_a_class_with_no_block_under_the_bound_is_mass_0(capsys)
     assert out == "vbar\tdistinguished\tmass\treference\texact_match\n1\tnone\t0\ttruncated\tTrue\n"
 
 
-def test_oracle_reads_few_levels_however_far_the_bound(capsys, monkeypatch):
-    # At p = 2 the class is every integer from 1, so the last level read is
-    # the number of candidates read.  Of two consecutive members of a class
-    # one is prime to p, so the oracle passes DIM_LIMIT within about twice
-    # as many candidates.
-    levels = []
-    blocks = oracle.eigenspace_blocks
+@pytest.mark.parametrize(
+    "field",
+    [("--e", "inf", "--max-level", "20000000"), ("--e", "50000000", "--max-level", "20000000")],
+    ids=["inf", "e"],
+)
+def test_oracle_check_of_every_class_at_a_nine_digit_prime_exits_1_at_once(capsys, field):
+    # Most valuations have no block under the bound (at e = 50000000 the
+    # first 3*10**7 of them), but the cyclotomic class's level-0 line alone
+    # is p vectors, past the cap.
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "oracle-check", "--p", "100000007", *field)
+    assert code == 1 and out == ""
+    assert err == "error: oracle scale exceeded: vectors >= 100000007**1 > VECTOR_LIMIT = 10000000\n"
 
-    def recorded(*args):
-        for block in blocks(*args):
-            levels.append(block.level)
-            yield block
 
-    monkeypatch.setattr(oracle, "eigenspace_blocks", recorded)
-    argv = ("--p", "2", "--e", "inf", "--max-level", "1000000000")
+@pytest.mark.parametrize(
+    "p, cap",
+    [(2, "dimension >= 13 > DIM_LIMIT = 12"), (101, "vectors >= 101**4 > VECTOR_LIMIT = 10000000")],
+    ids=["p-2", "p-101"],
+)
+def test_oracle_reads_only_its_congruence_class(capsys, monkeypatch, p, cap):
+    # Every candidate level the oracle reads comes from a range it walks.
+    # Of two consecutive members of a class one is prime to p, so the caps
+    # are passed within about 2 * (DIM_LIMIT + 1) candidates, however far
+    # the bound.  At p = 101 the class of valuation 1 is every 100th level,
+    # so a scan of every integer would read 399 before its fourth block.
+    read = []
+
+    def counted(*args):
+        for d in range(*args):
+            read.append(d)
+            yield d
+
+    monkeypatch.setattr(oracle, "range", counted, raising=False)
+    argv = ("--p", str(p), "--e", "inf", "--max-level", "1000000000", "--vbar", "1")
     with _deadline(1):
         code, out, err = run_cli(capsys, "oracle-check", *argv)
     assert code == 1 and out == ""
-    assert err == "error: oracle scale exceeded: dimension >= 13 > DIM_LIMIT = 12\n"
-    assert 0 < max(levels) <= 2 * (oracle.DIM_LIMIT + 1) + 1
+    assert err == f"error: oracle scale exceeded: {cap}\n"
+    assert 0 < len(read) <= 2 * (oracle.DIM_LIMIT + 1) + 1
 
 
 _HUGE = "9" * 400
