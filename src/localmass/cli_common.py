@@ -3,10 +3,10 @@ name, the digit checks, and the renderers.
 
 Only the cli's modules render: the other modules return plain values, and
 each handler makes every conversion that can fail (a decimal string past the
-int-to-str limit) before its renderer writes the first byte.  Where a closed
-form bounds a printed number's digits (q, ``checksum``'s sides, the deepest
-of ``mass``'s contributions, ``count``'s largest count by Krasner's count), a
-number past the limit is rejected before the kernel computes it.
+int-to-str limit) before its renderer writes the first byte.  Where p**n
+bounds a printed number (q, ``checksum``'s sides, the deepest of ``mass``'s
+contributions, ``count``'s largest count by Krasner's count), a number past
+the limit is rejected from the integer n, before the kernel computes it.
 
 The handlers import this module, never :mod:`localmass.cli`: the command
 runs as ``python -m localmass.cli``, where ``cli.py`` is ``__main__``, and an
@@ -57,21 +57,23 @@ def _q_decimal(field: LocalField) -> str:
     rejected from that count before anything computes p**f, which takes
     seconds at f = 10**7.
     """
-    _check_digits(field.f * math.log10(field.p), f"q = {field.p}**{field.f} has {{}} digits")
+    _check_digits(field.p, field.f, f"q = {field.p}**{field.f} has {{}} digits")
     return str(field.q)
 
 
-def _check_digits(log10: float, number: str) -> None:
+def _check_digits(p: int, exponent: int, number: str) -> None:
     """Raise the int-to-str limit's ValueError for a printed number of at
-    least 10**log10, before anything computes it.  ``number`` names it, with
-    ``{}`` for its digit count, floor(log10) + 1.  Only a ``log10`` more than
-    one digit past the limit is rejected: the digit of slack covers the
-    float's rounding, and nearer the limit ``str`` decides."""
+    least p**exponent, before anything computes it.  ``number`` names it, with
+    ``{}`` for its digit count, floor(exponent * log10(p)) + 1, in integers
+    from the float log10(p)'s exact ratio.  Only a count more than one digit
+    past the limit is rejected, for the float's rounding: nearer, ``str`` decides."""
     limit = sys.get_int_max_str_digits()
-    if limit and log10 > limit + 1:
+    num, den = math.log10(p).as_integer_ratio()
+    digits = exponent * num // den + 1
+    if limit and digits > limit + 1:
         raise ValueError(
             f"Exceeds the limit ({limit} digits) for integer string conversion: "
-            + number.format(math.floor(log10) + 1)
+            + number.format(digits)
         )
 
 

@@ -104,7 +104,7 @@ def _cmd_count(args):
     tail = [lv for lv in levels[-2:] if lv % p]
     if top or tail:  # the count is at least p**exponent
         exponent = field.e * field.f + 1 if top else (tail[-1] // p + 1) * field.f
-        _check_digits(exponent * math.log10(p), "the largest count has at least {} digits")
+        _check_digits(p, exponent, "the largest count has at least {} digits")
 
     def rows(max_level=args.max_level, min_level=0):
         return _count_decimals(count_rows(field, max_level, args.vbar, min_level))

@@ -8,7 +8,6 @@ distinct values converted before the first row.
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 
 from . import mass, rationals
@@ -23,7 +22,7 @@ from .cli_common import (
     _text,
     _tsv,
 )
-from .model import INFINITE_E, LocalField, coords_marker, cyclotomic_valuation, trivial_char
+from .model import INFINITE_E, LocalField, coords_marker, trivial_char
 
 # A `mass` character as json.dumps(indent=2) renders it at depth 2.
 _CHAR_JSON = (
@@ -45,17 +44,14 @@ def _check_denominator(field: LocalField, counts: dict[int, int], trivial: bool)
     if field.equal_char:
         return
     p, m, top, last = field.p, field.p - 1, (field.p - 1) * field.e, field.p * field.e - 1
-    # The p - 1 levels below p*e are prime to p, one of each valuation class
-    # w_omega - level mod p - 1: the deepest counted is the nearest to p*e.
-    shift = last - cyclotomic_valuation(field)
-    if trivial and counts.get(-shift % m) == m:
+    # The p - 1 levels below p*e are prime to p, and level last - k has
+    # valuation (1 + k) mod p - 1: the deepest counted is the nearest to p*e.
+    if trivial and counts.get(1 % m) == m:
         return
-    level = last - min(((shift + w) % m for w in counts), default=last)
+    level = last - min(((w - 1) % m for w in counts), default=last)
     deepest = level - level // p
-    _check_digits(
-        (field.f * (top if trivial else deepest) - 1) * math.log10(p),
-        "a contribution's denominator has at least {} digits",
-    )
+    exponent = field.f * (top if trivial else deepest) - 1
+    _check_digits(p, exponent, "a contribution's denominator has at least {} digits")
 
 
 def _cmd_mass(args):
@@ -132,10 +128,8 @@ def _cmd_checksum(args):
     # For p >= 3 a side is N / q**(p-2) in lowest terms: N = (q**(p-2) - 1)
     # (q**((p-1)**2) - 1) / (q - 1) is -1 mod q, and N >= q**(p + (p-1)**2 - 4).
     p = args.p
-    _check_digits(
-        (p + (p - 1) ** 2 - 4) * args.f * math.log10(p),
-        "the checksum's sides have a numerator of at least {} digits",
-    )
+    exponent = (p + (p - 1) ** 2 - 4) * args.f
+    _check_digits(p, exponent, "the checksum's sides have a numerator of at least {} digits")
     q = field.q
     lhs, rhs = mass.contribution_checksum(field)
     # The checksum has returned, so the sides are equal: one decimal string.

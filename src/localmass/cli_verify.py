@@ -4,13 +4,15 @@ against the formulas, and the group theory on permutations.
 ``oracle-check`` runs :mod:`localmass.oracle` and :mod:`localmass.mass`;
 ``galois-verify`` runs only :mod:`localmass.permgroup`.  Each reaches its
 kernels through the module, so a query loads only the ones it calls.
+Without ``--vbar``, ``oracle-check`` holds (p, f, bound) to the oracle's caps
+(:func:`localmass.oracle.check_scale`) before its class loop runs an oracle.
 """
 
 from __future__ import annotations
 
 from . import mass, oracle, permgroup, rationals
 from .cli_common import _describe, _field, _field_json, _json, _text, _tsv
-from .model import MassOracleError, char_classes, omega_char, truncation_bound
+from .model import MassOracleError, char_classes, truncation_bound
 
 
 def _cmd_galois_verify(args):
@@ -49,10 +51,8 @@ def _cmd_oracle_check(args):
     bound = clamped if args.max_level is None else args.max_level
     kind = "full" if not field.equal_char and clamped == field.p * field.e else "truncated"
     if args.vbar is None:
-        # The cyclotomic class owns the level-0 line, p vectors, so past
-        # VECTOR_LIMIT its oracle fails here, before the loop reads up to
-        # p - 1 valuations with no block under the bound.
-        oracle.oracle_mass(field, omega_char(field), bound)
+        # Some class owns level 0's line and, from bound 1 up, level 1's f-block.
+        oracle.check_scale(field.p, field.f if bound >= 1 else 1)
     rows = []
     for chi in char_classes(field, args.vbar):
         brute = oracle.oracle_mass(field, chi, bound)

@@ -360,10 +360,10 @@ def walk_totals(field: LocalField, bound: int, vbar: int | None = None):
     closed form from :func:`walk_plan`: the level-0 and top-level lines, and
     p - 1 blocks of dimension f at each level of the progression prime to p.
     Since p = 1 mod p-1, the progression's multiples of p are p times its
-    own levels."""
+    own levels.  Each count is a ceil-division, >= 0 as 0 < stop and start <= step."""
     zero, levels, top = walk_plan(field, bound, vbar)
-    p = field.p
-    inner = len(levels) - len(range(p * levels.start, levels.stop, p * levels.step))
+    p, start, stop, step = field.p, levels.start, levels.stop, levels.step
+    inner = (p * start - stop) // (p * step) - (start - stop) // step
     lines = zero + top
     return lines + inner, lines + (p - 1) * inner, lines + (p - 1) * field.f * inner
 

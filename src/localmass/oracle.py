@@ -23,7 +23,7 @@ integers of the character's congruence class mod p-1 and keeping those prime
 to p; the slot formula, the point-count differences, and the
 geometric series of :mod:`localmass.mass` are never consulted.  Agreement
 between :func:`oracle_mass` and ``char_contribution`` is therefore a real
-two-path check, not a tautology.
+two-path check, not a tautology.  :func:`check_scale` alone tests the caps.
 """
 
 from __future__ import annotations
@@ -163,6 +163,17 @@ def _vectors_by_leading_position(p: int, dim: int) -> tuple[int, ...]:
     return tally[len(tally) - dim :]
 
 
+def check_scale(p: int, dim: int) -> None:
+    """Raise the oracle's scale error for a space of ``dim`` coordinates over
+    F_p past ``DIM_LIMIT`` or else, at p**dim vectors, past ``VECTOR_LIMIT``."""
+    if dim > DIM_LIMIT:
+        raise ValueError(f"oracle scale exceeded: dimension >= {dim} > DIM_LIMIT = {DIM_LIMIT}")
+    if p**dim > VECTOR_LIMIT:
+        raise ValueError(
+            f"oracle scale exceeded: vectors >= {p}**{dim} > VECTOR_LIMIT = {VECTOR_LIMIT}"
+        )
+
+
 def enumerate_lines(
     field: LocalField, chi: CharClass, max_level: int
 ) -> dict[int, int]:
@@ -184,14 +195,7 @@ def enumerate_lines(
     for block in eigenspace_blocks(field, chi, max_level):
         blocks.append(block)
         dim += block.dim
-        if dim > DIM_LIMIT or p**dim > VECTOR_LIMIT:
-            break
-    if dim > DIM_LIMIT:
-        raise ValueError(f"oracle scale exceeded: dimension >= {dim} > DIM_LIMIT = {DIM_LIMIT}")
-    if p**dim > VECTOR_LIMIT:
-        raise ValueError(
-            f"oracle scale exceeded: vectors >= {p}**{dim} > VECTOR_LIMIT = {VECTOR_LIMIT}"
-        )
+        check_scale(p, dim)
     levels_desc = sorted((b.level for b in blocks for _ in range(b.dim)), reverse=True)
     vectors_per_level = {}
     for lvl, n in zip(levels_desc, _vectors_by_leading_position(p, dim)):

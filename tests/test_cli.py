@@ -1,6 +1,7 @@
 """CLI dispatch, formats, determinism, and exit codes."""
 
 import contextlib
+import decimal
 import io
 import itertools
 import json
@@ -426,6 +427,35 @@ def test_oracle_check_at_a_seven_digit_prime_rejects_after_one_class(capsys):
     assert err == "error: oracle scale exceeded: vectors >= 1000003**2 > VECTOR_LIMIT = 10000000\n"
 
 
+def test_oracle_check_with_level_1_past_the_vector_cap_exits_1_at_once(capsys):
+    # Below the bound only level 0's line, 1000003 vectors, and level 1's
+    # block, 1000003**2, have a class, the first and the last of 10**6: the
+    # class loop read every valuation between them, 21.5 s as a subprocess on
+    # a 2-vCPU host, before level 1 failed the cap.  (p, f) fails it first.
+    argv = ("--p", "1000003", "--f", "2", "--e", "inf", "--max-level", "5")
+    with _deadline(1):
+        code, out, err = run_cli(capsys, "oracle-check", *argv)
+    assert code == 1 and out == ""
+    assert err == "error: oracle scale exceeded: vectors >= 1000003**2 > VECTOR_LIMIT = 10000000\n"
+
+
+def test_oracle_check_runs_one_oracle_per_printed_class(capsys, monkeypatch):
+    # Without --vbar the caps are checked from (p, f, bound): no oracle runs
+    # outside the class loop, which runs one per row.
+    real, calls = oracle.oracle_mass, []
+
+    def counted(field, chi, bound):
+        calls.append((str(chi.valuation), chi.distinguished))
+        return real(field, chi, bound)
+
+    monkeypatch.setattr(oracle, "oracle_mass", counted)
+    argv = ("--p", "3", "--e", "inf", "--max-level", "33", "--format", "tsv")
+    code, out, _ = run_cli(capsys, "oracle-check", *argv)
+    assert code == 0
+    assert calls == [tuple(row.split("\t")[:2]) for row in out.splitlines()[1:]]
+    assert len(calls) == 3
+
+
 def test_oracle_check_at_a_nine_digit_prime_rejects_its_first_block(capsys):
     # At p = 100000007 the one class of valuation 1 has its first block at
     # level 100000005, the first member of its congruence class, and that
@@ -490,29 +520,52 @@ def test_oracle_reads_only_its_congruence_class(capsys, monkeypatch, p, cap):
 
 
 _HUGE = "9" * 400
+_N = int(_HUGE)
+
+
+def _huge(argv, cap, size):
+    """A case of a 400-digit flag: its argv, and the cap its message names
+    with the size it names there, rows exactly or digits of 3**size."""
+    return pytest.param(argv, cap, size, id=" ".join(a if a != _HUGE else "N" for a in argv))
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, cap, size",
     [
-        ("mass", "--p", "3", "--e", _HUGE),
-        ("mass", "--p", "3", "--e", _HUGE, "--filter", "cyclic"),
-        ("count", "--p", "3", "--e", _HUGE),
-        ("count", "--p", "3", "--e", "inf", "--max-level", _HUGE),
-        ("structure", "--p", "3", "--e", _HUGE),
-        ("structure", "--p", "3", "--e", "inf", "--max-level", _HUGE),
-        ("checksum", "--p", "3", "--f", _HUGE),
-        ("tame", "--p", "3", "--pprime", "2", "--f", _HUGE),
-        ("count", "--p", "3", "--f", _HUGE, "--e", "1", "--format", "tsv"),
+        # The deepest block is at level 3N - 1, of depth 2N: a denominator of 3**(2N - 1).
+        _huge(("mass", "--p", "3", "--e", _HUGE), "a contribution's denominator", 2 * _N - 1),
+        _huge(("mass", "--p", "3", "--e", _HUGE, "--filter", "cyclic"),
+              "a contribution's denominator", 2 * _N - 1),
+        # Level 0, the 2N levels prime to 3 below 3N, and the top.
+        _huge(("count", "--p", "3", "--e", _HUGE), "count", 2 * _N + 2),
+        _huge(("count", "--p", "3", "--e", "inf", "--max-level", _HUGE), "count", _N - _N // 3 + 1),
+        _huge(("structure", "--p", "3", "--e", _HUGE), "structure", 2 + 2 * 2 * _N),
+        _huge(("structure", "--p", "3", "--e", "inf", "--max-level", _HUGE),
+              "structure", 1 + 2 * (_N - _N // 3)),
+        _huge(("checksum", "--p", "3", "--f", _HUGE), f"q = 3**{_HUGE}", _N),
+        _huge(("tame", "--p", "3", "--pprime", "2", "--f", _HUGE), f"q = 3**{_HUGE}", _N),
+        # tsv prints no q; the top level's count is 3 q**1.
+        _huge(("count", "--p", "3", "--f", _HUGE, "--e", "1", "--format", "tsv"),
+              "the largest count", _N + 1),
     ],
-    ids=lambda argv: " ".join(a if a != _HUGE else "N" for a in argv),
 )
-def test_a_400_digit_flag_exits_1_with_an_error_line(capsys, argv):
-    # Each makes a float or a C size of the huge value, an OverflowError.
+def test_a_400_digit_flag_exits_1_with_an_error_line(capsys, argv, cap, size):
+    # Each flag is bounded in integers before any float or C size is made of
+    # it: Python's own "too large to convert" texts named neither cap.
     with _deadline(1):
         code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+    assert "too large to convert" not in err and "Traceback" not in err
+    last = err.splitlines()[-1]
+    if cap in ("count", "structure"):
+        assert last == f"error: {cap} scale exceeded: rows = {size} > ROW_LIMIT = 10000000"
+        return
+    head = f"error: Exceeds the limit (4300 digits) for integer string conversion: {cap} has "
+    assert last.startswith(head) and last.endswith(" digits")
+    digits = int(last[len(head):].removeprefix("at least ").removesuffix(" digits"))
+    # About size * log10(3) digits, read off the float log10(3) to within its
+    # rounding; 28 significant digits of Decimal's log10(3) are enough to see it.
+    assert abs(digits - size * decimal.Decimal(3).log10()) < size * decimal.Decimal("1e-15")
 
 
 def test_oracle_check_of_one_valuation_at_a_seven_digit_prime_is_quick(capsys):
